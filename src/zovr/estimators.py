@@ -89,9 +89,11 @@ class Minibatch:
             raise ValueError("minibatch must be a non-empty 1-d index array")
         if np.any(idx < 0):
             raise ValueError("minibatch indices must be non-negative")
-        if np.any(np.diff(idx) < 0):
+        steps = np.diff(idx)
+        if np.any(steps < 0):
             idx = np.sort(idx)
-        if self.mode == WITHOUT_REPLACEMENT and np.any(np.diff(idx) == 0):
+            steps = np.diff(idx)
+        if self.mode == WITHOUT_REPLACEMENT and np.any(steps == 0):
             raise ValueError("without-replacement minibatch has duplicate indices")
         if self.mode not in (WITH_REPLACEMENT, WITHOUT_REPLACEMENT):
             raise ValueError(f"unknown sampling mode {self.mode!r}")
@@ -112,18 +114,23 @@ def sample_minibatch(n: int, b: int, seed: int, mode: str = WITHOUT_REPLACEMENT)
     Without replacement uses Floyd's algorithm (uniform over subsets);
     with replacement draws b independent indices.
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
     if not (1 <= b <= n) and mode == WITHOUT_REPLACEMENT:
         raise ValueError(f"need 1 <= b <= n, got b={b}, n={n}")
     if b < 1:
         raise ValueError(f"need b >= 1, got b={b}")
+    # word k of the stream decides draw k, as prng.randint_below(seed, k, bound)
+    words = prng.raw_words(seed, 0, b)
     if mode == WITH_REPLACEMENT:
-        idx = [prng.randint_below(seed, k, n) for k in range(b)]
-        return Minibatch(np.sort(np.asarray(idx, dtype=np.int64)), mode)
+        words %= np.uint64(n)
+        idx = words.view(np.int64)
+        idx.sort()
+        return Minibatch(idx, mode)
+    # Floyd: draw k picks from [0, n-b+k]
+    draws = words % np.arange(n - b + 1, n + 1, dtype=np.uint64)
     chosen: set[int] = set()
-    ctr = 0
-    for j in range(n - b, n):
-        t = prng.randint_below(seed, ctr, j + 1)
-        ctr += 1
+    for j, t in enumerate(draws.tolist(), n - b):
         chosen.add(j if t in chosen else t)
     return Minibatch(np.fromiter(sorted(chosen), dtype=np.int64, count=b), mode)
 
@@ -168,7 +175,10 @@ def _stream_add_scaled(theta: np.ndarray, seed: PerturbationSeed, alpha: float) 
     d = theta.shape[0]
     for a in range(0, d, STREAM_CHUNK):
         b = min(a + STREAM_CHUNK, d)
-        theta[a:b] += alpha * prng.normals(seed.seed, seed.offset + a, b - a)
+        z = prng.normals(seed.seed, seed.offset + a, b - a)
+        z *= alpha
+        theta[a:b] += z
+        del z  # free this chunk before the next one is generated
 
 
 def perturb_in_place(theta: np.ndarray, seed: PerturbationSeed, s: int, mu: float) -> None:

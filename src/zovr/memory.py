@@ -12,9 +12,13 @@ footprints of each optimizer family:
     fo-sgd                2 x d   (parameters + dense gradient)
 
 plus a constant overhead C that covers the streaming chunk temporaries
-and bookkeeping. The live runs register their actual d-scale buffers on
-a SlotMeter so measured peaks can be cross-checked against the model;
-note the in-place MeZO-SVRG implementation keeps its anchor estimate as
+and bookkeeping. C bounds the measured heap of the streaming kernel: one
+in-place ``theta += alpha * z`` pass allocates at most 8*C bytes
+(tracemalloc) for any d, which a test checks. Full-batch loss queries
+read the dataset in place, so an anchor query adds no copy of the data.
+The live runs register their actual d-scale buffers on a SlotMeter so
+measured peaks can be cross-checked against the model; note the
+in-place MeZO-SVRG implementation keeps its anchor estimate as
 (seed, scalar) and therefore measures *below* the 3d model.
 """
 

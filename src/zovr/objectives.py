@@ -31,6 +31,21 @@ def _thread_count() -> int:
         return 1
 
 
+def _rows(indices, data, targets):
+    """``data[indices], targets[indices]``, read in place for a full batch.
+
+    When `indices` is exactly 0..n-1 and an array is C-contiguous, the
+    gathered copy would equal the array in value and in layout, so the
+    array itself is returned and a full-batch query copies no data.
+    """
+    idx = np.asarray(indices)
+    if not (idx.ndim == 1 and 0 < idx.size == data.shape[0] and idx.dtype.kind in "iu"
+            and idx[0] == 0 and np.all(np.diff(idx) == 1)):
+        return data[idx], targets[idx]
+    return (data if data.flags.c_contiguous else data[idx],
+            targets if targets.flags.c_contiguous else targets[idx])
+
+
 class Objective:
     """Sample-indexed loss oracle over n samples in dimension d.
 
@@ -164,7 +179,8 @@ class LeastSquaresProblem(Objective):
         return r * r
 
     def batch_loss(self, theta, indices):
-        r = self.X[indices] @ theta - self.y[indices]
+        X, y = _rows(indices, self.X, self.y)
+        r = X @ theta - y
         return float(np.mean(r * r))
 
     def grad(self, theta, index):
@@ -223,7 +239,8 @@ class LogisticProblem(Objective):
         self.n, self.d = X.shape
 
     def _margins(self, theta, indices):
-        return self.labels[indices] * (self.X[indices] @ theta)
+        X, labels = _rows(indices, self.X, self.labels)
+        return labels * (X @ theta)
 
     def loss(self, theta, index):
         m = float(self.labels[index] * (self.X[index] @ theta))
@@ -343,9 +360,10 @@ class Mlp2Problem(Objective):
         return float(self._cross_entropy(logits, self.labels[index:index + 1])[0])
 
     def batch_loss(self, theta, indices):
-        idx = np.asarray(indices, dtype=np.int64)
-        logits = self._forward(theta, self.features[idx])[-1]
-        return float(np.mean(self._cross_entropy(logits, self.labels[idx])))
+        features, labels = _rows(np.asarray(indices, dtype=np.int64),
+                                 self.features, self.labels)
+        logits = self._forward(theta, features)[-1]
+        return float(np.mean(self._cross_entropy(logits, labels)))
 
     def grad(self, theta, index):
         return self.batch_grad(theta, np.asarray([index]))

@@ -1,10 +1,10 @@
 """Acceptance criteria, one test per criterion, at their stated tolerances.
 
-Each test prints one `[ACCEPTANCE n] PASS/FAIL` line (run pytest with -s
-or check test_output.txt). Criteria 1 and 11 encode orderings that do
-not hold at this problem scale with the pinned hyperparameters and
-budgets; they are implemented faithfully and expected to fail, with the
-measured values printed. See the repository notes for the analysis.
+Each test prints one `[ACCEPTANCE n] PASS/FAIL` line (run pytest with
+-s). Criteria 1 and 11 encode orderings that do not hold at this problem
+scale with the pinned hyperparameters and budgets; they are implemented
+faithfully and expected to fail, with the measured values printed. See
+the repository notes for the analysis.
 """
 
 import time

@@ -19,8 +19,8 @@ from zovr import (
     spsa_batch_shared,
     spsa_sample,
 )
-from zovr.estimators import WITH_REPLACEMENT, apply_probe_sequence
-from zovr.prng import fold, normals
+from zovr.estimators import WITH_REPLACEMENT, WITHOUT_REPLACEMENT, apply_probe_sequence
+from zovr.prng import fold, normals, randint_below
 
 
 class ConstantObjective:
@@ -298,6 +298,28 @@ def test_minibatch_validation():
         Minibatch(np.array([], dtype=np.int64))
     batch = Minibatch(np.array([5, 1, 3]))
     assert list(batch.indices) == [1, 3, 5]
+
+
+@pytest.mark.parametrize("mode", [WITH_REPLACEMENT, WITHOUT_REPLACEMENT])
+def test_sampler_rejects_empty_population(mode):
+    with pytest.raises(ValueError, match="n >= 1"):
+        sample_minibatch(0, 1, 3, mode)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=1, max_value=300),
+       data=st.data(),
+       seed=st.integers(min_value=0, max_value=2**64 - 1))
+def test_sampler_matches_scalar_draws(n, data, seed):
+    # draw k of a minibatch is randint_below(seed, k, bound)
+    b = data.draw(st.integers(min_value=1, max_value=n))
+    with_repl = sorted(randint_below(seed, k, n) for k in range(b))
+    assert sample_minibatch(n, b, seed, WITH_REPLACEMENT).indices.tolist() == with_repl
+    chosen = set()
+    for k, j in enumerate(range(n - b, n)):
+        t = randint_below(seed, k, j + 1)
+        chosen.add(j if t in chosen else t)
+    assert sample_minibatch(n, b, seed).indices.tolist() == sorted(chosen)
 
 
 def test_sampler_without_replacement_uniformity():

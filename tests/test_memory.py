@@ -1,3 +1,6 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from zovr import (
@@ -8,9 +11,11 @@ from zovr import (
     SlotMeter,
     ZoSvrgConfig,
     account_memory,
+    PerturbationSeed,
     make_least_squares,
     run,
 )
+from zovr.estimators import STREAM_CHUNK, _stream_add_scaled
 from zovr.memory import CONSTANT_OVERHEAD
 
 
@@ -78,3 +83,17 @@ def test_measured_fo_sgd_two_d():
     peak, d = _measured_peak("fo-sgd", FoSgdConfig(eta=1e-3, b=8))
     assert peak == 2 * d
     assert peak <= account_memory("fo-sgd", None, d)
+
+
+def test_stream_kernel_heap_within_constant_overhead():
+    # three full chunks and a ragged tail; the constant C is in float64 slots
+    theta = np.zeros(3 * STREAM_CHUNK + 7)
+    seed = PerturbationSeed(17, 5)
+    _stream_add_scaled(theta, seed, 0.5)  # warm numpy's caches outside the trace
+    tracemalloc.start()
+    try:
+        _stream_add_scaled(theta, seed, -0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= CONSTANT_OVERHEAD * 8

@@ -1,5 +1,6 @@
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,9 +13,13 @@ from zovr import (
     make_synthetic_digits,
     load_idx,
 )
+from zovr.estimators import WITH_REPLACEMENT, sample_minibatch
 from zovr.objectives import (
     IDX_IMAGES_MAGIC,
     IDX_LABELS_MAGIC,
+    LeastSquaresProblem,
+    LogisticProblem,
+    Mlp2Problem,
     load_dataset_table,
     save_dataset_table,
 )
@@ -237,3 +242,56 @@ def test_counting_objective_counts():
     counting.batch_grad(theta, np.arange(5))
     assert counting.forward_queries == 1 + 10 + 5
     assert counting.backward_queries == 5
+
+
+def _gathered_loss(obj, theta, idx):
+    # each objective's batch loss over an explicitly gathered copy of its rows
+    if isinstance(obj, LeastSquaresProblem):
+        r = obj.X[idx] @ theta - obj.y[idx]
+        return float(np.mean(r * r))
+    if isinstance(obj, LogisticProblem):
+        return float(np.mean(np.logaddexp(0.0, -(obj.labels[idx] * (obj.X[idx] @ theta)))))
+    logits = obj._forward(theta, obj.features[idx])[-1]
+    return float(np.mean(obj._cross_entropy(logits, obj.labels[idx])))
+
+
+def _data_matrix(obj):
+    return obj.features if isinstance(obj, Mlp2Problem) else obj.X
+
+
+def _traced_batch_loss(obj, theta, idx):
+    tracemalloc.start()
+    try:
+        value = obj.batch_loss(theta, idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return value, peak
+
+
+_FULL_BATCH_OBJECTIVES = {
+    "ls": lambda: make_least_squares(400, 60, seed=21),
+    "logistic": lambda: make_logistic(300, 50, seed=22),
+    "mlp": lambda: make_mlp2(make_synthetic_digits(96, seed=23), seed=23),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FULL_BATCH_OBJECTIVES))
+def test_full_batch_loss_reads_data_in_place(name):
+    obj = _FULL_BATCH_OBJECTIVES[name]()
+    theta = obj.initial_theta() + 0.05 * normals(fold(24, 1), 0, obj.d)
+    idx = np.arange(obj.n)
+    value, peak = _traced_batch_loss(obj, theta, idx)
+    assert value == _gathered_loss(obj, theta, idx)
+    assert peak < _data_matrix(obj).nbytes
+
+
+@pytest.mark.parametrize("name", sorted(_FULL_BATCH_OBJECTIVES))
+def test_with_replacement_full_length_batch_is_gathered(name):
+    obj = _FULL_BATCH_OBJECTIVES[name]()
+    theta = obj.initial_theta() + 0.05 * normals(fold(25, 1), 0, obj.d)
+    idx = sample_minibatch(obj.n, obj.n, fold(25, 2), WITH_REPLACEMENT).indices
+    assert idx.size == obj.n and np.unique(idx).size < obj.n
+    value, peak = _traced_batch_loss(obj, theta, idx)
+    assert value == _gathered_loss(obj, theta, idx)
+    assert peak >= _data_matrix(obj).nbytes

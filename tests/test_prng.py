@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from zovr import prng
+from zovr.estimators import WITH_REPLACEMENT, WITHOUT_REPLACEMENT, sample_minibatch
 
 
 def test_normals_deterministic():
@@ -66,3 +69,56 @@ def test_normals_pure_function_of_window(seed, start, count):
     b = prng.normals(seed, start, count)
     assert np.array_equal(a, b)
     assert np.all(np.isfinite(a))
+
+
+# SHA-256 of fixed stream windows, recorded from the original scalar-mixer
+# implementation. Any change to the kernels must leave every digest intact.
+_PIN_SEEDS = (0, 2**64 - 59)
+_PIN_STARTS = (0, 1_000_000_007)
+_PINNED_WINDOWS = {
+    ("normals", 0, 0): "64d92b4b22ca4394a978090497f5da04aae2c2c5a2b5dab2b382b689fe126fe4",
+    ("normals", 0, 1): "a6a0789db386c6c46057553a4e9312efb8c5cbe28783b27e5e30192b5d58c148",
+    ("normals", 1, 0): "902a40da8237384a21ed2f1f9ccb6273c3a0777f0c3317ff8caafbb52bdd3bd8",
+    ("normals", 1, 1): "7b516b7387d9dd4f24ffda89f99d86d71e9cb509e516e86fba503eea163bd42e",
+    ("uniforms", 0, 0): "d08dedf2ce3f5e585c56c70860829dc8b1fb5ef9da11308d0206ebda6b8248f5",
+    ("uniforms", 0, 1): "c10aff3fbd9464e53bb828248f360bccaef53144157319f66d2f9c890993832d",
+    ("uniforms", 1, 0): "16b2eda572da41e2f9c620ed797ad14c017430abf4238af45c4a7bbfe2e1ad96",
+    ("uniforms", 1, 1): "63d1dcf21d00b31ce03d9458ebd0052a4ddd00207d8160e46de58d24da685af2",
+    ("raw_words", 0, 0): "22cb8aff4a1233880ce703ea02560ee28e89f53f898c384ddb1ef07299025967",
+    ("raw_words", 0, 1): "a566460e78eabe0714ddf238dc9d057a44441f4e768a6ff11b12f998af32f257",
+    ("raw_words", 1, 0): "9a1f74aa3ae9c87819698fd10a67397f4a687a6d6a58a4e15defd294b8c64b9a",
+    ("raw_words", 1, 1): "25073d888ca56e49663ac4148786d6526b30804bdaf1cd239d5fa5a276bfda19",
+}
+_PIN_COUNTS = {
+    "normals": (1, 3, 100, 9434, 16384),
+    "uniforms": (1, 100, 5000),
+    "raw_words": (1, 100, 5000),
+}
+_PINNED_MINIBATCHES = {
+    (WITHOUT_REPLACEMENT, 1000, 32): "0ec23a73b4b9e85a5a46ffbd8948e13452186595bf69830f304c4857545eaee0",
+    (WITHOUT_REPLACEMENT, 7, 7): "991a14bbee1272655e2bfdbc19fe55c09ddf81511be3b0a333f660e27bbbc280",
+    (WITH_REPLACEMENT, 1000, 32): "c7f171769c75f7b8db47fb87eda21a79dc1833e2978d23b75c8d4230b299a4da",
+    (WITH_REPLACEMENT, 7, 7): "2bca5de70953f81cb8b65d7b3b963cb654b9f48a0d52782d2efc8c00854a52cc",
+}
+
+
+def _digest(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<")).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("key", sorted(_PINNED_WINDOWS))
+def test_stream_windows_pinned(key):
+    fn, seed_i, start_i = key
+    seed, start = _PIN_SEEDS[seed_i], _PIN_STARTS[start_i]
+    windows = (getattr(prng, fn)(seed, start, c) for c in _PIN_COUNTS[fn])
+    assert _digest(windows) == _PINNED_WINDOWS[key]
+
+
+@pytest.mark.parametrize("key", sorted(_PINNED_MINIBATCHES))
+def test_minibatch_stream_pinned(key):
+    mode, n, b = key
+    batches = (sample_minibatch(n, b, s, mode).indices for s in (*_PIN_SEEDS, 12345))
+    assert _digest(batches) == _PINNED_MINIBATCHES[key]
