@@ -17,8 +17,7 @@ are provided:
   the correctness oracles.
 
 All parameter mutation is streamed in fixed-size chunks so no second
-d-length buffer is allocated, and batch losses are reduced in a fixed
-deterministic order regardless of evaluation parallelism.
+d-length buffer is allocated.
 """
 
 from __future__ import annotations
@@ -261,8 +260,7 @@ def spsa_batch_shared(obj, theta: np.ndarray, batch: Minibatch, seed: Perturbati
     """Shared-perturbation minibatch estimate: every sample moves along one z.
 
     coeff = [mean_i f_i(theta+mu*z) - mean_i f_i(theta-mu*z)] / (2*mu),
-    costing 2*b*p loss queries and one scalar per draw. Batch losses may
-    be evaluated in parallel but are reduced in ascending index order.
+    costing 2*b*p loss queries and one scalar per draw.
     """
     if batch.indices[-1] >= obj.n:
         raise ValueError(f"batch index {batch.indices[-1]} out of range [0, {obj.n})")

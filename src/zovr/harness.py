@@ -101,10 +101,11 @@ def build_optimizer_config(optimizer: str, params: dict):
     spsa = SpsaConfig(mu=float(params.pop("mu", 1e-3)), p=int(params.pop("p", 1)))
     schedule = None
     if "kappa" in params or "alpha" in params or "window" in params:
+        window = params.pop("window", None)
         schedule = LrScheduleConfig(
             kappa=float(params.pop("kappa", 1.05)),
             alpha=float(params.pop("alpha", 5.0)),
-            window=(int(params["window"]) if params.pop("window", None) else None))
+            window=int(window) if window else None)
     if optimizer == "mezo":
         return MezoConfig(eta=float(params.pop("eta", 1e-3)),
                           b=int(params.pop("b", 32)), spsa=spsa)

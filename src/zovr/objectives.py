@@ -8,27 +8,15 @@ they are safe to query concurrently.
 
 from __future__ import annotations
 
-import os
 import struct
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import oracles, prng
 
-_EVAL_CHUNK = 64
-
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("ZOVR_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _rows(indices, data, targets):
@@ -49,9 +37,8 @@ def _rows(indices, data, targets):
 class Objective:
     """Sample-indexed loss oracle over n samples in dimension d.
 
-    Subclasses implement ``loss``; vector-friendly ones should override
-    ``batch_loss`` (and ``grad``/``batch_grad`` if an analytic gradient
-    exists). ``f_star`` holds the optimal mean loss when a closed form
+    Subclasses implement ``loss`` and a vectorized ``batch_loss`` (and
+    ``grad``/``batch_grad`` if an analytic gradient exists). ``f_star`` holds the optimal mean loss when a closed form
     is available, else None.
     """
 
@@ -63,42 +50,14 @@ class Objective:
         raise NotImplementedError
 
     def batch_loss(self, theta: np.ndarray, indices: np.ndarray) -> float:
-        """Mean per-sample loss over `indices`.
-
-        The default evaluates fixed 64-index chunks (in parallel when
-        ZOVR_THREADS > 1) and combines chunk sums in ascending chunk
-        order, so the result is identical for any thread count.
-        """
-        idx = np.asarray(indices, dtype=np.int64)
-        chunks = [idx[a:a + _EVAL_CHUNK] for a in range(0, idx.size, _EVAL_CHUNK)]
-
-        def chunk_sum(chunk):
-            total = 0.0
-            for i in chunk:
-                total += self.loss(theta, int(i))
-            return total
-
-        threads = _thread_count()
-        if threads > 1 and len(chunks) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                sums = list(pool.map(chunk_sum, chunks))
-        else:
-            sums = [chunk_sum(c) for c in chunks]
-        total = 0.0
-        for s in sums:
-            total += s
-        return total / idx.size
+        """Mean per-sample loss over `indices`."""
+        raise NotImplementedError
 
     def grad(self, theta: np.ndarray, index: int) -> np.ndarray:
         raise NotImplementedError("objective provides no analytic gradient")
 
     def batch_grad(self, theta: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        idx = np.asarray(indices, dtype=np.int64)
-        acc = np.zeros(self.d)
-        for i in idx:
-            acc += self.grad(theta, int(i))
-        acc /= idx.size
-        return acc
+        raise NotImplementedError("objective provides no analytic gradient")
 
     def metric(self, theta: np.ndarray) -> float:
         raise NotImplementedError("objective provides no evaluation metric")
@@ -466,32 +425,3 @@ def make_synthetic_digits(n: int, rows: int = 28, cols: int = 28,
     noise = prng.uniforms(prng.fold(seed, _TAG_DIGIT_NOISE), 0, n * pix).reshape(n, pix)
     features = np.clip(0.65 * templates[labels] + 0.35 * noise, 0.0, 1.0)
     return features, labels
-
-
-def save_dataset_table(path: str, features: np.ndarray, labels: np.ndarray,
-                       classes: int) -> None:
-    """Write the simple text-table dataset format: 'n d classes' header,
-    then one 'label x1 ... xd' line per sample."""
-    n, d = features.shape
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"{n} {d} {classes}\n")
-        for i in range(n):
-            row = " ".join(f"{v:.17g}" for v in features[i])
-            fh.write(f"{int(labels[i])} {row}\n")
-
-
-def load_dataset_table(path: str):
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise ValueError("dataset table header must be 'n d classes'")
-        n, d, classes = (int(v) for v in header)
-        features = np.empty((n, d))
-        labels = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            parts = fh.readline().split()
-            if len(parts) != d + 1:
-                raise ValueError(f"dataset table row {i} has {len(parts)} fields, want {d + 1}")
-            labels[i] = int(parts[0])
-            features[i] = [float(v) for v in parts[1:]]
-    return features, labels, classes

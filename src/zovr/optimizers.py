@@ -17,15 +17,19 @@ common-random-numbers control variate (learning rate eta2):
 The two minibatch estimators share one perturbation seed and one batch;
 without common randomness the variance reduction collapses. All updates
 stream through the in-place kernels, so the anchor estimate stays a
-(seed, scalar) pair and is never materialized.
+(seed, scalar) pair and is never materialized. `update_plan` is the one
+place that turns a step's seed and coefficients into these ordered
+(estimate, scale) axpys; the live steps and trajectory replay both
+apply its list, so the two cannot drift apart.
 
 The reference ZO-SVRG keeps the memory-naive per-sample averaged
 estimators and dense blending; it exists as the 5x-footprint baseline.
 
 Per-step randomness is derived from one master seed: perturbation seeds
 are fold(fold(master, tag), step) with tag 1 for minibatch steps and 2
-for anchor steps; batch sampler seeds use tags 3 (minibatch) and 4
-(anchor subsampling). Trajectory replay relies on exactly this scheme.
+for anchor steps (`perturb_seed`); batch sampler seeds use tags 3
+(minibatch) and 4 (anchor subsampling). Every minibatch is drawn
+without replacement. Trajectory replay relies on exactly this scheme.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import (
+    GradientEstimate,
     Minibatch,
     NonFiniteLossError,
     PerturbationSeed,
@@ -45,7 +50,6 @@ from .estimators import (
     sample_minibatch,
     spsa_batch_avg,
     spsa_batch_shared,
-    WITHOUT_REPLACEMENT,
 )
 from .prng import fold
 
@@ -61,17 +65,35 @@ KIND_FO = "fo"
 DIVERGENCE_FACTOR = 1e6
 
 
-def step_perturb_seed(master_seed: int, t: int) -> PerturbationSeed:
-    return PerturbationSeed(fold(fold(master_seed, TAG_STEP_PERTURB), t))
-
-def anchor_perturb_seed(master_seed: int, t: int) -> PerturbationSeed:
-    return PerturbationSeed(fold(fold(master_seed, TAG_ANCHOR_PERTURB), t))
+def perturb_seed(master_seed: int, t: int, kind: str) -> PerturbationSeed:
+    """The perturbation seed of step t: anchor steps and the rest use separate streams."""
+    tag = TAG_ANCHOR_PERTURB if kind == KIND_FULLBATCH else TAG_STEP_PERTURB
+    return PerturbationSeed(fold(fold(master_seed, tag), t))
 
 def step_batch_seed(master_seed: int, t: int) -> int:
     return fold(fold(master_seed, TAG_STEP_BATCH), t)
 
 def anchor_batch_seed(master_seed: int, t: int) -> int:
     return fold(fold(master_seed, TAG_ANCHOR_BATCH), t)
+
+
+def update_plan(seed: PerturbationSeed, coeffs: tuple[float, ...], d: int,
+                anchor: GradientEstimate | None,
+                eta: float) -> list[tuple[GradientEstimate, float]]:
+    """The ordered (estimate, scale) axpys that update theta after one step.
+
+    Without an anchor estimate the step is a MeZO step or a MeZO-SVRG
+    anchor step, theta -= eta * est. With one it is a MeZO-SVRG
+    minibatch step whose coefficients hold the p draws at theta, then
+    the p draws at theta_bar: theta -= eta * est_I(theta), then
+    theta += eta * est_I(theta_bar), then theta -= eta * g.
+    """
+    if anchor is None:
+        return [(GradientEstimate(seed, coeffs, d, 0), -eta)]
+    p = len(coeffs) // 2
+    return [(GradientEstimate(seed, coeffs[:p], d, 0), -eta),
+            (GradientEstimate(seed, coeffs[p:], d, 0), eta),
+            (anchor, -eta)]
 
 
 @dataclass(frozen=True)
@@ -125,7 +147,6 @@ class MezoConfig:
     eta: float = 1e-3
     b: int = 32
     spsa: SpsaConfig = field(default_factory=SpsaConfig)
-    sampling: str = WITHOUT_REPLACEMENT
 
 
 @dataclass(frozen=True)
@@ -136,7 +157,6 @@ class MezoSvrgConfig:
     b: int = 32
     anchor_batch: int | None = None  # None: the full dataset
     spsa: SpsaConfig = field(default_factory=SpsaConfig)
-    sampling: str = WITHOUT_REPLACEMENT
     schedule: LrScheduleConfig | None = None
 
     def __post_init__(self):
@@ -150,14 +170,12 @@ class ZoSvrgConfig:
     b: int = 32
     q: int = 2
     spsa: SpsaConfig = field(default_factory=SpsaConfig)
-    sampling: str = WITHOUT_REPLACEMENT
 
 
 @dataclass(frozen=True)
 class FoSgdConfig:
     eta: float = 1e-3
     b: int = 32
-    sampling: str = WITHOUT_REPLACEMENT
 
 
 @dataclass(frozen=True)
@@ -199,7 +217,8 @@ class SvrgAnchor:
 def mezo_step(obj, theta: np.ndarray, batch: Minibatch, seed: PerturbationSeed,
               eta: float, cfg: SpsaConfig) -> tuple[StepReport, object]:
     est = spsa_batch_shared(obj, theta, batch, seed, cfg)
-    axpy_estimate_in_place(theta, est, -eta)
+    for e, scale in update_plan(seed, est.coeffs, est.d, None, eta):
+        axpy_estimate_in_place(theta, e, scale)
     report = StepReport(-1, KIND_MINIBATCH, est.loss_proxy, est.queries_used, eta)
     return report, est
 
@@ -227,21 +246,22 @@ def mezo_svrg_step(obj, theta: np.ndarray, anchor: SvrgAnchor | None,
             anchor.theta_bar[:] = theta
             anchor.estimate = est
             anchor.step_created = t
-        axpy_estimate_in_place(theta, est, -eta1)
+        for e, scale in update_plan(seed, est.coeffs, est.d, None, eta1):
+            axpy_estimate_in_place(theta, e, scale)
         report = StepReport(t, KIND_FULLBATCH, est.loss_proxy, est.queries_used, eta1)
         return report, anchor, est.coeffs
     if anchor is None:
         raise RuntimeError(f"minibatch step {t} without a fullbatch anchor")
     est_theta = spsa_batch_shared(obj, theta, batch, seed, cfg.spsa)
     est_anchor = spsa_batch_shared(obj, anchor.theta_bar, batch, seed, cfg.spsa)
-    axpy_estimate_in_place(theta, est_theta, -eta2)
-    axpy_estimate_in_place(theta, est_anchor, eta2)
-    axpy_estimate_in_place(theta, anchor.estimate, -eta2)
+    coeffs = est_theta.coeffs + est_anchor.coeffs
+    for e, scale in update_plan(seed, coeffs, est_theta.d, anchor.estimate, eta2):
+        axpy_estimate_in_place(theta, e, scale)
     report = StepReport(
         t, KIND_MINIBATCH, est_theta.loss_proxy,
         est_theta.queries_used + est_anchor.queries_used, eta2,
     )
-    return report, anchor, est_theta.coeffs + est_anchor.coeffs
+    return report, anchor, coeffs
 
 
 def zo_svrg_step(obj, theta: np.ndarray, anchor: SvrgAnchor, batch: Minibatch,
@@ -353,47 +373,36 @@ def run(obj, theta0: np.ndarray, optimizer: str, config, budget: Budget,
         if budget.max_queries is not None and queries >= budget.max_queries:
             break
         try:
+            kind = KIND_MINIBATCH
+            if optimizer == "mezo-svrg" and t % config.q == 0:
+                kind = KIND_FULLBATCH
+                anchor_n = obj.n if config.anchor_batch is None else config.anchor_batch
+                batch = (full_batch(obj.n) if anchor_n >= obj.n else
+                         sample_minibatch(obj.n, anchor_n, anchor_batch_seed(master_seed, t)))
+            else:
+                batch = sample_minibatch(obj.n, config.b, step_batch_seed(master_seed, t))
+            seed = perturb_seed(master_seed, t, kind)
             if optimizer == "mezo":
-                batch = sample_minibatch(obj.n, config.b, step_batch_seed(master_seed, t),
-                                         config.sampling)
-                report, est = mezo_step(obj, theta, batch, step_perturb_seed(master_seed, t),
-                                        eta1_cur, config.spsa)
-                if trajectory is not None:
-                    trajectory.record_step(t, KIND_MINIBATCH, est.coeffs)
+                report, est = mezo_step(obj, theta, batch, seed, eta1_cur, config.spsa)
+                coeffs = est.coeffs
             elif optimizer == "mezo-svrg":
-                if t % config.q == 0:
-                    anchor_n = obj.n if config.anchor_batch is None else config.anchor_batch
-                    if anchor_n >= obj.n:
-                        batch = full_batch(obj.n)
-                    else:
-                        batch = sample_minibatch(obj.n, anchor_n,
-                                                 anchor_batch_seed(master_seed, t))
-                    seed = anchor_perturb_seed(master_seed, t)
-                else:
-                    batch = sample_minibatch(obj.n, config.b, step_batch_seed(master_seed, t),
-                                             config.sampling)
-                    seed = step_perturb_seed(master_seed, t)
                 report, anchor, coeffs = mezo_svrg_step(
                     obj, theta, anchor, batch, seed, config, t, eta1_cur, eta2_cur, meter)
-                if trajectory is not None:
-                    trajectory.record_step(t, report.kind, coeffs)
             elif optimizer == "zo-svrg":
                 refreshed = t % config.q == 0
                 if refreshed:
                     anchor = _refresh_dense_anchor(obj, theta, anchor, t, master_seed,
                                                    config, meter)
-                batch = sample_minibatch(obj.n, config.b, step_batch_seed(master_seed, t),
-                                         config.sampling)
-                seeds = _per_sample_seeds(master_seed, TAG_STEP_PERTURB, t, batch.b, obj.d)
-                report = zo_svrg_step(obj, theta, anchor, batch, seeds, eta1_cur,
+                report = zo_svrg_step(obj, theta, anchor, batch,
+                                      _per_sample_seeds(seed, batch.b), eta1_cur,
                                       config.spsa, meter)
                 if refreshed:
                     report.queries += 2 * obj.n * config.spsa.p
                     report.kind = KIND_FULLBATCH
             else:  # fo-sgd
-                batch = sample_minibatch(obj.n, config.b, step_batch_seed(master_seed, t),
-                                         config.sampling)
                 report = fo_sgd_step(obj, theta, batch, eta1_cur, meter)
+            if trajectory is not None:
+                trajectory.record_step(t, report.kind, coeffs)
         except NonFiniteLossError as err:
             status, reason = "diverged", str(err)
             break
@@ -462,14 +471,13 @@ def _schedule_state(obj, optimizer, config) -> LrScheduleState | None:
     return LrScheduleState(sched.kappa, sched.alpha, window)
 
 
-def _per_sample_seeds(master_seed, tag, t, count, d):
-    base = fold(fold(master_seed, tag), t)
-    return [PerturbationSeed(fold(base, i)) for i in range(count)]
+def _per_sample_seeds(seed: PerturbationSeed, count: int) -> list[PerturbationSeed]:
+    return [PerturbationSeed(fold(seed.seed, i)) for i in range(count)]
 
 
 def _refresh_dense_anchor(obj, theta, anchor, t, master_seed, config, meter):
     batch = full_batch(obj.n)
-    seeds = _per_sample_seeds(master_seed, TAG_ANCHOR_PERTURB, t, obj.n, obj.d)
+    seeds = _per_sample_seeds(perturb_seed(master_seed, t, KIND_FULLBATCH), obj.n)
     if anchor is None:
         if meter is not None:
             meter.add(theta.shape[0])  # theta_bar

@@ -12,9 +12,10 @@ never needs loss values.
 Replay reconstructs theta at any step with zero objective queries by
 re-deriving each step's perturbation seed from the master seed and
 re-applying the live run's exact in-place arithmetic: the probe wobble
-(+mu, -2mu, +mu) followed by the update axpys. Because the floating-
-point operation sequence on theta is identical, replayed checkpoints
-match the live run bit for bit.
+(+mu, -2mu, +mu) followed by the update axpys. The axpys come from
+`optimizers.update_plan`, the same list the live step applies, so the
+floating-point operation sequence on theta is identical and replayed
+checkpoints match the live run bit for bit.
 
 File layout (little endian, CRC-32 at the end):
 
@@ -34,14 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import GradientEstimate, apply_probe_sequence, \
-    axpy_estimate_in_place
-from .optimizers import (
-    KIND_FULLBATCH,
-    KIND_MINIBATCH,
-    anchor_perturb_seed,
-    step_perturb_seed,
-)
+from .estimators import apply_probe_sequence, axpy_estimate_in_place
+from .optimizers import KIND_FULLBATCH, KIND_MINIBATCH, perturb_seed, update_plan
 
 MAGIC = b"ZOTRJ"
 FORMAT_VERSION = 1
@@ -215,8 +210,7 @@ def replay(log: TrajectoryLog, theta0: np.ndarray, upto: int) -> np.ndarray:
         eta2 = float(log.config["eta2"])
 
     theta = np.array(theta0, dtype=np.float64, copy=True)
-    d = log.d
-    anchor_est: GradientEstimate | None = None
+    anchor_est = None
     applied = 0
     for rec in log.records:
         if rec.kind == REC_LR_EVENT:
@@ -225,30 +219,24 @@ def replay(log: TrajectoryLog, theta0: np.ndarray, upto: int) -> np.ndarray:
         if applied >= upto:
             break
         t = rec.step
-        if log.optimizer == "mezo":
-            seed = step_perturb_seed(log.master_seed, t)
-            apply_probe_sequence(theta, seed, mu, p)
-            est = GradientEstimate(seed, rec.coeffs, d, 0)
-            axpy_estimate_in_place(theta, est, -eta1)
-        elif rec.kind == REC_FULLBATCH:
-            seed = anchor_perturb_seed(log.master_seed, t)
-            apply_probe_sequence(theta, seed, mu, p)
-            anchor_est = GradientEstimate(seed, rec.coeffs, d, 0)
-            axpy_estimate_in_place(theta, anchor_est, -eta1)
-        else:
-            if anchor_est is None:
-                raise TrajectoryError(f"minibatch record at step {t} before any anchor")
-            if len(rec.coeffs) != 2 * p:
-                raise TrajectoryError(
-                    f"minibatch record at step {t} has {len(rec.coeffs)} coefficients, "
-                    f"expected {2 * p}")
-            seed = step_perturb_seed(log.master_seed, t)
-            apply_probe_sequence(theta, seed, mu, p)
-            est_theta = GradientEstimate(seed, rec.coeffs[:p], d, 0)
-            est_anchor = GradientEstimate(seed, rec.coeffs[p:], d, 0)
-            axpy_estimate_in_place(theta, est_theta, -eta2)
-            axpy_estimate_in_place(theta, est_anchor, eta2)
-            axpy_estimate_in_place(theta, anchor_est, -eta2)
+        kind = _code_to_kind(rec.kind)
+        if log.optimizer == "mezo" and kind != KIND_MINIBATCH:
+            raise TrajectoryError(f"MeZO log has an anchor record at step {t}")
+        anchored = log.optimizer == "mezo-svrg" and kind == KIND_MINIBATCH
+        if anchored and anchor_est is None:
+            raise TrajectoryError(f"minibatch record at step {t} before any anchor")
+        want = 2 * p if anchored else p
+        if len(rec.coeffs) != want:
+            raise TrajectoryError(f"{kind} record at step {t} has {len(rec.coeffs)} "
+                                  f"coefficients, expected {want}")
+        seed = perturb_seed(log.master_seed, t, kind)
+        apply_probe_sequence(theta, seed, mu, p)
+        plan = update_plan(seed, rec.coeffs, log.d, anchor_est if anchored else None,
+                           eta2 if anchored else eta1)
+        for est, scale in plan:
+            axpy_estimate_in_place(theta, est, scale)
+        if kind == KIND_FULLBATCH:
+            anchor_est = plan[0][0]  # the control variate of the next minibatch steps
         applied += 1
     if applied < upto:
         raise TrajectoryError(f"log ends after {applied} steps, wanted {upto}")

@@ -109,6 +109,20 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert len(read_csv(out)) == 10
 
 
+def test_schedule_window_is_read_once():
+    config = harness.build_optimizer_config("mezo-svrg", {"kappa": "1.1", "window": "4"})
+    assert config.schedule.window == 4
+
+
+def test_cli_config_file_with_schedule_window(tmp_path):
+    cfg = tmp_path / "sched.cfg"
+    cfg.write_text("problem=ls\noptimizer=mezo-svrg\nn=64\nd=8\nb=8\nsteps=12\n"
+                   "kappa=1.1\nwindow=4\n")
+    out = str(tmp_path / "sched.csv")
+    assert cli.main(["run", "--config", str(cfg), "--out", out]) == 0
+    assert len(read_csv(out)) == 12
+
+
 def test_cli_run_divergence_exit_code(tmp_path):
     code = cli.main(["run", "--problem", "ls", "--optimizer", "mezo",
                      "--n", "64", "--d", "8", "--lr1", "50.0", "--steps", "5000",

@@ -1,4 +1,3 @@
-import os
 import struct
 import tracemalloc
 
@@ -20,8 +19,6 @@ from zovr.objectives import (
     LeastSquaresProblem,
     LogisticProblem,
     Mlp2Problem,
-    load_dataset_table,
-    save_dataset_table,
 )
 from zovr.oracles import finite_difference_gradient
 from zovr.prng import fold, normals
@@ -201,36 +198,6 @@ def test_synthetic_digits_schema_matches_idx():
     assert set(np.unique(y)) <= set(range(10))
     x2, y2 = make_synthetic_digits(512, seed=13)
     assert np.array_equal(x, x2) and np.array_equal(y, y2)
-
-
-def test_dataset_table_roundtrip(tmp_path):
-    x, y = make_synthetic_digits(7, rows=2, cols=3, classes=4, seed=14)
-    path = str(tmp_path / "data.txt")
-    save_dataset_table(path, x, y, 4)
-    x2, y2, classes = load_dataset_table(path)
-    assert classes == 4
-    assert np.array_equal(x, x2) and np.array_equal(y, y2)
-
-
-def test_default_batch_loss_deterministic_across_threads():
-    lg = make_logistic(200, 4, seed=15)
-
-    class Plain(CountingObjective):
-        # strip the vectorized override so the chunked default path runs
-        def batch_loss(self, theta, indices):
-            from zovr.objectives import Objective
-            return Objective.batch_loss(self.inner, theta, indices)
-
-    theta = normals(fold(15, 1), 0, 4)
-    idx = np.arange(200)
-    plain = Plain(lg)
-    os.environ["ZOVR_THREADS"] = "1"
-    single = plain.batch_loss(theta, idx)
-    os.environ["ZOVR_THREADS"] = "4"
-    multi = plain.batch_loss(theta, idx)
-    del os.environ["ZOVR_THREADS"]
-    assert single == multi
-    assert single == pytest.approx(lg.batch_loss(theta, idx), rel=1e-12)
 
 
 def test_counting_objective_counts():

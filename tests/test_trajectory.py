@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zovr import (
     Budget,
@@ -7,6 +8,7 @@ from zovr import (
     MezoConfig,
     MezoSvrgConfig,
     LrScheduleConfig,
+    SpsaConfig,
     make_least_squares,
     run,
 )
@@ -189,3 +191,58 @@ def test_digest_is_canonical():
     other = theta.copy()
     other[2] = np.nextafter(other[2], 1.0)
     assert theta_digest(theta) != theta_digest(other)
+
+
+@pytest.mark.parametrize("optimizer, kind, coeffs", [
+    ("mezo", "minibatch", (0.5, -0.25)),           # p=1 MeZO step with two draws
+    ("mezo-svrg", "fullbatch", (0.5, -0.25, 1.0)),  # p=1 anchor step with three
+])
+def test_replay_rejects_wrong_coefficient_count(optimizer, kind, coeffs):
+    theta0 = np.zeros(4)
+    cfg = {"eta": "0.001", "eta1": "0.001", "eta2": "0.0001", "q": "2",
+           "mu": "0.001", "p": "1"}
+    traj = TrajectoryLog.for_run(2, theta0, optimizer, cfg)
+    traj.record_step(0, kind, coeffs)
+    with pytest.raises(TrajectoryError, match="coefficients, expected 1"):
+        replay(traj, theta0, 1)
+
+
+def test_replay_rejects_anchor_record_in_mezo_log():
+    theta0 = np.zeros(4)
+    traj = TrajectoryLog.for_run(2, theta0, "mezo", {"eta": "0.001", "mu": "0.001"})
+    traj.record_step(0, "fullbatch", (0.5,))
+    with pytest.raises(TrajectoryError, match="anchor record"):
+        replay(traj, theta0, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(optimizer=st.sampled_from(["mezo", "mezo-svrg"]),
+       q=st.integers(1, 3), b=st.integers(1, 3), p=st.integers(1, 3),
+       anchor_batch=st.one_of(st.none(), st.integers(1, 11)),
+       scheduled=st.booleans(), master_seed=st.integers(0, 2**32))
+def test_live_equals_replay_at_every_step(optimizer, q, b, p, anchor_batch, scheduled,
+                                          master_seed):
+    ls = make_least_squares(12, 3, noise_std=0.01, seed=4)
+    theta0 = ls.initial_theta()
+    spsa = SpsaConfig(mu=1e-3, p=p)
+    if optimizer == "mezo":
+        config = MezoConfig(eta=1e-2, b=b, spsa=spsa)
+        cfg_map = {"eta": repr(config.eta)}
+    else:
+        schedule = LrScheduleConfig(kappa=1.0001, alpha=2.0, window=2) if scheduled else None
+        config = MezoSvrgConfig(eta1=1e-2, eta2=1e-3, q=q, b=b, anchor_batch=anchor_batch,
+                                spsa=spsa, schedule=schedule)
+        cfg_map = {"eta1": repr(config.eta1), "eta2": repr(config.eta2)}
+    cfg_map.update(mu=repr(spsa.mu), p=str(spsa.p))
+    traj = TrajectoryLog.for_run(master_seed, theta0, optimizer, cfg_map)
+    snaps = {0: theta0}
+
+    def sink(t, theta, record):
+        snaps[t + 1] = theta.copy()
+
+    steps = 8
+    result = run(ls, theta0, optimizer, config, Budget(max_steps=steps), master_seed,
+                 trajectory=traj, sink=sink)
+    assert result.status == "completed"
+    for t in range(steps + 1):
+        assert np.array_equal(replay(traj, theta0, t), snaps[t])
