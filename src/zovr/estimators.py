@@ -17,11 +17,18 @@ are provided:
   the correctness oracles.
 
 All parameter mutation is streamed in fixed-size chunks so no second
-d-length buffer is allocated.
+d-length buffer is allocated. From `PARALLEL_MIN_D` parameters on, and
+with two usable CPUs, each streaming pass runs in two lanes: the caller
+and one pooled worker thread share its pieces. Every element still gets
+the same z value and the same multiply and add, so results do not depend
+on the lane count or on which lane streamed which piece.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +40,15 @@ from . import prng
 # harness accounting model.
 STREAM_CHUNK = 16384
 
-WITH_REPLACEMENT = "with_replacement"
-WITHOUT_REPLACEMENT = "without_replacement"
+# Smallest d streamed in two lanes, from a d sweep of _stream_add_scaled
+# on a 2-CPU machine: here two lanes won, at half this d they won and lost
+# by turns. The lanes take half-size pieces, so the chunk temporaries in
+# flight still add up to one STREAM_CHUNK.
+PARALLEL_MIN_D = 4 * STREAM_CHUNK
+_LANE_CHUNK = STREAM_CHUNK // 2
+
+# (pid, one-thread pool or None on a single usable CPU); see _second_lane
+_lane_pool: tuple[int, ThreadPoolExecutor | None] = (-1, None)
 
 
 class NonFiniteLossError(RuntimeError):
@@ -73,14 +87,12 @@ class SpsaConfig:
 
 @dataclass(frozen=True)
 class Minibatch:
-    """A batch of sample indices, stored in ascending order.
+    """A batch of distinct sample indices, stored in ascending order.
 
-    Ascending order pins the loss reduction order; duplicates are legal
-    only for with-replacement batches.
+    Ascending order pins the loss reduction order.
     """
 
     indices: np.ndarray
-    mode: str = WITHOUT_REPLACEMENT
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=np.int64)
@@ -92,10 +104,8 @@ class Minibatch:
         if np.any(steps < 0):
             idx = np.sort(idx)
             steps = np.diff(idx)
-        if self.mode == WITHOUT_REPLACEMENT and np.any(steps == 0):
-            raise ValueError("without-replacement minibatch has duplicate indices")
-        if self.mode not in (WITH_REPLACEMENT, WITHOUT_REPLACEMENT):
-            raise ValueError(f"unknown sampling mode {self.mode!r}")
+        if np.any(steps == 0):
+            raise ValueError("minibatch has duplicate indices")
         object.__setattr__(self, "indices", idx)
 
     @property
@@ -107,31 +117,23 @@ def full_batch(n: int) -> Minibatch:
     return Minibatch(np.arange(n, dtype=np.int64))
 
 
-def sample_minibatch(n: int, b: int, seed: int, mode: str = WITHOUT_REPLACEMENT) -> Minibatch:
-    """Draw a size-b minibatch from [0, n) using the counter stream `seed`.
+def sample_minibatch(n: int, b: int, seed: int) -> Minibatch:
+    """Draw b distinct indices from [0, n) using the counter stream `seed`.
 
-    Without replacement uses Floyd's algorithm (uniform over subsets);
-    with replacement draws b independent indices.
+    Floyd's algorithm: uniform over the size-b subsets.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
-    if not (1 <= b <= n) and mode == WITHOUT_REPLACEMENT:
+    if not (1 <= b <= n):
         raise ValueError(f"need 1 <= b <= n, got b={b}, n={n}")
-    if b < 1:
-        raise ValueError(f"need b >= 1, got b={b}")
     # word k of the stream decides draw k, as prng.randint_below(seed, k, bound)
     words = prng.raw_words(seed, 0, b)
-    if mode == WITH_REPLACEMENT:
-        words %= np.uint64(n)
-        idx = words.view(np.int64)
-        idx.sort()
-        return Minibatch(idx, mode)
     # Floyd: draw k picks from [0, n-b+k]
     draws = words % np.arange(n - b + 1, n + 1, dtype=np.uint64)
     chosen: set[int] = set()
     for j, t in enumerate(draws.tolist(), n - b):
         chosen.add(j if t in chosen else t)
-    return Minibatch(np.fromiter(sorted(chosen), dtype=np.int64, count=b), mode)
+    return Minibatch(np.fromiter(sorted(chosen), dtype=np.int64, count=b))
 
 
 @dataclass(frozen=True)
@@ -169,9 +171,74 @@ def regenerate_z(seed: PerturbationSeed, d: int) -> np.ndarray:
     return prng.normals(seed.seed, seed.offset, d)
 
 
-def _stream_add_scaled(theta: np.ndarray, seed: PerturbationSeed, alpha: float) -> None:
-    # theta += alpha * z(seed), in STREAM_CHUNK pieces, ascending index order
+def _second_lane() -> ThreadPoolExecutor | None:
+    """This process's worker for the second lane, or None with one usable CPU.
+
+    Made on first use, and made again in a forked child: the child's copy
+    of the parent's pool has no thread behind it.
+    """
+    global _lane_pool
+    pid = os.getpid()
+    if _lane_pool[0] != pid:
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity call on this platform
+            cpus = os.cpu_count() or 1
+        pool = ThreadPoolExecutor(1, thread_name_prefix="zovr-lane") if cpus >= 2 else None
+        _lane_pool = (pid, pool)
+    return _lane_pool[1]
+
+
+def _stream_pieces(theta: np.ndarray, seed: PerturbationSeed, alpha: float,
+                   starts) -> None:
+    # theta[a:a+_LANE_CHUNK] += alpha * z(seed)[a:a+_LANE_CHUNK] for each a
+    # taken from `starts`; both lanes draw from one iterator, whose next()
+    # runs under the interpreter lock, so each piece is streamed once
     d = theta.shape[0]
+    for a in starts:
+        b = min(a + _LANE_CHUNK, d)
+        z = prng.normals(seed.seed, seed.offset + a, b - a)
+        z *= alpha
+        theta[a:b] += z
+        del z
+
+
+def _worker_lane(started: threading.Event, *lane) -> None:
+    started.set()
+    _stream_pieces(*lane)
+
+
+def _stream_two_lanes(theta: np.ndarray, seed: PerturbationSeed, alpha: float,
+                      pool: ThreadPoolExecutor) -> None:
+    """theta += alpha * z(seed), streamed by the caller and `pool`'s thread.
+
+    The lanes share one queue of _LANE_CHUNK pieces, so a lane that waits
+    for the interpreter lock or for a busy CPU leaves its pieces to the
+    other. The caller starts only once the worker runs; otherwise it takes
+    the lock back between its short ufuncs and the worker waits. Both
+    lanes have stopped when this returns or raises.
+    """
+    starts = iter(range(0, theta.shape[0], _LANE_CHUNK))
+    started = threading.Event()
+    worker = pool.submit(_worker_lane, started, theta, seed, alpha, starts)
+    try:
+        started.wait()
+        _stream_pieces(theta, seed, alpha, starts)
+    finally:
+        wait((worker,))
+    worker.result()
+
+
+def _stream_add_scaled(theta: np.ndarray, seed: PerturbationSeed, alpha: float) -> None:
+    # theta += alpha * z(seed); large d in two lanes, else in STREAM_CHUNK
+    # pieces in ascending index order. The serial loop stays inline: at
+    # small d a pass takes microseconds, and an extra call per pass shows.
+    d = theta.shape[0]
+    if d >= PARALLEL_MIN_D:
+        pool = _second_lane()
+        if pool is not None:
+            _stream_two_lanes(theta, seed, alpha, pool)
+            return
     for a in range(0, d, STREAM_CHUNK):
         b = min(a + STREAM_CHUNK, d)
         z = prng.normals(seed.seed, seed.offset + a, b - a)

@@ -14,7 +14,9 @@ footprints of each optimizer family:
 plus a constant overhead C that covers the streaming chunk temporaries
 and bookkeeping. C bounds the measured heap of the streaming kernel: one
 in-place ``theta += alpha * z`` pass allocates at most 8*C bytes
-(tracemalloc) for any d, which a test checks. Full-batch loss queries
+(tracemalloc) for any d, which a test checks. Above ``PARALLEL_MIN_D``
+the pass runs in two lanes of half-size pieces, so the temporaries in
+flight still fit in C. Full-batch loss queries
 read the dataset in place, so an anchor query adds no copy of the data.
 The live runs register their actual d-scale buffers on a SlotMeter so
 measured peaks can be cross-checked against the model; note the

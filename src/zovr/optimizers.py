@@ -142,11 +142,19 @@ def lr_schedule_update(state: LrScheduleState, eta1: float, eta2: float) -> tupl
     return eta1, eta2
 
 
+def _check_batch(name: str, value: int | None) -> None:
+    if value is not None and value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 @dataclass(frozen=True)
 class MezoConfig:
     eta: float = 1e-3
     b: int = 32
     spsa: SpsaConfig = field(default_factory=SpsaConfig)
+
+    def __post_init__(self):
+        _check_batch("b", self.b)
 
 
 @dataclass(frozen=True)
@@ -162,6 +170,8 @@ class MezoSvrgConfig:
     def __post_init__(self):
         if self.q < 1:
             raise ValueError(f"q must be >= 1, got {self.q}")
+        _check_batch("b", self.b)
+        _check_batch("anchor_batch", self.anchor_batch)
 
 
 @dataclass(frozen=True)
@@ -171,11 +181,19 @@ class ZoSvrgConfig:
     q: int = 2
     spsa: SpsaConfig = field(default_factory=SpsaConfig)
 
+    def __post_init__(self):
+        if self.q < 1:
+            raise ValueError(f"q must be >= 1, got {self.q}")
+        _check_batch("b", self.b)
+
 
 @dataclass(frozen=True)
 class FoSgdConfig:
     eta: float = 1e-3
     b: int = 32
+
+    def __post_init__(self):
+        _check_batch("b", self.b)
 
 
 @dataclass(frozen=True)
@@ -352,6 +370,8 @@ def run(obj, theta0: np.ndarray, optimizer: str, config, budget: Budget,
     if trajectory is not None and optimizer not in ("mezo", "mezo-svrg"):
         raise ValueError(f"trajectory recording is only defined for seed-replay "
                          f"optimizers, not {optimizer!r}")
+    if config.b > obj.n:
+        raise ValueError(f"batch size b={config.b} exceeds the {obj.n} samples")
     theta = np.array(theta0, dtype=np.float64, copy=True)
     d = theta.shape[0]
     if meter is not None:

@@ -183,6 +183,12 @@ def _code_to_kind(code: int) -> str:
     raise TrajectoryError(f"unknown record kind code {code}")
 
 
+def _config_float(log: TrajectoryLog, key: str) -> float:
+    if key not in log.config:
+        raise TrajectoryError(f"{log.optimizer} trajectory config has no {key!r}")
+    return float(log.config[key])
+
+
 def replay(log: TrajectoryLog, theta0: np.ndarray, upto: int) -> np.ndarray:
     """Reconstruct theta after `upto` recorded steps, bit-identical to live.
 
@@ -200,14 +206,14 @@ def replay(log: TrajectoryLog, theta0: np.ndarray, upto: int) -> np.ndarray:
     if log.optimizer not in ("mezo", "mezo-svrg"):
         raise TrajectoryError(f"cannot replay optimizer {log.optimizer!r}")
 
-    mu = float(log.config["mu"])
+    mu = _config_float(log, "mu")
     p = int(log.config.get("p", "1"))
     if log.optimizer == "mezo":
-        eta1 = float(log.config["eta"])
+        eta1 = _config_float(log, "eta")
         eta2 = 0.0
     else:
-        eta1 = float(log.config["eta1"])
-        eta2 = float(log.config["eta2"])
+        eta1 = _config_float(log, "eta1")
+        eta2 = _config_float(log, "eta2")
 
     theta = np.array(theta0, dtype=np.float64, copy=True)
     anchor_est = None

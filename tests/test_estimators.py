@@ -19,7 +19,7 @@ from zovr import (
     spsa_batch_shared,
     spsa_sample,
 )
-from zovr.estimators import WITH_REPLACEMENT, WITHOUT_REPLACEMENT, apply_probe_sequence
+from zovr.estimators import apply_probe_sequence
 from zovr.prng import fold, normals, randint_below
 
 
@@ -292,18 +292,16 @@ def test_non_finite_loss_raises_and_restores():
 
 def test_minibatch_validation():
     with pytest.raises(ValueError):
-        Minibatch(np.array([1, 1, 2]))  # duplicates without replacement
-    Minibatch(np.array([1, 1, 2]), WITH_REPLACEMENT)
+        Minibatch(np.array([1, 1, 2]))  # duplicates
     with pytest.raises(ValueError):
         Minibatch(np.array([], dtype=np.int64))
     batch = Minibatch(np.array([5, 1, 3]))
     assert list(batch.indices) == [1, 3, 5]
 
 
-@pytest.mark.parametrize("mode", [WITH_REPLACEMENT, WITHOUT_REPLACEMENT])
-def test_sampler_rejects_empty_population(mode):
+def test_sampler_rejects_empty_population():
     with pytest.raises(ValueError, match="n >= 1"):
-        sample_minibatch(0, 1, 3, mode)
+        sample_minibatch(0, 1, 3)
 
 
 @settings(max_examples=40, deadline=None)
@@ -313,8 +311,6 @@ def test_sampler_rejects_empty_population(mode):
 def test_sampler_matches_scalar_draws(n, data, seed):
     # draw k of a minibatch is randint_below(seed, k, bound)
     b = data.draw(st.integers(min_value=1, max_value=n))
-    with_repl = sorted(randint_below(seed, k, n) for k in range(b))
-    assert sample_minibatch(n, b, seed, WITH_REPLACEMENT).indices.tolist() == with_repl
     chosen = set()
     for k, j in enumerate(range(n - b, n)):
         t = randint_below(seed, k, j + 1)

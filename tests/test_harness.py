@@ -1,9 +1,12 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from zovr import cli, harness
+import zovr
+from zovr import cli, estimators, harness, trajectory
 from zovr.harness import (
     CSV_COLUMNS,
     RunSpec,
@@ -147,6 +150,30 @@ def test_cli_replay_roundtrip(tmp_path):
     # beyond the recorded range is an error
     assert cli.main(["replay", "--traj", traj, "--theta0", traj + ".theta0.npy",
                      "--step", "26", "--out", ckpt]) == 1
+
+
+def test_cli_replay_in_two_lanes_exits_cleanly(tmp_path, monkeypatch):
+    # a MeZO-SVRG log wide enough for the two-lane kernel, replayed by a
+    # fresh interpreter whose lane thread must not hold up its exit
+    d = estimators.PARALLEL_MIN_D + 21
+    traj = str(tmp_path / "wide.zotrj")
+    assert cli.main(["run", "--problem", "logistic", "--optimizer", "mezo-svrg",
+                     "--n", "6", "--d", str(d), "--steps", "4", "--batch-size", "2",
+                     "--seed", "4", "--traj-out", traj]) == 0
+    ckpt = str(tmp_path / "ckpt.npy")
+    src = os.path.dirname(os.path.dirname(zovr.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-m", "zovr.cli", "replay", "--traj", traj,
+         "--theta0", traj + ".theta0.npy", "--step", "4", "--out", ckpt],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0
+    assert done.stderr == ""
+    monkeypatch.setattr(estimators, "PARALLEL_MIN_D", d + 1)  # the serial kernel
+    reference = trajectory.replay(trajectory.load(traj), np.load(traj + ".theta0.npy"), 4)
+    assert trajectory.theta_digest(np.load(ckpt)) == trajectory.theta_digest(reference)
+    assert np.array_equal(np.load(ckpt), np.load(traj + ".final.npy"))
 
 
 def test_cli_verify_passes():

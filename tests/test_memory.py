@@ -15,7 +15,7 @@ from zovr import (
     make_least_squares,
     run,
 )
-from zovr.estimators import STREAM_CHUNK, _stream_add_scaled
+from zovr.estimators import PARALLEL_MIN_D, STREAM_CHUNK, _stream_add_scaled
 from zovr.memory import CONSTANT_OVERHEAD
 
 
@@ -85,15 +85,23 @@ def test_measured_fo_sgd_two_d():
     assert peak <= account_memory("fo-sgd", None, d)
 
 
-def test_stream_kernel_heap_within_constant_overhead():
-    # three full chunks and a ragged tail; the constant C is in float64 slots
-    theta = np.zeros(3 * STREAM_CHUNK + 7)
+def _stream_pass_peak(d):
+    theta = np.zeros(d)
     seed = PerturbationSeed(17, 5)
-    _stream_add_scaled(theta, seed, 0.5)  # warm numpy's caches outside the trace
+    _stream_add_scaled(theta, seed, 0.5)  # warm numpy's caches and the lane pool
     tracemalloc.start()
     try:
         _stream_add_scaled(theta, seed, -0.5)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= CONSTANT_OVERHEAD * 8
+
+
+def test_stream_kernel_heap_within_constant_overhead():
+    # three full chunks and a ragged tail; the constant C is in float64 slots
+    assert _stream_pass_peak(3 * STREAM_CHUNK + 7) <= CONSTANT_OVERHEAD * 8
+
+
+def test_two_lane_stream_heap_within_constant_overhead():
+    # both lanes' pieces in flight together still fit in C
+    assert _stream_pass_peak(PARALLEL_MIN_D + 7) <= CONSTANT_OVERHEAD * 8

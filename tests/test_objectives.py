@@ -12,7 +12,6 @@ from zovr import (
     make_synthetic_digits,
     load_idx,
 )
-from zovr.estimators import WITH_REPLACEMENT, sample_minibatch
 from zovr.objectives import (
     IDX_IMAGES_MAGIC,
     IDX_LABELS_MAGIC,
@@ -21,7 +20,7 @@ from zovr.objectives import (
     Mlp2Problem,
 )
 from zovr.oracles import finite_difference_gradient
-from zovr.prng import fold, normals
+from zovr.prng import fold, normals, raw_words
 
 
 def relative_grad_error(obj, theta, indices, step=1e-5):
@@ -257,7 +256,7 @@ def test_full_batch_loss_reads_data_in_place(name):
 def test_with_replacement_full_length_batch_is_gathered(name):
     obj = _FULL_BATCH_OBJECTIVES[name]()
     theta = obj.initial_theta() + 0.05 * normals(fold(25, 1), 0, obj.d)
-    idx = sample_minibatch(obj.n, obj.n, fold(25, 2), WITH_REPLACEMENT).indices
+    idx = np.sort((raw_words(fold(25, 2), 0, obj.n) % np.uint64(obj.n)).astype(np.int64))
     assert idx.size == obj.n and np.unique(idx).size < obj.n
     value, peak = _traced_batch_loss(obj, theta, idx)
     assert value == _gathered_loss(obj, theta, idx)

@@ -302,3 +302,35 @@ def test_zo_svrg_run_completes():
     full_steps = [r for r in result.records if r.kind == KIND_FULLBATCH]
     assert len(full_steps) == 3
     assert result.total_queries == 3 * (2 * 24 + 16) + 9 * 16
+
+
+@pytest.mark.parametrize("make", [
+    lambda: MezoConfig(b=0),
+    lambda: MezoSvrgConfig(b=0),
+    lambda: MezoSvrgConfig(anchor_batch=0),
+    lambda: MezoSvrgConfig(anchor_batch=-3),
+    lambda: ZoSvrgConfig(b=-1),
+    lambda: ZoSvrgConfig(q=0),
+    lambda: FoSgdConfig(b=0),
+], ids=["mezo-b", "mezo-svrg-b", "mezo-svrg-anchor", "mezo-svrg-anchor-neg",
+        "zo-svrg-b", "zo-svrg-q", "fo-sgd-b"])
+def test_config_rejects_empty_batches(make):
+    with pytest.raises(ValueError, match=">= 1"):
+        make()
+
+
+@pytest.mark.parametrize("optimizer, config", [
+    ("mezo", MezoConfig(b=17)),
+    ("mezo-svrg", MezoSvrgConfig(b=17)),
+    ("zo-svrg", ZoSvrgConfig(b=17)),
+    ("fo-sgd", FoSgdConfig(b=17)),
+])
+def test_run_rejects_batch_larger_than_dataset(optimizer, config):
+    ls = make_least_squares(16, 3, seed=1)
+    obj = CountingObjective(ls)
+    with pytest.raises(ValueError, match="b=17 exceeds the 16 samples"):
+        run(obj, ls.initial_theta(), optimizer, config, Budget(max_steps=3), 0)
+    assert obj.forward_queries == 0
+    # b = n is a full-size batch and runs
+    result = run(ls, ls.initial_theta(), optimizer, type(config)(b=16), Budget(max_steps=3), 0)
+    assert result.status == "completed"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zovr import prng
-from zovr.estimators import WITH_REPLACEMENT, WITHOUT_REPLACEMENT, sample_minibatch
+from zovr.estimators import sample_minibatch
 
 
 def test_normals_deterministic():
@@ -95,10 +95,8 @@ _PIN_COUNTS = {
     "raw_words": (1, 100, 5000),
 }
 _PINNED_MINIBATCHES = {
-    (WITHOUT_REPLACEMENT, 1000, 32): "0ec23a73b4b9e85a5a46ffbd8948e13452186595bf69830f304c4857545eaee0",
-    (WITHOUT_REPLACEMENT, 7, 7): "991a14bbee1272655e2bfdbc19fe55c09ddf81511be3b0a333f660e27bbbc280",
-    (WITH_REPLACEMENT, 1000, 32): "c7f171769c75f7b8db47fb87eda21a79dc1833e2978d23b75c8d4230b299a4da",
-    (WITH_REPLACEMENT, 7, 7): "2bca5de70953f81cb8b65d7b3b963cb654b9f48a0d52782d2efc8c00854a52cc",
+    (1000, 32): "0ec23a73b4b9e85a5a46ffbd8948e13452186595bf69830f304c4857545eaee0",
+    (7, 7): "991a14bbee1272655e2bfdbc19fe55c09ddf81511be3b0a333f660e27bbbc280",
 }
 
 
@@ -119,6 +117,6 @@ def test_stream_windows_pinned(key):
 
 @pytest.mark.parametrize("key", sorted(_PINNED_MINIBATCHES))
 def test_minibatch_stream_pinned(key):
-    mode, n, b = key
-    batches = (sample_minibatch(n, b, s, mode).indices for s in (*_PIN_SEEDS, 12345))
+    n, b = key
+    batches = (sample_minibatch(n, b, s).indices for s in (*_PIN_SEEDS, 12345))
     assert _digest(batches) == _PINNED_MINIBATCHES[key]

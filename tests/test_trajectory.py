@@ -10,8 +10,10 @@ from zovr import (
     LrScheduleConfig,
     SpsaConfig,
     make_least_squares,
+    make_logistic,
     run,
 )
+from zovr import cli, estimators
 from zovr.trajectory import (
     TrajectoryError,
     TrajectoryLog,
@@ -246,3 +248,47 @@ def test_live_equals_replay_at_every_step(optimizer, q, b, p, anchor_batch, sche
     assert result.status == "completed"
     for t in range(steps + 1):
         assert np.array_equal(replay(traj, theta0, t), snaps[t])
+
+
+def test_live_equals_replay_in_two_lanes(monkeypatch):
+    # d above PARALLEL_MIN_D: probes, updates and replay stream in two lanes
+    obj = make_logistic(6, estimators.PARALLEL_MIN_D + 9, seed=3)
+    theta0 = obj.initial_theta()
+    config = MezoSvrgConfig(eta1=1e-2, eta2=1e-3, q=2, b=2,
+                            spsa=SpsaConfig(mu=1e-3, p=2))
+    cfg_map = {"eta1": repr(config.eta1), "eta2": repr(config.eta2), "mu": "0.001", "p": "2"}
+    traj = TrajectoryLog.for_run(13, theta0, "mezo-svrg", cfg_map)
+    snaps = {0: theta0}
+
+    def sink(t, theta, record):
+        snaps[t + 1] = theta.copy()
+
+    result = run(obj, theta0, "mezo-svrg", config, Budget(max_steps=4), 13,
+                 trajectory=traj, sink=sink)
+    assert result.status == "completed"
+    for t in range(5):
+        assert np.array_equal(replay(traj, theta0, t), snaps[t])
+    # and the serial kernel produces the very same run
+    monkeypatch.setattr(estimators, "PARALLEL_MIN_D", obj.d + 1)
+    serial = run(obj, theta0, "mezo-svrg", config, Budget(max_steps=4), 13)
+    assert np.array_equal(serial.theta, result.theta)
+
+
+@pytest.mark.parametrize("optimizer, missing", [
+    ("mezo", "mu"), ("mezo", "eta"), ("mezo-svrg", "eta1"), ("mezo-svrg", "eta2"),
+])
+def test_cli_replay_rejects_config_without_key(tmp_path, capsys, optimizer, missing):
+    theta0 = np.zeros(4)
+    cfg = {"eta": "0.001", "eta1": "0.001", "eta2": "0.0001", "mu": "0.001"}
+    del cfg[missing]
+    traj = TrajectoryLog.for_run(2, theta0, optimizer, cfg)
+    traj.record_step(0, "fullbatch" if optimizer == "mezo-svrg" else "minibatch", (0.5,))
+    path = str(tmp_path / "t.zotrj")
+    save(traj, path)
+    np.save(path + ".theta0.npy", theta0)
+    code = cli.main(["replay", "--traj", path, "--theta0", path + ".theta0.npy",
+                     "--step", "1", "--out", str(tmp_path / "ckpt.npy")])
+    assert code == 1
+    assert repr(missing) in capsys.readouterr().err
+    with pytest.raises(TrajectoryError, match=repr(missing)):
+        replay(traj, theta0, 1)
