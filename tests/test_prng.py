@@ -115,7 +115,9 @@ def test_stream_windows_pinned(key):
     assert _digest(windows) == _PINNED_WINDOWS[key]
 
 
-@pytest.mark.parametrize("key", sorted(_PINNED_MINIBATCHES))
+# The ids keep the names these two cases had when the sampler also had a
+# with-replacement mode, whose digests were key0 and key1.
+@pytest.mark.parametrize("key", sorted(_PINNED_MINIBATCHES), ids=["key2", "key3"])
 def test_minibatch_stream_pinned(key):
     n, b = key
     batches = (sample_minibatch(n, b, s).indices for s in (*_PIN_SEEDS, 12345))
