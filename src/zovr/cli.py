@@ -18,7 +18,8 @@ import numpy as np
 
 from . import harness, oracles, trajectory
 from .estimators import PerturbationSeed, perturb_in_place
-from .memory import has_accounting_model
+from .memory import ACCOUNTING_MODES, accounting_mode
+from .optimizers import OPTIMIZERS
 from .prng import fold
 from .prng import normals as prng_normals
 
@@ -29,8 +30,7 @@ def _add_run_parser(sub):
     p.add_argument("--preset", choices=sorted(harness.PRESETS),
                    help="run a named experiment preset instead of a single run")
     p.add_argument("--problem", choices=harness.PROBLEMS, default=None)
-    p.add_argument("--optimizer", choices=("mezo", "mezo-svrg", "zo-svrg", "fo-sgd"),
-                   default=None)
+    p.add_argument("--optimizer", choices=OPTIMIZERS, default=None)
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--query-budget", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=None)
@@ -44,8 +44,8 @@ def _add_run_parser(sub):
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None, help="CSV output path (or preset directory)")
     p.add_argument("--traj-out", default=None, help="trajectory output path")
-    p.add_argument("--accounting-mode", choices=("store_g", "recompute_g", "naive"),
-                   default=None)
+    p.add_argument("--accounting-mode", choices=ACCOUNTING_MODES, default=None,
+                   help="memory model to print next to the measured peak")
     p.add_argument("--eval-every", type=int, default=None)
     p.add_argument("--n", type=int, default=None, help="problem sample count")
     p.add_argument("--d", type=int, default=None, help="problem dimension")
@@ -65,7 +65,7 @@ def _collect_settings(args) -> dict[str, str]:
         "mu": args.mu, "q": args.q, "kappa": args.kappa, "alpha": args.alpha,
         "seed": args.seed, "n": args.n, "d": args.d, "noise_std": args.noise_std,
         "idx_images": args.idx_images, "idx_labels": args.idx_labels,
-        "eval_every": args.eval_every,
+        "eval_every": args.eval_every, "accounting_mode": args.accounting_mode,
     }
     for key, value in overrides.items():
         if value is not None:
@@ -73,43 +73,24 @@ def _collect_settings(args) -> dict[str, str]:
     return settings
 
 
-_PROBLEM_KEYS = {
-    "ls": ("n", "d", "noise_std", "seed"),
-    "logistic": ("n", "d", "separation", "seed"),
-    "mlp": ("n", "seed", "idx_images", "idx_labels"),
-}
-_OPTIMIZER_KEYS = {
-    "mezo": ("eta", "b", "mu", "p"),
-    "mezo-svrg": ("eta1", "eta2", "q", "b", "anchor_batch", "mu", "p",
-                  "kappa", "alpha", "window"),
-    "zo-svrg": ("eta", "b", "q", "mu", "p"),
-    "fo-sgd": ("eta", "b"),
-}
-
-
 def _spec_from_settings(settings: dict[str, str]) -> harness.RunSpec:
+    """A run spec that hands every setting to both builders; each takes its own keys."""
     problem = settings.get("problem", "ls")
     optimizer = settings.get("optimizer", "mezo-svrg")
-    if optimizer not in _OPTIMIZER_KEYS:
-        raise ValueError(f"unknown optimizer {optimizer!r}")
-    if optimizer in ("mezo", "zo-svrg", "fo-sgd") and "eta" not in settings:
-        if "eta1" in settings:
-            settings["eta"] = settings["eta1"]
-    problem_params = {k: settings[k] for k in _PROBLEM_KEYS.get(problem, ())
-                      if k in settings and settings[k]}
-    optimizer_params = {k: settings[k] for k in _OPTIMIZER_KEYS[optimizer]
-                        if k in settings}
+    if optimizer not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer {optimizer!r}; known: {OPTIMIZERS}")
+    if "eta1" in settings:  # --lr1 sets eta of the one-rate optimizers
+        settings.setdefault("eta", settings["eta1"])
     steps = int(settings["steps"]) if "steps" in settings else None
     queries = int(settings["query_budget"]) if "query_budget" in settings else None
     if steps is None and queries is None:
         steps = 1000
     return harness.RunSpec(
         name=f"{problem}-{optimizer}", problem=problem,
-        problem_params=problem_params, optimizer=optimizer,
-        optimizer_params=optimizer_params,
+        problem_params={k: v for k, v in settings.items() if v},
+        optimizer=optimizer, optimizer_params=settings,
         master_seed=int(settings.get("seed", 0)),
         max_steps=steps, max_queries=queries,
-        accounting_mode=settings.get("accounting_mode"),
         eval_every=int(settings.get("eval_every", 0)))
 
 
@@ -129,26 +110,22 @@ def cmd_run(args) -> int:
             return 2
         return 0 if all(e.result.status == "completed" for e in executions) else 1
 
-    spec = _spec_from_settings(_collect_settings(args))
+    settings = _collect_settings(args)
+    spec = _spec_from_settings(settings)
+    mode = accounting_mode(spec.optimizer, settings.get("accounting_mode") or None)
     execution = harness.execute(spec, out=args.out, traj_out=args.traj_out)
     result = execution.result
     print(f"status={result.status} steps={len(result.records)} "
           f"queries={result.total_queries} final_loss={execution.final_loss:.6e}")
-    mode = spec.accounting_mode or _DEFAULT_ACCOUNTING.get(spec.optimizer)
-    if has_accounting_model(spec.optimizer, mode):
-        modeled = harness.account_memory(spec.optimizer, mode, execution.objective.d)
-        measured = result.records[-1].peak_slots if result.records else 0
-        print(f"memory model ({mode or 'base'}): {modeled} slots; "
-              f"measured peak: {measured} slots")
+    modeled = harness.account_memory(spec.optimizer, mode, execution.objective.d)
+    measured = result.records[-1].peak_slots if result.records else 0
+    print(f"memory model ({mode or 'base'}): {modeled} slots; "
+          f"measured peak: {measured} slots")
     if result.reason:
         print(f"reason: {result.reason}")
     if result.status == "diverged":
         return 2
     return 0 if result.status == "completed" else 1
-
-
-_DEFAULT_ACCOUNTING = {"mezo": None, "mezo-svrg": "store_g", "zo-svrg": "naive",
-                       "fo-sgd": None}
 
 
 def cmd_compare(args) -> int:

@@ -304,22 +304,25 @@ def apply_probe_sequence(theta: np.ndarray, seed: PerturbationSeed, mu: float,
         _stream_add_scaled(theta, sub, mu)
 
 
+def _estimate(theta: np.ndarray, seed: PerturbationSeed, cfg: SpsaConfig,
+              queries_per_draw: int, evaluate) -> GradientEstimate:
+    # the p draws read disjoint windows of seed's stream; draw 0 gives the proxy
+    d = theta.shape[0]
+    coeffs = []
+    for k in range(cfg.p):
+        c, pr = _central_difference(theta, seed.shifted(k * d), cfg.mu, evaluate)
+        coeffs.append(c)
+        if k == 0:
+            proxy = pr
+    return GradientEstimate(seed, tuple(coeffs), d, queries_per_draw * cfg.p, proxy)
+
+
 def spsa_sample(obj, theta: np.ndarray, index: int, seed: PerturbationSeed,
                 cfg: SpsaConfig) -> GradientEstimate:
     """Per-sample SPSA estimate of grad f_index at theta (2*p queries)."""
     if not (0 <= index < obj.n):
         raise ValueError(f"sample index {index} out of range [0, {obj.n})")
-    d = theta.shape[0]
-    coeffs = []
-    proxy = float("nan")
-    for k in range(cfg.p):
-        c, pr = _central_difference(
-            theta, seed.shifted(k * d), cfg.mu, lambda: obj.loss(theta, index)
-        )
-        coeffs.append(c)
-        if k == 0:
-            proxy = pr
-    return GradientEstimate(seed, tuple(coeffs), d, 2 * cfg.p, proxy)
+    return _estimate(theta, seed, cfg, 2, lambda: obj.loss(theta, index))
 
 
 def spsa_batch_shared(obj, theta: np.ndarray, batch: Minibatch, seed: PerturbationSeed,
@@ -331,18 +334,8 @@ def spsa_batch_shared(obj, theta: np.ndarray, batch: Minibatch, seed: Perturbati
     """
     if batch.indices[-1] >= obj.n:
         raise ValueError(f"batch index {batch.indices[-1]} out of range [0, {obj.n})")
-    d = theta.shape[0]
-    coeffs = []
-    proxy = float("nan")
-    for k in range(cfg.p):
-        c, pr = _central_difference(
-            theta, seed.shifted(k * d), cfg.mu,
-            lambda: obj.batch_loss(theta, batch.indices),
-        )
-        coeffs.append(c)
-        if k == 0:
-            proxy = pr
-    return GradientEstimate(seed, tuple(coeffs), d, 2 * batch.b * cfg.p, proxy)
+    return _estimate(theta, seed, cfg, 2 * batch.b,
+                     lambda: obj.batch_loss(theta, batch.indices))
 
 
 def spsa_batch_avg(obj, theta: np.ndarray, batch: Minibatch,

@@ -24,18 +24,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import objectives, trajectory
-from .estimators import SpsaConfig
 from .memory import SlotMeter, account_memory
 from .optimizers import (
     Budget,
-    FoSgdConfig,
-    LrScheduleConfig,
-    MezoConfig,
-    MezoSvrgConfig,
     RunRecord,
     RunResult,
-    ZoSvrgConfig,
+    build_optimizer_config,
     run,
+    trajectory_params,
 )
 
 CSV_COLUMNS = [
@@ -56,7 +52,6 @@ class RunSpec:
     master_seed: int = 0
     max_steps: int | None = None
     max_queries: int | None = None
-    accounting_mode: str | None = None
     eval_every: int = 0
 
 
@@ -96,45 +91,6 @@ def build_objective(problem: str, params: dict):
     raise ValueError(f"unknown problem {problem!r}; known: {PROBLEMS}")
 
 
-def build_optimizer_config(optimizer: str, params: dict):
-    params = dict(params)
-    spsa = SpsaConfig(mu=float(params.pop("mu", 1e-3)), p=int(params.pop("p", 1)))
-    schedule = None
-    if "kappa" in params or "alpha" in params or "window" in params:
-        window = params.pop("window", None)
-        schedule = LrScheduleConfig(
-            kappa=float(params.pop("kappa", 1.05)),
-            alpha=float(params.pop("alpha", 5.0)),
-            window=int(window) if window else None)
-    if optimizer == "mezo":
-        return MezoConfig(eta=float(params.pop("eta", 1e-3)),
-                          b=int(params.pop("b", 32)), spsa=spsa)
-    if optimizer == "mezo-svrg":
-        anchor = params.pop("anchor_batch", None)
-        return MezoSvrgConfig(
-            eta1=float(params.pop("eta1", 1e-3)), eta2=float(params.pop("eta2", 1e-4)),
-            q=int(params.pop("q", 2)), b=int(params.pop("b", 32)),
-            anchor_batch=(int(anchor) if anchor is not None else None),
-            spsa=spsa, schedule=schedule)
-    if optimizer == "zo-svrg":
-        return ZoSvrgConfig(eta=float(params.pop("eta", 1e-3)),
-                            b=int(params.pop("b", 32)),
-                            q=int(params.pop("q", 2)), spsa=spsa)
-    if optimizer == "fo-sgd":
-        return FoSgdConfig(eta=float(params.pop("eta", 1e-3)),
-                           b=int(params.pop("b", 32)))
-    raise ValueError(f"unknown optimizer {optimizer!r}")
-
-
-def _trajectory_config(optimizer: str, config) -> dict:
-    if optimizer == "mezo":
-        return {"eta": repr(config.eta), "b": str(config.b),
-                "mu": repr(config.spsa.mu), "p": str(config.spsa.p)}
-    return {"eta1": repr(config.eta1), "eta2": repr(config.eta2),
-            "b": str(config.b), "q": str(config.q),
-            "mu": repr(config.spsa.mu), "p": str(config.spsa.p)}
-
-
 def execute(spec: RunSpec, out: str | None = None, traj_out: str | None = None,
             sink=None) -> ExecutionResult:
     """Run one spec end to end; optionally write its CSV and trajectory.
@@ -150,8 +106,7 @@ def execute(spec: RunSpec, out: str | None = None, traj_out: str | None = None,
     traj = None
     if traj_out:
         traj = trajectory.TrajectoryLog.for_run(
-            spec.master_seed, theta0, spec.optimizer,
-            _trajectory_config(spec.optimizer, config))
+            spec.master_seed, theta0, spec.optimizer, trajectory_params(config))
     budget = Budget(max_steps=spec.max_steps, max_queries=spec.max_queries)
     result = run(obj, theta0, spec.optimizer, config, budget, spec.master_seed,
                  trajectory=traj, meter=meter, sink=sink, eval_every=spec.eval_every)

@@ -31,7 +31,8 @@ from .estimators import STREAM_CHUNK
 # Documented constant overhead: a few streaming chunks plus bookkeeping.
 CONSTANT_OVERHEAD = 4 * STREAM_CHUNK + 1024
 
-# Extra d-multiples on top of the parameter slots themselves.
+# Extra d-multiples on top of the parameter slots themselves. An optimizer's
+# first listed mode is its default (`accounting_mode`).
 _EXTRA_MULTIPLE = {
     ("mezo", None): 0,
     ("mezo-svrg", "store_g"): 2,
@@ -40,7 +41,7 @@ _EXTRA_MULTIPLE = {
     ("fo-sgd", None): 1,
 }
 
-ACCOUNTING_MODES = ("store_g", "recompute_g", "naive")
+ACCOUNTING_MODES = tuple(mode for _, mode in _EXTRA_MULTIPLE if mode is not None)
 
 
 class SlotMeter:
@@ -61,14 +62,21 @@ class SlotMeter:
             raise RuntimeError("slot meter released more slots than were added")
 
 
-def has_accounting_model(optimizer: str, mode: str | None) -> bool:
-    return (optimizer, mode) in _EXTRA_MULTIPLE
+def _extra_multiple(optimizer: str, mode: str | None) -> int:
+    if (optimizer, mode) not in _EXTRA_MULTIPLE:
+        known = ", ".join(f"{o}/{m}" for o, m in _EXTRA_MULTIPLE)
+        raise ValueError(f"unknown optimizer/mode {optimizer}/{mode}; known: {known}")
+    return _EXTRA_MULTIPLE[(optimizer, mode)]
+
+
+def accounting_mode(optimizer: str, mode: str | None = None) -> str | None:
+    """`mode`, or by default the optimizer's first listed one; the model must cover it."""
+    if mode is None:
+        mode = next((m for o, m in _EXTRA_MULTIPLE if o == optimizer), None)
+    _extra_multiple(optimizer, mode)
+    return mode
 
 
 def account_memory(optimizer: str, mode: str | None, d: int) -> int:
     """Modeled peak float-slot count for an optimizer/accounting mode."""
-    key = (optimizer, mode)
-    if key not in _EXTRA_MULTIPLE:
-        known = ", ".join(f"{o}/{m}" for o, m in _EXTRA_MULTIPLE)
-        raise ValueError(f"unknown optimizer/mode {optimizer}/{mode}; known: {known}")
-    return (1 + _EXTRA_MULTIPLE[key]) * d + CONSTANT_OVERHEAD
+    return (1 + _extra_multiple(optimizer, mode)) * d + CONSTANT_OVERHEAD

@@ -111,6 +111,7 @@ class LrScheduleConfig:
             raise ValueError(f"kappa must exceed 1, got {self.kappa}")
         if not (self.alpha > 1.0):
             raise ValueError(f"alpha must exceed 1, got {self.alpha}")
+        _check_batch("window", self.window)
 
 
 @dataclass
@@ -196,6 +197,60 @@ class FoSgdConfig:
         _check_batch("b", self.b)
 
 
+CONFIGS = {"mezo": MezoConfig, "mezo-svrg": MezoSvrgConfig,
+           "zo-svrg": ZoSvrgConfig, "fo-sgd": FoSgdConfig}
+OPTIMIZERS = tuple(CONFIGS)
+SEED_REPLAY = ("mezo", "mezo-svrg")  # the optimizers a trajectory log can replay
+
+# settings key -> parser, per target: the config's own fields, its spsa, its schedule
+_PARSERS = {
+    "own": {"eta": float, "eta1": float, "eta2": float, "q": int, "b": int,
+            "anchor_batch": int},
+    "spsa": {"mu": float, "p": int},
+    "schedule": {"kappa": float, "alpha": float, "window": int},
+}
+
+
+def _parsed(parsers: dict, params: dict) -> dict:
+    return {k: parse(params[k]) for k, parse in parsers.items()
+            if params.get(k) not in (None, "")}
+
+
+def build_optimizer_config(optimizer: str, params: dict):
+    """The config of `optimizer` from a flat settings map of strings or numbers.
+
+    Keys the config has no field for are ignored, and a missing or empty
+    value leaves the dataclass default. Any schedule key, even an empty
+    one, turns the MeZO-SVRG loss-feedback schedule on.
+    """
+    if optimizer not in CONFIGS:
+        raise ValueError(f"unknown optimizer {optimizer!r}; known: {OPTIMIZERS}")
+    cls = CONFIGS[optimizer]
+    names = cls.__dataclass_fields__
+    kwargs = _parsed({k: parse for k, parse in _PARSERS["own"].items() if k in names},
+                     params)
+    if "spsa" in names:
+        kwargs["spsa"] = SpsaConfig(**_parsed(_PARSERS["spsa"], params))
+    if "schedule" in names and any(k in params for k in _PARSERS["schedule"]):
+        kwargs["schedule"] = LrScheduleConfig(**_parsed(_PARSERS["schedule"], params))
+    return cls(**kwargs)
+
+
+def trajectory_params(config) -> dict[str, str]:
+    """The config block of a trajectory header: learning rates, b, q, mu and p."""
+    out = {k: str(getattr(config, k)) for k in ("eta", "eta1", "eta2", "b", "q")
+           if hasattr(config, k)}
+    out.update(mu=str(config.spsa.mu), p=str(config.spsa.p))
+    return out
+
+
+def initial_etas(optimizer: str, config) -> tuple[float, float | None]:
+    """(eta1, eta2) at step 0; MeZO, ZO-SVRG and FO-SGD have one rate and no eta2."""
+    if optimizer == "mezo-svrg":
+        return config.eta1, config.eta2
+    return config.eta, None
+
+
 @dataclass(frozen=True)
 class Budget:
     max_steps: int | None = None
@@ -255,15 +310,7 @@ def mezo_svrg_step(obj, theta: np.ndarray, anchor: SvrgAnchor | None,
     eta2 = cfg.eta2 if eta2 is None else eta2
     if t % cfg.q == 0:
         est = spsa_batch_shared(obj, theta, batch, seed, cfg.spsa)
-        if anchor is None:
-            buf = theta.copy()
-            if meter is not None:
-                meter.add(theta.shape[0])
-            anchor = SvrgAnchor(buf, est, t)
-        else:
-            anchor.theta_bar[:] = theta
-            anchor.estimate = est
-            anchor.step_created = t
+        anchor = _set_anchor(anchor, theta, est, t, meter)
         for e, scale in update_plan(seed, est.coeffs, est.d, None, eta1):
             axpy_estimate_in_place(theta, e, scale)
         report = StepReport(t, KIND_FULLBATCH, est.loss_proxy, est.queries_used, eta1)
@@ -352,9 +399,6 @@ class RunResult:
         return len(self.records)
 
 
-OPTIMIZERS = ("mezo", "mezo-svrg", "zo-svrg", "fo-sgd")
-
-
 def run(obj, theta0: np.ndarray, optimizer: str, config, budget: Budget,
         master_seed: int, trajectory=None, meter=None, sink=None,
         eval_every: int = 0) -> RunResult:
@@ -367,7 +411,7 @@ def run(obj, theta0: np.ndarray, optimizer: str, config, budget: Budget,
     """
     if optimizer not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {optimizer!r}; known: {OPTIMIZERS}")
-    if trajectory is not None and optimizer not in ("mezo", "mezo-svrg"):
+    if trajectory is not None and optimizer not in SEED_REPLAY:
         raise ValueError(f"trajectory recording is only defined for seed-replay "
                          f"optimizers, not {optimizer!r}")
     if config.b > obj.n:
@@ -380,7 +424,7 @@ def run(obj, theta0: np.ndarray, optimizer: str, config, budget: Budget,
     queries = 0
     backward = 0
     anchor: SvrgAnchor | None = None
-    eta1_cur, eta2_cur = _initial_etas(optimizer, config)
+    eta1_cur, eta2_cur = initial_etas(optimizer, config)
     sched_state = _schedule_state(obj, optimizer, config)
     status, reason = "completed", ""
     initial_loss: float | None = None
@@ -477,12 +521,6 @@ def run(obj, theta0: np.ndarray, optimizer: str, config, budget: Budget,
                      total_queries=queries, total_backward=backward)
 
 
-def _initial_etas(optimizer, config):
-    if optimizer == "mezo-svrg":
-        return config.eta1, config.eta2
-    return config.eta, None
-
-
 def _schedule_state(obj, optimizer, config) -> LrScheduleState | None:
     sched = getattr(config, "schedule", None)
     if sched is None:
@@ -495,18 +533,22 @@ def _per_sample_seeds(seed: PerturbationSeed, count: int) -> list[PerturbationSe
     return [PerturbationSeed(fold(seed.seed, i)) for i in range(count)]
 
 
-def _refresh_dense_anchor(obj, theta, anchor, t, master_seed, config, meter):
-    batch = full_batch(obj.n)
-    seeds = _per_sample_seeds(perturb_seed(master_seed, t, KIND_FULLBATCH), obj.n)
+def _set_anchor(anchor: SvrgAnchor | None, theta: np.ndarray, estimate, t: int,
+                meter) -> SvrgAnchor:
+    """Anchor `estimate` at a copy of theta, in `anchor`'s buffer if there is one."""
     if anchor is None:
         if meter is not None:
             meter.add(theta.shape[0])  # theta_bar
-        dense = spsa_batch_avg(obj, theta, batch, seeds, config.spsa, meter=meter)
-        return SvrgAnchor(theta.copy(), dense, t)
-    dense = spsa_batch_avg(obj, theta, batch, seeds, config.spsa, meter=meter)
-    if meter is not None:
-        meter.release(theta.shape[0])  # the previous dense estimate
+        return SvrgAnchor(theta.copy(), estimate, t)
     anchor.theta_bar[:] = theta
-    anchor.estimate = dense
+    anchor.estimate = estimate
     anchor.step_created = t
     return anchor
+
+
+def _refresh_dense_anchor(obj, theta, anchor, t, master_seed, config, meter):
+    seeds = _per_sample_seeds(perturb_seed(master_seed, t, KIND_FULLBATCH), obj.n)
+    dense = spsa_batch_avg(obj, theta, full_batch(obj.n), seeds, config.spsa, meter=meter)
+    if anchor is not None and meter is not None:
+        meter.release(theta.shape[0])  # the previous dense estimate
+    return _set_anchor(anchor, theta, dense, t, meter)

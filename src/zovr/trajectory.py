@@ -36,7 +36,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import apply_probe_sequence, axpy_estimate_in_place
-from .optimizers import KIND_FULLBATCH, KIND_MINIBATCH, perturb_seed, update_plan
+from .optimizers import (
+    KIND_FULLBATCH,
+    KIND_MINIBATCH,
+    SEED_REPLAY,
+    build_optimizer_config,
+    initial_etas,
+    perturb_seed,
+    update_plan,
+)
 
 MAGIC = b"ZOTRJ"
 FORMAT_VERSION = 1
@@ -183,10 +191,16 @@ def _code_to_kind(code: int) -> str:
     raise TrajectoryError(f"unknown record kind code {code}")
 
 
-def _config_float(log: TrajectoryLog, key: str) -> float:
-    if key not in log.config:
-        raise TrajectoryError(f"{log.optimizer} trajectory config has no {key!r}")
-    return float(log.config[key])
+def _header_settings(log: TrajectoryLog) -> tuple[float, int, float, float | None]:
+    """(mu, p, eta1, eta2) of the header, parsed as the live run parsed its settings.
+
+    Only the scalars outlive this call, so replay holds no config object.
+    """
+    for key in ("mu", "eta") if log.optimizer == "mezo" else ("mu", "eta1", "eta2"):
+        if not log.config.get(key):
+            raise TrajectoryError(f"{log.optimizer} trajectory config has no {key!r}")
+    config = build_optimizer_config(log.optimizer, log.config)
+    return (config.spsa.mu, config.spsa.p, *initial_etas(log.optimizer, config))
 
 
 def replay(log: TrajectoryLog, theta0: np.ndarray, upto: int) -> np.ndarray:
@@ -203,17 +217,9 @@ def replay(log: TrajectoryLog, theta0: np.ndarray, upto: int) -> np.ndarray:
         raise TrajectoryError(f"theta0 has dimension {theta0.shape[0]}, log has {log.d}")
     if theta_digest(theta0) != log.theta0_sha256:
         raise TrajectoryError("theta0 digest does not match the trajectory header")
-    if log.optimizer not in ("mezo", "mezo-svrg"):
+    if log.optimizer not in SEED_REPLAY:
         raise TrajectoryError(f"cannot replay optimizer {log.optimizer!r}")
-
-    mu = _config_float(log, "mu")
-    p = int(log.config.get("p", "1"))
-    if log.optimizer == "mezo":
-        eta1 = _config_float(log, "eta")
-        eta2 = 0.0
-    else:
-        eta1 = _config_float(log, "eta1")
-        eta2 = _config_float(log, "eta2")
+    mu, p, eta1, eta2 = _header_settings(log)
 
     theta = np.array(theta0, dtype=np.float64, copy=True)
     anchor_est = None

@@ -1,12 +1,25 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import zovr
-from zovr import cli, estimators, harness, trajectory
+from zovr import (
+    FoSgdConfig,
+    LrScheduleConfig,
+    MezoConfig,
+    MezoSvrgConfig,
+    SpsaConfig,
+    ZoSvrgConfig,
+    cli,
+    estimators,
+    harness,
+    trajectory,
+)
+from zovr.memory import CONSTANT_OVERHEAD
 from zovr.harness import (
     CSV_COLUMNS,
     RunSpec,
@@ -117,6 +130,88 @@ def test_schedule_window_is_read_once():
     assert config.schedule.window == 4
 
 
+_LS_MEZO = MezoConfig(eta=0.001, b=32, spsa=SpsaConfig(mu=0.001, p=1))
+_LS_SVRG = MezoSvrgConfig(eta1=0.001, eta2=0.0001, q=2, b=32, anchor_batch=None,
+                          spsa=SpsaConfig(mu=0.001, p=1), schedule=None)
+
+# the config each preset run builds, written out in full
+_PRESET_CONFIGS = {
+    ("fig1a", "mezo"): _LS_MEZO,
+    ("fig1a", "mezo-svrg"): _LS_SVRG,
+    ("fig1a", "fo-sgd"): FoSgdConfig(eta=0.001, b=32),
+    ("batch-robustness", "mezo-b8"): replace(_LS_MEZO, b=8),
+    ("batch-robustness", "mezo-b128"): replace(_LS_MEZO, b=128),
+    ("batch-robustness", "mezo-svrg-b8"): replace(_LS_SVRG, b=8),
+    ("q-ablation", "q2"): _LS_SVRG,
+    ("q-ablation", "q10"): replace(_LS_SVRG, q=10),
+    ("anchor-approx", "anchor-full"): _LS_SVRG,
+    ("anchor-approx", "anchor-half"): replace(_LS_SVRG, anchor_batch=500),
+    **{("mu-ablation", f"mu-{mu:g}"): replace(_LS_SVRG, spsa=SpsaConfig(mu=mu, p=1))
+       for mu in (1.0, 0.5, 0.1, 0.01, 0.001, 0.0001)},
+    ("mlp", "mezo"): MezoConfig(eta=0.0001, b=64, spsa=SpsaConfig(mu=0.001, p=1)),
+    ("mlp", "mezo-svrg"): replace(_LS_SVRG, eta2=1e-05, b=64),
+    ("mlp", "fo-sgd"): FoSgdConfig(eta=0.001, b=64),
+}
+
+
+def test_preset_configs_pinned():
+    built = {(name, spec.name): harness.build_optimizer_config(spec.optimizer,
+                                                               spec.optimizer_params)
+             for name, make in harness.PRESETS.items() for spec in make(0)}
+    assert built == _PRESET_CONFIGS
+
+
+@pytest.mark.parametrize("optimizer, params, expected", [
+    ("mezo", {"eta": "0.01", "b": "8", "mu": "0.001", "p": "2"},
+     MezoConfig(eta=0.01, b=8, spsa=SpsaConfig(mu=0.001, p=2))),
+    ("mezo-svrg", {"eta1": "0.01", "eta2": "0.001", "q": "3", "b": "8",
+                   "anchor_batch": "20", "mu": "0.0001", "p": "2"},
+     MezoSvrgConfig(eta1=0.01, eta2=0.001, q=3, b=8, anchor_batch=20,
+                    spsa=SpsaConfig(mu=0.0001, p=2), schedule=None)),
+    ("mezo-svrg", {"kappa": "1.1", "alpha": "2.0", "window": ""},
+     replace(_LS_SVRG, schedule=LrScheduleConfig(kappa=1.1, alpha=2.0, window=None))),
+    ("mezo-svrg", {"kappa": "1.1", "window": "4"},
+     replace(_LS_SVRG, schedule=LrScheduleConfig(kappa=1.1, alpha=5.0, window=4))),
+    ("zo-svrg", {"eta": "0.01", "b": "4", "q": "5", "mu": "0.01", "p": "3"},
+     ZoSvrgConfig(eta=0.01, b=4, q=5, spsa=SpsaConfig(mu=0.01, p=3))),
+    ("fo-sgd", {"eta": "0.5", "b": "2", "mu": "0.1", "p": "2"}, FoSgdConfig(eta=0.5, b=2)),
+    ("mezo", {"eta": "0.01", "b": "8", "n": "64", "seed": "3", "q": "4", "kappa": "1.1",
+              "anchor_batch": "5"},
+     MezoConfig(eta=0.01, b=8, spsa=SpsaConfig(mu=0.001, p=1))),
+], ids=["mezo-p2", "mezo-svrg-anchor-batch", "schedule-empty-window", "schedule-window",
+        "zo-svrg", "fo-sgd-ignores-spsa", "mezo-ignores-other-keys"])
+def test_build_optimizer_config_pinned(optimizer, params, expected):
+    assert harness.build_optimizer_config(optimizer, params) == expected
+
+
+@pytest.mark.parametrize("settings, expected", [
+    ({"optimizer": "mezo", "eta1": "0.01", "b": "8", "n": "64", "seed": "3", "q": "4"},
+     MezoConfig(eta=0.01, b=8, spsa=SpsaConfig(mu=0.001, p=1))),
+    ({"optimizer": "mezo-svrg", "eta1": "0.01", "b": "8", "n": "64", "kappa": "1.2",
+      "window": ""},
+     replace(_LS_SVRG, eta1=0.01, b=8,
+             schedule=LrScheduleConfig(kappa=1.2, alpha=5.0, window=None))),
+], ids=["lr1-alias-for-mezo", "mezo-svrg-schedule"])
+def test_cli_settings_build_pinned_config(settings, expected):
+    spec = cli._spec_from_settings(settings)
+    assert harness.build_optimizer_config(spec.optimizer, spec.optimizer_params) == expected
+
+
+@pytest.mark.parametrize("optimizer, params, header", [
+    ("mezo", {"b": 8, "eta": 1e-3, "mu": 1e-3},
+     {"eta": "0.001", "b": "8", "mu": "0.001", "p": "1", "optimizer": "mezo"}),
+    ("mezo-svrg", {"b": 8, "eta1": 1e-3, "eta2": 1e-4, "q": 3, "mu": 1e-3, "p": 2,
+                   "anchor_batch": 20, "kappa": 1.1},
+     {"eta1": "0.001", "eta2": "0.0001", "b": "8", "q": "3", "mu": "0.001", "p": "2",
+      "optimizer": "mezo-svrg"}),
+])
+def test_trajectory_header_pinned(tmp_path, optimizer, params, header):
+    path = str(tmp_path / "run.zotrj")
+    execute(_ls_spec(optimizer=optimizer, optimizer_params=params, max_steps=4),
+            traj_out=path)
+    assert trajectory.load(path).config == header
+
+
 def test_cli_config_file_with_schedule_window(tmp_path):
     cfg = tmp_path / "sched.cfg"
     cfg.write_text("problem=ls\noptimizer=mezo-svrg\nn=64\nd=8\nb=8\nsteps=12\n"
@@ -131,6 +226,33 @@ def test_cli_run_divergence_exit_code(tmp_path):
                      "--n", "64", "--d", "8", "--lr1", "50.0", "--steps", "5000",
                      "--seed", "1", "--batch-size", "4"])
     assert code == 2
+
+
+_SMALL_RUN = ["run", "--problem", "ls", "--n", "64", "--d", "8", "--batch-size", "8",
+              "--steps", "4"]
+
+
+def test_cli_accounting_mode_picks_printed_model(capsys):
+    assert cli.main(_SMALL_RUN + ["--optimizer", "mezo-svrg"]) == 0
+    assert "memory model (store_g): " in capsys.readouterr().out
+    assert cli.main(_SMALL_RUN + ["--optimizer", "mezo-svrg",
+                                  "--accounting-mode", "recompute_g"]) == 0
+    out = capsys.readouterr().out
+    assert f"memory model (recompute_g): {2 * 8 + CONSTANT_OVERHEAD} slots" in out
+
+
+def test_cli_rejects_accounting_mode_of_another_optimizer(tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    code = cli.main(_SMALL_RUN + ["--optimizer", "mezo", "--accounting-mode", "naive",
+                                  "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "mezo/naive" in captured.err
+    for pair in ("mezo/None", "mezo-svrg/store_g", "mezo-svrg/recompute_g",
+                 "zo-svrg/naive", "fo-sgd/None"):
+        assert pair in captured.err
+    assert not out.exists()
 
 
 def test_cli_replay_roundtrip(tmp_path):

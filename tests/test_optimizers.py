@@ -312,8 +312,10 @@ def test_zo_svrg_run_completes():
     lambda: ZoSvrgConfig(b=-1),
     lambda: ZoSvrgConfig(q=0),
     lambda: FoSgdConfig(b=0),
+    lambda: LrScheduleConfig(window=0),
+    lambda: LrScheduleConfig(window=-2),
 ], ids=["mezo-b", "mezo-svrg-b", "mezo-svrg-anchor", "mezo-svrg-anchor-neg",
-        "zo-svrg-b", "zo-svrg-q", "fo-sgd-b"])
+        "zo-svrg-b", "zo-svrg-q", "fo-sgd-b", "schedule-window", "schedule-window-neg"])
 def test_config_rejects_empty_batches(make):
     with pytest.raises(ValueError, match=">= 1"):
         make()
