@@ -6,7 +6,8 @@ Subcommands:
     replay   reconstruct a checkpoint from a trajectory file
     verify   run the quick oracle battery
 
-Exit codes: 0 success, 1 error or failed criterion, 2 diverged run.
+Exit codes: 0 success, 1 bad input or a failed comparison criterion,
+2 diverged run. Any other exception is a bug and ends with its traceback.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ def _add_run_parser(sub):
     p = sub.add_parser("run", help="execute one optimization run or a preset")
     p.add_argument("--config", help="flat key=value config file; flags override it")
     p.add_argument("--preset", choices=sorted(harness.PRESETS),
-                   help="run a named experiment preset instead of a single run")
+                   help="run a named experiment preset instead of a single run; "
+                        "takes only --seed, --out and --query-budget")
     p.add_argument("--problem", choices=harness.PROBLEMS, default=None)
     p.add_argument("--optimizer", choices=OPTIMIZERS, default=None)
     p.add_argument("--steps", type=int, default=None)
@@ -94,8 +96,18 @@ def _spec_from_settings(settings: dict[str, str]) -> harness.RunSpec:
         eval_every=int(settings.get("eval_every", 0)))
 
 
+# the subcommand and the run settings a preset reads; any other argument set
+# next to --preset would be ignored, so it is an error
+_PRESET_ARGS = ("command", "preset", "seed", "out", "query_budget")
+
+
 def cmd_run(args) -> int:
     if args.preset:
+        ignored = [f"--{k.replace('_', '-')}" for k, v in vars(args).items()
+                   if v is not None and k not in _PRESET_ARGS]
+        if ignored:
+            raise ValueError(f"--preset takes only --seed, --out and --query-budget, "
+                             f"not {', '.join(ignored)}")
         seed = args.seed if args.seed is not None else 0
         outdir = args.out or f"preset_{args.preset}"
         executions, report = harness.run_preset(
@@ -106,9 +118,7 @@ def cmd_run(args) -> int:
                   f"csv={e.csv_path}")
         if report is not None:
             print(report.render())
-        if any(e.result.status == "diverged" for e in executions):
-            return 2
-        return 0 if all(e.result.status == "completed" for e in executions) else 1
+        return 2 if any(e.result.status == "diverged" for e in executions) else 0
 
     settings = _collect_settings(args)
     spec = _spec_from_settings(settings)
@@ -123,9 +133,7 @@ def cmd_run(args) -> int:
           f"measured peak: {measured} slots")
     if result.reason:
         print(f"reason: {result.reason}")
-    if result.status == "diverged":
-        return 2
-    return 0 if result.status == "completed" else 1
+    return 2 if result.status == "diverged" else 0
 
 
 def cmd_compare(args) -> int:

@@ -26,6 +26,7 @@ on the lane count or on which lane streamed which piece.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -98,13 +99,14 @@ class Minibatch:
         idx = np.asarray(self.indices, dtype=np.int64)
         if idx.ndim != 1 or idx.size == 0:
             raise ValueError("minibatch must be a non-empty 1-d index array")
-        if np.any(idx < 0):
-            raise ValueError("minibatch indices must be non-negative")
-        steps = np.diff(idx)
-        if np.any(steps < 0):
+        # one comparison pass accepts the sampler's sorted, distinct batches
+        distinct = (idx[1:] > idx[:-1]).all()
+        if not distinct:
             idx = np.sort(idx)
-            steps = np.diff(idx)
-        if np.any(steps == 0):
+            distinct = (idx[1:] > idx[:-1]).all()
+        if idx[0] < 0:
+            raise ValueError("minibatch indices must be non-negative")
+        if not distinct:
             raise ValueError("minibatch has duplicate indices")
         object.__setattr__(self, "indices", idx)
 
@@ -280,7 +282,7 @@ def _central_difference(theta, seed, mu, evaluate):
         _stream_add_scaled(theta, seed, mu)
         raise
     _stream_add_scaled(theta, seed, mu)
-    if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+    if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
         raise NonFiniteLossError(
             f"non-finite loss in SPSA probe: f+={f_plus!r}, f-={f_minus!r}"
         )

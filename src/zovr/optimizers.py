@@ -34,6 +34,7 @@ without replacement. Trajectory replay relies on exactly this scheme.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -360,7 +361,7 @@ def fo_sgd_step(obj, theta: np.ndarray, batch: Minibatch, eta: float,
                 meter=None) -> StepReport:
     """First-order baseline: theta <- theta - eta * mean batch gradient."""
     loss = obj.batch_loss(theta, batch.indices)
-    if not np.isfinite(loss):
+    if not math.isfinite(loss):
         raise NonFiniteLossError(f"non-finite batch loss {loss!r} in FO-SGD step")
     if meter is not None:
         meter.add(theta.shape[0])
@@ -389,7 +390,7 @@ class RunRecord:
 class RunResult:
     theta: np.ndarray
     records: list[RunRecord]
-    status: str  # completed | diverged | failed
+    status: str  # completed | diverged
     reason: str = ""
     total_queries: int = 0
     total_backward: int = 0
@@ -406,8 +407,9 @@ def run(obj, theta0: np.ndarray, optimizer: str, config, budget: Budget,
 
     Deterministic given (config, master_seed). Emits one RunRecord per
     step; a non-finite or exploding loss ends the run with status
-    'diverged', any other step failure with status 'failed'. `sink`,
-    when given, is called as sink(step, theta, record) after every step.
+    'diverged'. Any other exception a step raises propagates to the
+    caller. `sink`, when given, is called as sink(step, theta, record)
+    after every step.
     """
     if optimizer not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {optimizer!r}; known: {OPTIMIZERS}")
@@ -470,9 +472,6 @@ def run(obj, theta0: np.ndarray, optimizer: str, config, budget: Budget,
         except NonFiniteLossError as err:
             status, reason = "diverged", str(err)
             break
-        except Exception as err:  # recorded failure, not a crash
-            status, reason = "failed", f"{type(err).__name__}: {err}"
-            break
 
         report.step = t
         queries += report.queries
@@ -497,7 +496,7 @@ def run(obj, theta0: np.ndarray, optimizer: str, config, budget: Budget,
         if sink is not None:
             sink(t, theta, record)
 
-        if not np.isfinite(report.loss_before):
+        if not math.isfinite(report.loss_before):
             status, reason = "diverged", f"non-finite loss at step {t}"
             break
         if report.loss_before > DIVERGENCE_FACTOR * max(initial_loss, 1e-300):

@@ -299,6 +299,34 @@ def test_minibatch_validation():
     assert list(batch.indices) == [1, 3, 5]
 
 
+@pytest.mark.parametrize("indices, stored", [
+    (np.array([0, 4, 9]), [0, 4, 9]),
+    (np.array([5, 1, 3]), [1, 3, 5]),
+    (np.array([7]), [7]),
+    ([3, 0, 2], [0, 2, 3]),
+    (np.array([9, 2], dtype=np.int32), [2, 9]),
+    (np.array([2**40, 6], dtype=np.uint64), [6, 2**40]),
+], ids=["sorted", "unsorted", "single", "list", "int32", "uint64"])
+def test_minibatch_accepts(indices, stored):
+    batch = Minibatch(indices)
+    assert batch.indices.dtype == np.int64
+    assert batch.indices.tolist() == stored
+
+
+@pytest.mark.parametrize("indices, message", [
+    (np.array([], dtype=np.int64), "non-empty 1-d"),
+    (np.array([[0, 1], [2, 3]]), "non-empty 1-d"),
+    (np.array([1, 1, 2]), "duplicate"),
+    (np.array([3, 1, 3]), "duplicate"),
+    (np.array([4, -2, 1]), "non-negative"),
+    (np.array([2, -1, 2]), "non-negative"),  # the negative is reported first
+], ids=["empty", "2-d", "sorted-duplicate", "unsorted-duplicate", "negative",
+        "negative-and-duplicate"])
+def test_minibatch_rejects(indices, message):
+    with pytest.raises(ValueError, match=message):
+        Minibatch(indices)
+
+
 def test_sampler_rejects_empty_population():
     with pytest.raises(ValueError, match="n >= 1"):
         sample_minibatch(0, 1, 3)

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -330,6 +331,70 @@ def test_fig1a_preset_matches_budgets(tmp_path):
     # the first-order baseline is step-matched to mezo-svrg
     assert len(rows["fo-sgd"]) == len(rows["mezo-svrg"])
     assert report is not None and report.lines
+
+
+@pytest.mark.parametrize("extra", [
+    ["--optimizer", "fo-sgd"],
+    ["--accounting-mode", "naive"],
+    ["--config", "run.cfg"],
+    ["--traj-out", "run.zotrj"],
+], ids=lambda extra: extra[0])
+def test_cli_preset_rejects_flags_it_would_ignore(tmp_path, capsys, extra):
+    outdir = tmp_path / "preset"
+    code = cli.main(["run", "--preset", "mu-ablation", "--query-budget", "2000",
+                     "--out", str(outdir)] + extra)
+    assert code == 1
+    assert extra[0] in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_cli_preset_takes_seed_budget_and_out(tmp_path):
+    outdir = tmp_path / "preset"
+    assert cli.main(["run", "--preset", "fig1a", "--seed", "3", "--query-budget", "4256",
+                     "--out", str(outdir)]) == 0
+    assert sorted(os.listdir(outdir)) == [
+        "fig1a_fo-sgd.csv", "fig1a_mezo-svrg.csv", "fig1a_mezo.csv"]
+
+
+def _csv_digest_without_elapsed(path):
+    with open(path, "rb") as fh:
+        lines = fh.read().split(b"\n")
+    drop = lines[0].split(b",").index(b"elapsed_seconds")
+    kept = [b",".join(f for i, f in enumerate(line.split(b",")) if i != drop)
+            for line in lines]
+    return hashlib.sha256(b"\n".join(kept)).hexdigest()
+
+
+# (final-theta SHA-256, SHA-256 of the CSV without elapsed_seconds) per run,
+# at two MeZO-SVRG anchor-plus-minibatch step pairs of each preset's budget
+_PRESET_OUTPUTS = {
+    ("fig1a", 2128 * 2): {
+        "mezo": ("bded3c0ed27ecc553bb34cfb049da0bfd2a3cb67df3c0337f4f3828000c89f6c",
+                 "83ec5644949f43e7915fb51e6762af6c9dbe0a38ec014f81c363ca31dbd5eb91"),
+        "mezo-svrg": ("fa7d668f025e26fd22686e970d4f1b9ef29ecb2d2a8a61e395e46a1d62249f50",
+                      "3069f25ed09bede67fd0a92175e4cb7ab3b9f4191f84291475a46603aae95795"),
+        "fo-sgd": ("a0af96a941f7b1c0fbaa0475d77477145a74c8be8935154af64b4b0be22e05d5",
+                   "a25a7e78c191c840b0475502e93679114fd6b008765a7d8a53e673d78ff7dc60"),
+    },
+    ("mlp", 1280 * 2): {
+        "mezo": ("2b714889b226536bf6c02d8a294d28f1b8602144ee8af2ce2fd203a14022a6f9",
+                 "2d6c6c7b6ba5208fdbeed7d55ba8d369ab1b29a148a99ab559437cf56e33eeb3"),
+        "mezo-svrg": ("60178a093e205d006bcbcf089bac949d20ac5c6614d6cffd05f01ec6891cf785",
+                      "83ac33fde5b15c53ff246cfb0fe361a0a5e33e071596a2ee1037b1d7fab7ce9a"),
+        "fo-sgd": ("d4f07000d8cd9b5f40450740077ebcc0e9f8052779608a4e3b0db0742ed3410c",
+                   "384ad380b57bc1ee3addf8f896299439df7a2628cf5f74101ed98fe14477a75c"),
+    },
+}
+
+
+@pytest.mark.parametrize("preset, budget", sorted(_PRESET_OUTPUTS))
+def test_preset_outputs_pinned(tmp_path, preset, budget):
+    executions, _ = harness.run_preset(preset, seed=0, outdir=str(tmp_path),
+                                       query_budget=budget)
+    outputs = {e.spec.name: (hashlib.sha256(e.result.theta.tobytes()).hexdigest(),
+                             _csv_digest_without_elapsed(e.csv_path))
+               for e in executions}
+    assert outputs == _PRESET_OUTPUTS[preset, budget]
 
 
 def test_query_parity_check():

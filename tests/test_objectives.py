@@ -11,6 +11,7 @@ from zovr import (
     make_mlp2,
     make_synthetic_digits,
     load_idx,
+    sample_minibatch,
 )
 from zovr.objectives import (
     IDX_IMAGES_MAGIC,
@@ -261,3 +262,25 @@ def test_with_replacement_full_length_batch_is_gathered(name):
     value, peak = _traced_batch_loss(obj, theta, idx)
     assert value == _gathered_loss(obj, theta, idx)
     assert peak >= _data_matrix(obj).nbytes
+
+
+_MEAN_OBJECTIVES = {
+    "ls": lambda: make_least_squares(1200, 20, seed=26),
+    "logistic": lambda: make_logistic(1200, 10, seed=27),
+    "mlp": lambda: make_mlp2(make_synthetic_digits(1200, rows=8, cols=8, seed=28), seed=28),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MEAN_OBJECTIVES))
+def test_batch_loss_equals_np_mean(name):
+    # sizes straddle numpy's 8-wide unrolled and 128-element pairwise-sum
+    # blocks; _gathered_loss reduces with float(np.mean(...))
+    obj = _MEAN_OBJECTIVES[name]()
+    sizes = [1, 2, 7, 8, 9, 127, 128, 129, 255, 256, 257, 1023, 1024, 1025, 1100]
+    sizes += [1 + int(w) % 1100 for w in raw_words(fold(29, 0), 0, 10)]
+    for k, b in enumerate(sizes):
+        theta = obj.initial_theta() + 0.3 * normals(fold(29, 1), k * obj.d, obj.d)
+        idx = sample_minibatch(obj.n, b, fold(29, 2 + k)).indices
+        assert obj.batch_loss(theta, idx) == _gathered_loss(obj, theta, idx), b
+    idx = np.arange(obj.n)
+    assert obj.batch_loss(theta, idx) == _gathered_loss(obj, theta, idx)

@@ -270,6 +270,31 @@ def test_run_divergence_detection():
     assert result.reason
 
 
+class FailsOnThirdQuery:
+    """Least squares whose third batch_loss call raises, as a coding bug would."""
+
+    def __init__(self, inner):
+        self.inner, self.n, self.d, self.calls = inner, inner.n, inner.d, 0
+
+    def batch_loss(self, theta, indices):
+        self.calls += 1
+        if self.calls == 3:
+            raise RuntimeError("bug in the third query")
+        return self.inner.batch_loss(theta, indices)
+
+
+@pytest.mark.parametrize("optimizer, config", [
+    ("mezo", MezoConfig(b=4)),
+    ("mezo-svrg", MezoSvrgConfig(b=4)),
+], ids=["mezo", "mezo-svrg"])
+def test_run_propagates_step_errors(optimizer, config):
+    obj = FailsOnThirdQuery(make_least_squares(32, 8, seed=20))
+    with pytest.raises(RuntimeError, match="third query") as caught:
+        run(obj, np.zeros(8), optimizer, config, Budget(max_steps=10), 5)
+    assert caught.type is RuntimeError
+    assert obj.calls == 3
+
+
 def test_run_equal_query_fairness():
     ls = make_least_squares(100, 10, seed=17)
     budget = Budget(max_queries=10_000)
