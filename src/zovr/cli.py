@@ -20,7 +20,7 @@ import numpy as np
 from . import harness, oracles, trajectory
 from .estimators import PerturbationSeed, perturb_in_place
 from .memory import ACCOUNTING_MODES, accounting_mode
-from .optimizers import OPTIMIZERS
+from .optimizers import OPTIMIZERS, _parsed
 from .prng import fold
 from .prng import normals as prng_normals
 
@@ -56,44 +56,38 @@ def _add_run_parser(sub):
     p.add_argument("--idx-labels", default=None, help="IDX label file for --problem mlp")
 
 
+# run flags whose settings key is not their own name, and the run arguments
+# that are not settings
+_FLAG_KEYS = {"batch_size": "b", "lr1": "eta1", "lr2": "eta2"}
+_NOT_SETTINGS = ("command", "config", "preset", "out", "traj_out")
+
+
 def _collect_settings(args) -> dict[str, str]:
-    settings: dict[str, str] = {}
-    if args.config:
-        settings.update(harness.parse_config_file(args.config))
-    overrides = {
-        "problem": args.problem, "optimizer": args.optimizer, "steps": args.steps,
-        "query_budget": args.query_budget, "b": args.batch_size,
-        "anchor_batch": args.anchor_batch, "eta1": args.lr1, "eta2": args.lr2,
-        "mu": args.mu, "q": args.q, "kappa": args.kappa, "alpha": args.alpha,
-        "seed": args.seed, "n": args.n, "d": args.d, "noise_std": args.noise_std,
-        "idx_images": args.idx_images, "idx_labels": args.idx_labels,
-        "eval_every": args.eval_every, "accounting_mode": args.accounting_mode,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            settings[key] = str(value)
+    settings = harness.parse_config_file(args.config) if args.config else {}
+    for dest, value in vars(args).items():
+        if value is not None and dest not in _NOT_SETTINGS:
+            settings[_FLAG_KEYS.get(dest, dest)] = str(value)
     return settings
 
 
 def _spec_from_settings(settings: dict[str, str]) -> harness.RunSpec:
     """A run spec that hands every setting to both builders; each takes its own keys."""
-    problem = settings.get("problem", "ls")
-    optimizer = settings.get("optimizer", "mezo-svrg")
+    problem = settings.get("problem") or "ls"
+    optimizer = settings.get("optimizer") or "mezo-svrg"
     if optimizer not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {optimizer!r}; known: {OPTIMIZERS}")
     if "eta1" in settings:  # --lr1 sets eta of the one-rate optimizers
         settings.setdefault("eta", settings["eta1"])
-    steps = int(settings["steps"]) if "steps" in settings else None
-    queries = int(settings["query_budget"]) if "query_budget" in settings else None
+    run = _parsed({"steps": int, "query_budget": int, "seed": int, "eval_every": int},
+                  settings)
+    steps, queries = run.get("steps"), run.get("query_budget")
     if steps is None and queries is None:
         steps = 1000
     return harness.RunSpec(
         name=f"{problem}-{optimizer}", problem=problem,
-        problem_params={k: v for k, v in settings.items() if v},
-        optimizer=optimizer, optimizer_params=settings,
-        master_seed=int(settings.get("seed", 0)),
-        max_steps=steps, max_queries=queries,
-        eval_every=int(settings.get("eval_every", 0)))
+        problem_params=settings, optimizer=optimizer, optimizer_params=settings,
+        master_seed=run.get("seed", 0), max_steps=steps, max_queries=queries,
+        eval_every=run.get("eval_every", 0))
 
 
 # the subcommand and the run settings a preset reads; any other argument set

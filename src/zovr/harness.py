@@ -29,6 +29,7 @@ from .optimizers import (
     Budget,
     RunRecord,
     RunResult,
+    _parsed,
     build_optimizer_config,
     run,
     trajectory_params,
@@ -39,7 +40,14 @@ CSV_COLUMNS = [
     "kind", "peak_slots", "elapsed_seconds", "backward_queries", "fstar",
 ]
 
-PROBLEMS = ("ls", "logistic", "mlp")
+# problem -> (its builder in `objectives`, settings key -> parser); each
+# default lives only in the builder's signature
+_PROBLEMS = {
+    "ls": ("make_least_squares", {"n": int, "d": int, "noise_std": float, "seed": int}),
+    "logistic": ("make_logistic", {"n": int, "d": int, "separation": float, "seed": int}),
+    "mlp": ("_make_mlp", {"n": int, "seed": int, "idx_images": str, "idx_labels": str}),
+}
+PROBLEMS = tuple(_PROBLEMS)
 
 
 @dataclass(frozen=True)
@@ -67,28 +75,17 @@ class ExecutionResult:
 
 
 def build_objective(problem: str, params: dict):
-    params = dict(params)
-    if problem == "ls":
-        return objectives.make_least_squares(
-            n=int(params.get("n", 1000)), d=int(params.get("d", 100)),
-            noise_std=float(params.get("noise_std", 0.01)),
-            seed=int(params.get("seed", 0)))
-    if problem == "logistic":
-        return objectives.make_logistic(
-            n=int(params.get("n", 256)), d=int(params.get("d", 16)),
-            separation=float(params.get("separation", 2.0)),
-            seed=int(params.get("seed", 0)))
-    if problem == "mlp":
-        images = params.get("idx_images")
-        labels = params.get("idx_labels")
-        n = int(params.get("n", 512))
-        seed = int(params.get("seed", 0))
-        if images and labels:
-            data = objectives.load_idx(images, labels, max_samples=n)
-        else:
-            data = objectives.make_synthetic_digits(n, seed=seed)
-        return objectives.make_mlp2(data, seed=seed)
-    raise ValueError(f"unknown problem {problem!r}; known: {PROBLEMS}")
+    """The objective of `problem` from a flat settings map of strings or numbers.
+
+    Keys the problem's builder takes no argument for are ignored, and a
+    missing or empty value leaves the builder's default.
+    """
+    if problem not in _PROBLEMS:
+        raise ValueError(f"unknown problem {problem!r}; known: {PROBLEMS}")
+    builder, parsers = _PROBLEMS[problem]
+    # looked up by name on each call, like any `objectives.<name>` call, so a
+    # replaced module function is the one that runs
+    return getattr(objectives, builder)(**_parsed(parsers, params))
 
 
 def execute(spec: RunSpec, out: str | None = None, traj_out: str | None = None,

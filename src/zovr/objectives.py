@@ -2,8 +2,8 @@
 
 Every objective is an empirical risk f(theta) = (1/n) sum_i f_i(theta):
 batch losses are always mean-scaled, never sum-scaled. Objectives are
-immutable after construction and their loss/grad calls are pure, so
-they are safe to query concurrently.
+immutable after construction and their loss and gradient calls are
+pure, so they are safe to query concurrently.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ class Objective:
     """Sample-indexed loss oracle over n samples in dimension d.
 
     Subclasses implement ``loss`` and a vectorized ``batch_loss`` (and
-    ``grad``/``batch_grad`` if an analytic gradient exists). ``f_star`` holds the optimal mean loss when a closed form
-    is available, else None.
+    ``batch_grad`` if an analytic gradient exists). ``f_star`` holds the
+    optimal mean loss when a closed form is available, else None.
     """
 
     n: int
@@ -62,9 +62,6 @@ class Objective:
     def batch_loss(self, theta: np.ndarray, indices: np.ndarray) -> float:
         """Mean per-sample loss over `indices`."""
         raise NotImplementedError
-
-    def grad(self, theta: np.ndarray, index: int) -> np.ndarray:
-        raise NotImplementedError("objective provides no analytic gradient")
 
     def batch_grad(self, theta: np.ndarray, indices: np.ndarray) -> np.ndarray:
         raise NotImplementedError("objective provides no analytic gradient")
@@ -109,11 +106,6 @@ class CountingObjective:
         self.forward_queries += len(indices)
         return self.inner.batch_loss(theta, indices)
 
-    def grad(self, theta, index):
-        self.forward_queries += 1
-        self.backward_queries += 1
-        return self.inner.grad(theta, index)
-
     def batch_grad(self, theta, indices):
         self.forward_queries += len(indices)
         self.backward_queries += len(indices)
@@ -154,10 +146,6 @@ class LeastSquaresProblem(Objective):
         r *= r
         return _mean(r)
 
-    def grad(self, theta, index):
-        r = float(self.X[index] @ theta - self.y[index])
-        return 2.0 * r * self.X[index]
-
     def batch_grad(self, theta, indices):
         idx = np.asarray(indices, dtype=np.int64)
         Xb = self.X[idx]
@@ -170,7 +158,7 @@ _TAG_LS_W = 12
 _TAG_LS_NOISE = 13
 
 
-def make_least_squares(n: int, d: int, noise_std: float = 0.01,
+def make_least_squares(n: int = 1000, d: int = 100, noise_std: float = 0.01,
                        seed: int = 0) -> LeastSquaresProblem:
     """Reproducible least-squares instance (paper scale: n=1000, d=100).
 
@@ -220,11 +208,6 @@ class LogisticProblem(Objective):
     def batch_loss(self, theta, indices):
         return _mean(np.logaddexp(0.0, -self._margins(theta, indices)))
 
-    def grad(self, theta, index):
-        m = float(self.labels[index] * (self.X[index] @ theta))
-        sig = 1.0 / (1.0 + np.exp(m))  # sigmoid(-m)
-        return -self.labels[index] * sig * self.X[index]
-
     def batch_grad(self, theta, indices):
         idx = np.asarray(indices, dtype=np.int64)
         m = self._margins(theta, idx)
@@ -242,7 +225,8 @@ _TAG_LOG_X = 21
 _TAG_LOG_Y = 22
 
 
-def make_logistic(n: int, d: int, separation: float = 2.0, seed: int = 0) -> LogisticProblem:
+def make_logistic(n: int = 256, d: int = 16, separation: float = 2.0,
+                  seed: int = 0) -> LogisticProblem:
     """Two-Gaussian binary classification with analytic gradient."""
     if n < 1 or d < 1:
         raise ValueError(f"need n, d >= 1, got n={n}, d={d}")
@@ -256,18 +240,15 @@ def make_logistic(n: int, d: int, separation: float = 2.0, seed: int = 0) -> Log
 class Mlp2Problem(Objective):
     """Two-hidden-layer rectifier MLP with softmax cross-entropy loss.
 
-    Hidden widths default to (32, 16). All weights and biases live in
-    one flat parameter vector, laid out W1, b1, W2, b2, W3, b3 in row-
-    major order; the forward pass reshapes views and never copies.
-    Initialization is uniform(+-1/sqrt(fan_in)) drawn from the problem
-    seed. The analytic gradient is hand-written backpropagation and
-    exists for the first-order baseline only.
+    All weights and biases live in one flat parameter vector, laid out
+    W1, b1, W2, b2, W3, b3 in row-major order; the forward pass reshapes
+    views and never copies. Initialization is uniform(+-1/sqrt(fan_in))
+    drawn from the problem seed. The analytic gradient is hand-written
+    backpropagation and exists for the first-order baseline only.
     """
 
     def __init__(self, features: np.ndarray, labels: np.ndarray, n_classes: int,
-                 hidden: tuple[int, int] = (32, 16), seed: int = 0,
-                 eval_features: np.ndarray | None = None,
-                 eval_labels: np.ndarray | None = None):
+                 hidden: tuple[int, int], seed: int = 0):
         if features.ndim != 2 or features.shape[0] != labels.shape[0]:
             raise ValueError("features must be (n, d_in) aligned with labels")
         if labels.size and int(labels.max()) >= n_classes:
@@ -281,8 +262,6 @@ class Mlp2Problem(Objective):
         self.shapes = [(n_in, h1), (h1,), (h1, h2), (h2,), (h2, n_classes), (n_classes,)]
         self.d = sum(int(np.prod(s)) for s in self.shapes)
         self.seed = seed
-        self.eval_features = eval_features
-        self.eval_labels = eval_labels.astype(np.int64) if eval_labels is not None else None
 
     def _views(self, theta):
         out = []
@@ -336,9 +315,6 @@ class Mlp2Problem(Objective):
         logits = self._forward(theta, features)[-1]
         return _mean(self._cross_entropy(logits, labels))
 
-    def grad(self, theta, index):
-        return self.batch_grad(theta, np.asarray([index]))
-
     def batch_grad(self, theta, indices):
         idx = np.asarray(indices, dtype=np.int64)
         Xb = self.features[idx]
@@ -364,26 +340,19 @@ class Mlp2Problem(Objective):
         return grad
 
     def metric(self, theta):
-        if self.eval_features is not None:
-            X, y = self.eval_features, self.eval_labels
-        else:
-            X, y = self.features, self.labels
-        logits = self._forward(theta, X)[-1]
-        return float(np.mean(np.argmax(logits, axis=1) == y))
+        logits = self._forward(theta, self.features)[-1]
+        return float(np.mean(np.argmax(logits, axis=1) == self.labels))
 
 
 def make_mlp2(dataset, seed: int = 0, hidden: tuple[int, int] = (32, 16),
               n_classes: int | None = None) -> Mlp2Problem:
-    """Build the two-layer MLP problem from (features, labels[, eval pair])."""
-    features, labels = dataset[0], dataset[1]
+    """Build the two-layer MLP problem from a (features, labels) pair."""
+    features, labels = dataset
     if features.shape[0] == 0:
         raise ValueError("dataset is empty")
-    eval_x = dataset[2] if len(dataset) > 2 else None
-    eval_y = dataset[3] if len(dataset) > 3 else None
     if n_classes is None:
         n_classes = int(labels.max()) + 1
-    return Mlp2Problem(features, labels, n_classes, hidden=hidden, seed=seed,
-                       eval_features=eval_x, eval_labels=eval_y)
+    return Mlp2Problem(features, labels, n_classes, hidden, seed=seed)
 
 
 def load_idx(path_images: str, path_labels: str, max_samples: int | None = None):
@@ -437,3 +406,16 @@ def make_synthetic_digits(n: int, rows: int = 28, cols: int = 28,
     noise = prng.uniforms(prng.fold(seed, _TAG_DIGIT_NOISE), 0, n * pix).reshape(n, pix)
     features = np.clip(0.65 * templates[labels] + 0.35 * noise, 0.0, 1.0)
     return features, labels
+
+
+def _make_mlp(n: int = 512, seed: int = 0, idx_images: str | None = None,
+              idx_labels: str | None = None) -> Mlp2Problem:
+    """The MLP problem on the first n samples of an IDX pair, else on n synthetic digits."""
+    if (idx_images is None) != (idx_labels is None):
+        raise ValueError("idx_images and idx_labels must be given together")
+    if idx_images is None:
+        data = make_synthetic_digits(n, seed=seed)
+    else:
+        data = load_idx(idx_images, idx_labels, max_samples=n)
+    return make_mlp2(data, seed=seed)
+

@@ -486,8 +486,7 @@ def run(obj, theta0: np.ndarray, optimizer: str, config, budget: Budget,
                 metric = None
         record = RunRecord(
             step=t, cumulative_queries=queries, train_loss=report.loss_before,
-            eval_metric=metric, eta1=eta1_cur,
-            eta2=eta2_cur if optimizer == "mezo-svrg" else None,
+            eval_metric=metric, eta1=eta1_cur, eta2=eta2_cur,
             kind=report.kind, peak_slots=(meter.peak if meter else 0),
             elapsed_seconds=time.perf_counter() - started,
             backward_queries=backward,

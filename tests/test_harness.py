@@ -1,5 +1,7 @@
+import argparse
 import hashlib
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import replace
@@ -124,6 +126,18 @@ def test_cli_config_file_with_flag_override(tmp_path):
     out = str(tmp_path / "cfg.csv")
     assert cli.main(["run", "--config", str(cfg), "--steps", "10", "--out", out]) == 0
     assert len(read_csv(out)) == 10
+
+
+def test_cli_config_empty_values_mean_defaults(tmp_path):
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("problem=\noptimizer=mezo\nn=64\nd=8\nnoise_std=\nb=8\nmu=\n"
+                   "seed=\nsteps=\nquery_budget=\neval_every=\naccounting_mode=\n")
+    by_config, by_flags = str(tmp_path / "config.csv"), str(tmp_path / "flags.csv")
+    assert cli.main(["run", "--config", str(cfg), "--out", by_config]) == 0
+    assert cli.main(["run", "--problem", "ls", "--optimizer", "mezo", "--n", "64",
+                     "--d", "8", "--batch-size", "8", "--steps", "1000",
+                     "--out", by_flags]) == 0
+    assert _csv_digest_without_elapsed(by_config) == _csv_digest_without_elapsed(by_flags)
 
 
 def test_schedule_window_is_read_once():
@@ -395,6 +409,120 @@ def test_preset_outputs_pinned(tmp_path, preset, budget):
                              _csv_digest_without_elapsed(e.csv_path))
                for e in executions}
     assert outputs == _PRESET_OUTPUTS[preset, budget]
+
+
+def _write_idx_pair(tmp_path, count=6, rows=3, cols=2):
+    images = tmp_path / "images.idx3-ubyte"
+    labels = tmp_path / "labels.idx1-ubyte"
+    images.write_bytes(struct.pack(">IIII", 0x803, count, rows, cols)
+                       + bytes(range(0, 7 * count * rows * cols, 7)))
+    labels.write_bytes(struct.pack(">II", 0x801, count) + bytes(i % 3 for i in range(count)))
+    return str(images), str(labels)
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def _objective_digests(obj):
+    data = ((obj.features, obj.labels) if isinstance(obj, zovr.Mlp2Problem) else
+            (obj.X, obj.y) if isinstance(obj, zovr.LeastSquaresProblem) else
+            (obj.X, obj.labels))
+    return obj.n, obj.d, _digest(*data), _digest(obj.initial_theta())
+
+
+# every key each problem takes, as strings; the mlp's IDX paths are filled in per test
+_PROBLEM_FULL_PARAMS = {
+    "ls": {"n": "40", "d": "6", "noise_std": "0.5", "seed": "9"},
+    "logistic": {"n": "30", "d": "5", "separation": "3.5", "seed": "9"},
+    "mlp": {"n": "5", "seed": "4"},
+}
+
+# (n, d, SHA-256 of the data arrays, SHA-256 of initial_theta()) at the
+# defaults and with every key given
+_PROBLEM_DIGESTS = {
+    "ls": (
+        (1000, 100, "fee827af54cb9dbcce1388a0f3b801bc85b93107872b7c6214c231d81b0182c0",
+         "67042dfda5683aead81b6055d19c4dba238341f9dd82f49c0e7cc0c19c5f10d1"),
+        (40, 6, "df9050196bba3f61d8721a574d82d4c79d5baa8d2d843112fa19b11c576bc9cc",
+         "17b0761f87b081d5cf10757ccc89f12be355c70e2e29df288b65b30710dcbcd1"),
+    ),
+    "logistic": (
+        (256, 16, "dcc44c8ad721e9f86b507a483069fd8b00cc723360dbac8301235fb5bece2a86",
+         "38723a2e5e8a17aa7950dc008209944e898f69a7bd10a23c839d341e935fd5ca"),
+        (30, 5, "b37ff051ce93f4cd672007f239caf6145b01f5451957bfb0e1900e17b1b748a2",
+         "2c34ce1df23b838c5abf2a7f6437cca3d3067ed509ff25f11df6b11b582b51eb"),
+    ),
+    "mlp": (
+        (512, 25818, "799bc4ae47e67953585386c4ac17a3dea8666257a39a4a9f705de2bd4b46557e",
+         "407a9491236ceb2c86b064a9eb723f7fc4811398d6791c60146ce9609dcb9a24"),
+        (5, 803, "65b78d946a7fdbb76e796b9bcc9fb015dfa6fd24222d4eb12dfa0eb63077cf44",
+         "6757e3c08649b887bb408a2e4b01149104d965cd46e18c879bfe71e64e047ea3"),
+    ),
+}
+
+
+@pytest.mark.parametrize("problem", harness.PROBLEMS)
+def test_build_objective_pinned(tmp_path, problem):
+    default, full = _PROBLEM_DIGESTS[problem]
+    params = dict(_PROBLEM_FULL_PARAMS[problem])
+    if problem == "mlp":
+        params["idx_images"], params["idx_labels"] = _write_idx_pair(tmp_path)
+    assert _objective_digests(harness.build_objective(problem, {})) == default
+    # an empty value means the default, as it does for optimizer keys
+    assert _objective_digests(harness.build_objective(problem, {"n": ""})) == default
+    assert _objective_digests(harness.build_objective(problem, params)) == full
+
+
+def test_cli_rejects_half_idx_pair(tmp_path, capsys):
+    images, labels = _write_idx_pair(tmp_path)
+    for given in (["--idx-images", images], ["--idx-labels", labels],
+                  ["--idx-images", str(tmp_path / "nonexistent")]):
+        out = tmp_path / "never.csv"
+        code = cli.main(["run", "--problem", "mlp", "--n", "20", "--steps", "1",
+                         "--batch-size", "4", "--out", str(out)] + given)
+        assert code == 1
+        assert "idx_images and idx_labels" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# (flag, a value that prints back as given, the settings key it lands under)
+_RUN_FLAG_KEYS = [
+    ("--problem", "logistic", "problem"), ("--optimizer", "zo-svrg", "optimizer"),
+    ("--steps", "7", "steps"), ("--query-budget", "7", "query_budget"),
+    ("--batch-size", "7", "b"), ("--anchor-batch", "7", "anchor_batch"),
+    ("--lr1", "0.5", "eta1"), ("--lr2", "0.5", "eta2"), ("--mu", "0.5", "mu"),
+    ("--q", "7", "q"), ("--kappa", "0.5", "kappa"), ("--alpha", "0.5", "alpha"),
+    ("--seed", "7", "seed"), ("--accounting-mode", "naive", "accounting_mode"),
+    ("--eval-every", "7", "eval_every"), ("--n", "7", "n"), ("--d", "7", "d"),
+    ("--noise-std", "0.5", "noise_std"), ("--idx-images", "a.idx", "idx_images"),
+    ("--idx-labels", "b.idx", "idx_labels"),
+    ("--out", "run.csv", None), ("--traj-out", "run.zotrj", None),
+]
+
+
+def _run_parser():
+    """The top-level parser with only `run`, and the `run` subparser."""
+    parser = argparse.ArgumentParser()
+    sub = parser.add_subparsers(dest="command")
+    cli._add_run_parser(sub)
+    return parser, sub.choices["run"]
+
+
+@pytest.mark.parametrize("flag, value, key", _RUN_FLAG_KEYS,
+                         ids=[flag for flag, _, _ in _RUN_FLAG_KEYS])
+def test_cli_flag_lands_under_its_key(flag, value, key):
+    settings = cli._collect_settings(_run_parser()[0].parse_args(["run", flag, value]))
+    assert settings == ({} if key is None else {key: value})
+
+
+def test_cli_flag_key_table_covers_every_run_flag():
+    flags = {a.option_strings[-1] for a in _run_parser()[1]._actions if a.dest != "help"}
+    # --config supplies settings from a file and --preset replaces them all
+    assert flags - {"--config", "--preset"} == {flag for flag, _, _ in _RUN_FLAG_KEYS}
 
 
 def test_query_parity_check():
