@@ -48,7 +48,6 @@ from .optimizers import (
     SvrgAnchor,
     ZoSvrgConfig,
     fo_sgd_step,
-    lr_schedule_update,
     mezo_step,
     mezo_svrg_step,
     run,

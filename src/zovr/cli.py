@@ -173,13 +173,7 @@ def cmd_verify(args) -> int:
     """Quick oracle battery over the estimator identities."""
     from . import objectives
 
-    ok = True
-
-    def check(label, cond, detail=""):
-        nonlocal ok
-        print(f"[{'PASS' if cond else 'FAIL'}] {label}" + (f" ({detail})" if detail else ""))
-        ok = ok and cond
-
+    report = harness.CompareReport()
     ls = objectives.make_least_squares(6, 5, noise_std=0.05, seed=1)
     worst = 0.0
     for probe in range(3):
@@ -188,22 +182,22 @@ def cmd_verify(args) -> int:
             dev = oracles.unbiasedness_check(
                 ls, theta, PerturbationSeed(fold(probe, b)), b)
             worst = max(worst, dev)
-    check("minibatch-average unbiasedness (exhaustive, n=6)", worst < 1e-12,
-          f"max deviation {worst:.2e}")
+    report.check("minibatch-average unbiasedness (exhaustive, n=6)", worst < 1e-12,
+                 f"max deviation {worst:.2e}")
 
     log32 = objectives.make_logistic(32, 6, seed=2)
-    report = oracles.control_variate_check(
+    cv = oracles.control_variate_check(
         log32, np.full(6, 0.2), np.full(6, -0.3), PerturbationSeed(9),
         pair_counts=(2000,), pair_seed=5)
-    check("control variates sum to zero",
-          report.sum_inf_norm < 1e-10 * max(report.max_u_inf_norm, 1e-300),
-          f"sum {report.sum_inf_norm:.2e}")
-    check("population cross-moment is zero",
-          report.population_cross_moment < 1e-20)
+    report.check("control variates sum to zero",
+                 cv.sum_inf_norm < 1e-10 * max(cv.max_u_inf_norm, 1e-300),
+                 f"sum {cv.sum_inf_norm:.2e}")
+    report.check("population cross-moment is zero",
+                 cv.population_cross_moment < 1e-20)
 
     grad_norm = float(np.max(np.abs(ls.batch_grad(ls.w_ls, np.arange(ls.n)))))
-    check("normal-equation solution is stationary", grad_norm < 1e-8,
-          f"grad inf-norm {grad_norm:.2e}")
+    report.check("normal-equation solution is stationary", grad_norm < 1e-8,
+                 f"grad inf-norm {grad_norm:.2e}")
 
     theta = 1.0 + np.arange(1000, dtype=np.float64) / 1000.0
     snapshot = theta.copy()
@@ -212,8 +206,9 @@ def cmd_verify(args) -> int:
     perturb_in_place(theta, seed, -2, 1e-3)
     perturb_in_place(theta, seed, 1, 1e-3)
     rel = float(np.max(np.abs(theta - snapshot) / np.abs(snapshot)))
-    check("perturb-restore returns parameters", rel < 1e-12, f"max rel err {rel:.2e}")
-    return 0 if ok else 1
+    report.check("perturb-restore returns parameters", rel < 1e-12, f"max rel err {rel:.2e}")
+    print(report.render())
+    return 0 if report.passed else 1
 
 
 def main(argv=None) -> int:

@@ -293,17 +293,15 @@ def apply_probe_sequence(theta: np.ndarray, seed: PerturbationSeed, mu: float,
                          p: int = 1) -> None:
     """Re-apply the probe wobble of an estimator call without evaluating.
 
-    An estimator perturbs theta by (+mu, -2mu, +mu) per draw; the net
-    effect is zero only up to floating-point rounding. Trajectory replay
-    calls this to walk theta through the identical arithmetic sequence
-    the live run executed, which is what makes replay bit-exact.
+    Each draw runs the estimator's own (+mu, -2mu, +mu) walk with an
+    evaluator that queries nothing; the net effect is zero only up to
+    floating-point rounding. Trajectory replay calls this to walk theta
+    through the identical arithmetic sequence the live run executed,
+    which is what makes replay bit-exact.
     """
     d = theta.shape[0]
     for k in range(p):
-        sub = seed.shifted(k * d)
-        _stream_add_scaled(theta, sub, mu)
-        _stream_add_scaled(theta, sub, -2.0 * mu)
-        _stream_add_scaled(theta, sub, mu)
+        _central_difference(theta, seed.shifted(k * d), mu, lambda: 0.0)
 
 
 def _estimate(theta: np.ndarray, seed: PerturbationSeed, cfg: SpsaConfig,

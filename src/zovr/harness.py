@@ -1,7 +1,8 @@
 """Experiment harness: run configs, presets, CSV emission, comparisons.
 
 A run is fully described by a RunSpec (problem + optimizer + master
-seed + budget); executing one writes a CSV with the frozen column set
+seed + budget); executing one writes a CSV whose columns are the fields
+of `optimizers.RunRecord` in order, then `fstar`:
 
     step, cumulative_queries, train_loss, eval_metric, eta1, eta2,
     kind, peak_slots, elapsed_seconds, backward_queries, fstar
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -35,10 +37,15 @@ from .optimizers import (
     trajectory_params,
 )
 
-CSV_COLUMNS = [
-    "step", "cumulative_queries", "train_loss", "eval_metric", "eta1", "eta2",
-    "kind", "peak_slots", "elapsed_seconds", "backward_queries", "fstar",
-]
+
+def _float_or_none(text: str) -> float | None:
+    return float(text) if text else None
+
+
+# CSV column -> parser of its text: RunRecord's fields in order, then fstar
+_CSV_PARSERS = {name: hint if hint in (int, str) else _float_or_none  # float, float | None
+                for name, hint in {**get_type_hints(RunRecord), "fstar": float}.items()}
+CSV_COLUMNS = list(_CSV_PARSERS)
 
 # problem -> (its builder in `objectives`, settings key -> parser); each
 # default lives only in the builder's signature
@@ -88,8 +95,8 @@ def build_objective(problem: str, params: dict):
     return getattr(objectives, builder)(**_parsed(parsers, params))
 
 
-def execute(spec: RunSpec, out: str | None = None, traj_out: str | None = None,
-            sink=None) -> ExecutionResult:
+def execute(spec: RunSpec, out: str | None = None,
+            traj_out: str | None = None) -> ExecutionResult:
     """Run one spec end to end; optionally write its CSV and trajectory.
 
     Alongside a trajectory file the initial and final parameter vectors
@@ -106,7 +113,7 @@ def execute(spec: RunSpec, out: str | None = None, traj_out: str | None = None,
             spec.master_seed, theta0, spec.optimizer, trajectory_params(config))
     budget = Budget(max_steps=spec.max_steps, max_queries=spec.max_queries)
     result = run(obj, theta0, spec.optimizer, config, budget, spec.master_seed,
-                 trajectory=traj, meter=meter, sink=sink, eval_every=spec.eval_every)
+                 trajectory=traj, meter=meter, eval_every=spec.eval_every)
     final_loss = float(obj.batch_loss(result.theta, np.arange(obj.n)))
     execution = ExecutionResult(spec, result, obj, theta0, final_loss)
     if out:
@@ -131,27 +138,23 @@ def _fmt(value) -> str:
 def write_csv(path: str, records: list[RunRecord], fstar: float | None) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
+        names = CSV_COLUMNS[:-1]  # RunRecord's fields
         for r in records:
-            row = [r.step, r.cumulative_queries, r.train_loss, r.eval_metric,
-                   r.eta1, r.eta2, r.kind, r.peak_slots, r.elapsed_seconds,
-                   r.backward_queries, fstar]
+            row = [getattr(r, name) for name in names] + [fstar]
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def read_csv(path: str) -> list[dict]:
+    """One dict per row; columns past the schema stay text."""
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().rstrip("\n").split(",")
         if header[:len(CSV_COLUMNS)] != CSV_COLUMNS:
             raise ValueError(f"unexpected CSV schema in {path}: {header}")
         rows = []
         for line in fh:
-            parts = line.rstrip("\n").split(",")
-            row = dict(zip(header, parts))
-            for key in ("step", "cumulative_queries", "peak_slots", "backward_queries"):
-                row[key] = int(row[key])
-            for key in ("train_loss", "eval_metric", "eta1", "eta2",
-                        "elapsed_seconds", "fstar"):
-                row[key] = float(row[key]) if row[key] else None
+            row = dict(zip(header, line.rstrip("\n").split(",")))
+            for key, parse in _CSV_PARSERS.items():
+                row[key] = parse(row[key])
             rows.append(row)
     return rows
 

@@ -276,15 +276,13 @@ class Mlp2Problem(Objective):
         theta = np.empty(self.d)
         at = 0
         stream = prng.fold(self.seed, 31)
-        pos = 0
         fan_in = self.shapes[0][0]
         for shape in self.shapes:
             size = int(np.prod(shape))
             if len(shape) == 2:
                 fan_in = shape[0]  # the following bias reuses its layer's fan-in
             bound = 1.0 / np.sqrt(fan_in)
-            u = prng.uniforms(stream, pos, size)
-            pos += size
+            u = prng.uniforms(stream, at, size)
             theta[at:at + size] = (2.0 * u - 1.0) * bound
             at += size
         return theta
@@ -357,6 +355,11 @@ def make_mlp2(dataset, seed: int = 0, hidden: tuple[int, int] = (32, 16),
 
 def load_idx(path_images: str, path_labels: str, max_samples: int | None = None):
     """Parse big-endian IDX image/label files into ([0,1] features, int labels)."""
+    return _read_idx(path_images, path_labels, max_samples)[:2]
+
+
+def _read_idx(path_images: str, path_labels: str, max_samples: int | None):
+    """load_idx's pair, then the class count of the whole label file."""
     with open(path_images, "rb") as fh:
         head = fh.read(16)
         if len(head) < 16:
@@ -379,20 +382,21 @@ def load_idx(path_images: str, path_labels: str, max_samples: int | None = None)
             raise ValueError("truncated IDX label payload")
     if label_count != count:
         raise ValueError(f"image/label count mismatch: {count} images, {label_count} labels")
-    take = count if max_samples is None else min(max_samples, count)
-    features = np.frombuffer(raw, dtype=np.uint8).astype(np.float64).reshape(count, rows * cols)
-    features = features[:take] / 255.0
-    labels = np.frombuffer(raw_labels, dtype=np.uint8).astype(np.int64)[:take]
-    return features, labels
+    images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
+    labels = np.frombuffer(raw_labels, dtype=np.uint8)
+    # only the kept uint8 rows become float64
+    return (images[:max_samples] / 255.0, labels[:max_samples].astype(np.int64),
+            int(labels.max(initial=0)) + 1)
 
 
 _TAG_DIGIT_TEMPLATE = 41
 _TAG_DIGIT_LABEL = 42
 _TAG_DIGIT_NOISE = 43
+DIGIT_CLASSES = 10
 
 
 def make_synthetic_digits(n: int, rows: int = 28, cols: int = 28,
-                          classes: int = 10, seed: int = 0):
+                          classes: int = DIGIT_CLASSES, seed: int = 0):
     """Synthetic stand-in for the MNIST subset, same schema as load_idx.
 
     Each class gets a fixed random template image; samples are a noisy
@@ -410,12 +414,15 @@ def make_synthetic_digits(n: int, rows: int = 28, cols: int = 28,
 
 def _make_mlp(n: int = 512, seed: int = 0, idx_images: str | None = None,
               idx_labels: str | None = None) -> Mlp2Problem:
-    """The MLP problem on the first n samples of an IDX pair, else on n synthetic digits."""
+    """The MLP problem on the first n samples of an IDX pair, else on n synthetic digits.
+
+    Its head has a unit for every class of the source, not only of those n samples.
+    """
     if (idx_images is None) != (idx_labels is None):
         raise ValueError("idx_images and idx_labels must be given together")
     if idx_images is None:
-        data = make_synthetic_digits(n, seed=seed)
+        features, labels = make_synthetic_digits(n, seed=seed)
+        n_classes = DIGIT_CLASSES
     else:
-        data = load_idx(idx_images, idx_labels, max_samples=n)
-    return make_mlp2(data, seed=seed)
-
+        features, labels, n_classes = _read_idx(idx_images, idx_labels, n)
+    return make_mlp2((features, labels), seed=seed, n_classes=n_classes)

@@ -115,33 +115,30 @@ class LrScheduleConfig:
         _check_batch("window", self.window)
 
 
-@dataclass
-class LrScheduleState:
-    kappa: float
-    alpha: float
-    window: int
-    loss_history: list[float] = field(default_factory=list)
+class _LossWindows:
+    """The schedule's O(1) state: the loss sum of the current window of
+    `window` steps, added up in step order from 0.0, and the previous
+    window's mean (no decision while it is 0)."""
 
+    def __init__(self, config: LrScheduleConfig, window: int):
+        self.config = config
+        self.window = window
+        self.total = 0.0
+        self.count = 0
+        self.previous: float | None = None
 
-def lr_schedule_update(state: LrScheduleState, eta1: float, eta2: float) -> tuple[float, float]:
-    """One annealing decision from the recorded loss history.
-
-    No-op unless at least two full windows of history exist or if the
-    trailing-window mean is zero (division guard). Never increases the
-    learning rates.
-    """
-    w = state.window
-    if len(state.loss_history) < 2 * w:
+    def update(self, loss: float, eta1: float, eta2: float) -> tuple[float, float]:
+        """The rates after a step whose loss was `loss`."""
+        self.total += loss
+        self.count += 1
+        if self.count < self.window:
+            return eta1, eta2
+        mean = self.total / self.window
+        previous, self.previous = self.previous, mean
+        self.total, self.count = 0.0, 0
+        if previous is not None and previous != 0.0 and mean / previous > self.config.kappa:
+            return eta1 / self.config.alpha, eta2 / self.config.alpha
         return eta1, eta2
-    recent = state.loss_history[-w:]
-    previous = state.loss_history[-2 * w:-w]
-    m1 = sum(recent) / w
-    m2 = sum(previous) / w
-    if m2 == 0.0:
-        return eta1, eta2
-    if m1 / m2 > state.kappa:
-        return eta1 / state.alpha, eta2 / state.alpha
-    return eta1, eta2
 
 
 def _check_batch(name: str, value: int | None) -> None:
@@ -267,11 +264,10 @@ class Budget:
 
 @dataclass
 class StepReport:
-    step: int
     kind: str
     loss_before: float
     queries: int
-    eta_used: float
+    coeffs: tuple[float, ...] = ()  # what a trajectory records; none for ZO-SVRG, FO-SGD
     backward_queries: int = 0
 
 
@@ -289,22 +285,21 @@ class SvrgAnchor:
 
 
 def mezo_step(obj, theta: np.ndarray, batch: Minibatch, seed: PerturbationSeed,
-              eta: float, cfg: SpsaConfig) -> tuple[StepReport, object]:
+              eta: float, cfg: SpsaConfig) -> StepReport:
     est = spsa_batch_shared(obj, theta, batch, seed, cfg)
     for e, scale in update_plan(seed, est.coeffs, est.d, None, eta):
         axpy_estimate_in_place(theta, e, scale)
-    report = StepReport(-1, KIND_MINIBATCH, est.loss_proxy, est.queries_used, eta)
-    return report, est
+    return StepReport(KIND_MINIBATCH, est.loss_proxy, est.queries_used, est.coeffs)
 
 
 def mezo_svrg_step(obj, theta: np.ndarray, anchor: SvrgAnchor | None,
                    batch: Minibatch, seed: PerturbationSeed, cfg: MezoSvrgConfig,
                    t: int, eta1: float | None = None, eta2: float | None = None,
-                   meter=None) -> tuple[StepReport, SvrgAnchor, tuple[float, ...]]:
+                   meter=None) -> tuple[StepReport, SvrgAnchor]:
     """One MeZO-SVRG step; the branch is chosen by t mod q.
 
-    Returns (report, anchor, recorded coefficients): one coefficient for
-    an anchor step, two (at theta, at theta_bar) for a minibatch step.
+    Returns (report, anchor); the report's coefficients are the draws of an
+    anchor step, or of a minibatch step at theta, then at theta_bar.
     `batch` must hold the anchor-batch indices on anchor steps.
     """
     eta1 = cfg.eta1 if eta1 is None else eta1
@@ -314,8 +309,7 @@ def mezo_svrg_step(obj, theta: np.ndarray, anchor: SvrgAnchor | None,
         anchor = _set_anchor(anchor, theta, est, t, meter)
         for e, scale in update_plan(seed, est.coeffs, est.d, None, eta1):
             axpy_estimate_in_place(theta, e, scale)
-        report = StepReport(t, KIND_FULLBATCH, est.loss_proxy, est.queries_used, eta1)
-        return report, anchor, est.coeffs
+        return StepReport(KIND_FULLBATCH, est.loss_proxy, est.queries_used, est.coeffs), anchor
     if anchor is None:
         raise RuntimeError(f"minibatch step {t} without a fullbatch anchor")
     est_theta = spsa_batch_shared(obj, theta, batch, seed, cfg.spsa)
@@ -323,11 +317,9 @@ def mezo_svrg_step(obj, theta: np.ndarray, anchor: SvrgAnchor | None,
     coeffs = est_theta.coeffs + est_anchor.coeffs
     for e, scale in update_plan(seed, coeffs, est_theta.d, anchor.estimate, eta2):
         axpy_estimate_in_place(theta, e, scale)
-    report = StepReport(
-        t, KIND_MINIBATCH, est_theta.loss_proxy,
-        est_theta.queries_used + est_anchor.queries_used, eta2,
-    )
-    return report, anchor, coeffs
+    report = StepReport(KIND_MINIBATCH, est_theta.loss_proxy,
+                        est_theta.queries_used + est_anchor.queries_used, coeffs)
+    return report, anchor
 
 
 def zo_svrg_step(obj, theta: np.ndarray, anchor: SvrgAnchor, batch: Minibatch,
@@ -354,7 +346,7 @@ def zo_svrg_step(obj, theta: np.ndarray, anchor: SvrgAnchor, batch: Minibatch,
     theta -= at_theta
     if meter is not None:
         meter.release(theta.shape[0])
-    return StepReport(-1, KIND_MINIBATCH, float(loss_logged), 4 * batch.b * cfg.p, eta)
+    return StepReport(KIND_MINIBATCH, float(loss_logged), 4 * batch.b * cfg.p)
 
 
 def fo_sgd_step(obj, theta: np.ndarray, batch: Minibatch, eta: float,
@@ -369,7 +361,7 @@ def fo_sgd_step(obj, theta: np.ndarray, batch: Minibatch, eta: float,
     theta -= eta * grad
     if meter is not None:
         meter.release(theta.shape[0])
-    return StepReport(-1, KIND_FO, float(loss), batch.b, eta, backward_queries=batch.b)
+    return StepReport(KIND_FO, float(loss), batch.b, backward_queries=batch.b)
 
 
 @dataclass
@@ -427,7 +419,9 @@ def run(obj, theta0: np.ndarray, optimizer: str, config, budget: Budget,
     backward = 0
     anchor: SvrgAnchor | None = None
     eta1_cur, eta2_cur = initial_etas(optimizer, config)
-    sched_state = _schedule_state(obj, optimizer, config)
+    schedule = getattr(config, "schedule", None)
+    windows = None if schedule is None else _LossWindows(
+        schedule, schedule.window or -(-obj.n // config.b))
     status, reason = "completed", ""
     initial_loss: float | None = None
     t = 0
@@ -449,10 +443,9 @@ def run(obj, theta0: np.ndarray, optimizer: str, config, budget: Budget,
                 batch = sample_minibatch(obj.n, config.b, step_batch_seed(master_seed, t))
             seed = perturb_seed(master_seed, t, kind)
             if optimizer == "mezo":
-                report, est = mezo_step(obj, theta, batch, seed, eta1_cur, config.spsa)
-                coeffs = est.coeffs
+                report = mezo_step(obj, theta, batch, seed, eta1_cur, config.spsa)
             elif optimizer == "mezo-svrg":
-                report, anchor, coeffs = mezo_svrg_step(
+                report, anchor = mezo_svrg_step(
                     obj, theta, anchor, batch, seed, config, t, eta1_cur, eta2_cur, meter)
             elif optimizer == "zo-svrg":
                 refreshed = t % config.q == 0
@@ -468,12 +461,11 @@ def run(obj, theta0: np.ndarray, optimizer: str, config, budget: Budget,
             else:  # fo-sgd
                 report = fo_sgd_step(obj, theta, batch, eta1_cur, meter)
             if trajectory is not None:
-                trajectory.record_step(t, report.kind, coeffs)
+                trajectory.record_step(t, report.kind, report.coeffs)
         except NonFiniteLossError as err:
             status, reason = "diverged", str(err)
             break
 
-        report.step = t
         queries += report.queries
         backward += report.backward_queries
         if initial_loss is None:
@@ -504,27 +496,16 @@ def run(obj, theta0: np.ndarray, optimizer: str, config, budget: Budget,
                 f"initial at step {t}")
             break
 
-        if sched_state is not None:
-            sched_state.loss_history.append(report.loss_before)
-            w = sched_state.window
-            if len(sched_state.loss_history) >= 2 * w and len(sched_state.loss_history) % w == 0:
-                new1, new2 = lr_schedule_update(sched_state, eta1_cur, eta2_cur)
-                if (new1, new2) != (eta1_cur, eta2_cur):
-                    eta1_cur, eta2_cur = new1, new2
-                    if trajectory is not None:
-                        trajectory.record_lr_event(t + 1, eta1_cur, eta2_cur)
+        if windows is not None:
+            etas = windows.update(report.loss_before, eta1_cur, eta2_cur)
+            if etas != (eta1_cur, eta2_cur):
+                eta1_cur, eta2_cur = etas
+                if trajectory is not None:
+                    trajectory.record_lr_event(t + 1, eta1_cur, eta2_cur)
         t += 1
 
     return RunResult(theta=theta, records=records, status=status, reason=reason,
                      total_queries=queries, total_backward=backward)
-
-
-def _schedule_state(obj, optimizer, config) -> LrScheduleState | None:
-    sched = getattr(config, "schedule", None)
-    if sched is None:
-        return None
-    window = sched.window or max(1, -(-obj.n // config.b))
-    return LrScheduleState(sched.kappa, sched.alpha, window)
 
 
 def _per_sample_seeds(seed: PerturbationSeed, count: int) -> list[PerturbationSeed]:

@@ -176,7 +176,10 @@ def load(path: str) -> TrajectoryLog:
         step, kind, n_coeffs = struct.unpack("<IBB", take(6))
         coeffs = struct.unpack(f"<{n_coeffs}d", take(8 * n_coeffs))
         if kind == REC_LR_EVENT:
-            log.records.append(StepRecord(step, kind, coeffs))
+            if n_coeffs != 2:
+                raise TrajectoryError(f"LR event for step {step} has {n_coeffs} "
+                                      f"values, expected 2")
+            log.record_lr_event(step, *coeffs)
         else:
             log.record_step(step, _code_to_kind(kind), coeffs)
     if at != len(body):

@@ -61,6 +61,13 @@ def test_csv_schema_and_roundtrip(tmp_path):
     assert rows[0]["fstar"] == pytest.approx(execution.objective.f_star)
 
 
+def test_csv_columns_pinned():
+    # RunRecord's fields in order, then fstar: reordering RunRecord fails here
+    assert CSV_COLUMNS == ["step", "cumulative_queries", "train_loss", "eval_metric",
+                           "eta1", "eta2", "kind", "peak_slots", "elapsed_seconds",
+                           "backward_queries", "fstar"]
+
+
 def test_csv_deterministic_except_elapsed(tmp_path):
     p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     execute(_ls_spec(), out=p1)
@@ -409,6 +416,25 @@ def test_preset_outputs_pinned(tmp_path, preset, budget):
                              _csv_digest_without_elapsed(e.csv_path))
                for e in executions}
     assert outputs == _PRESET_OUTPUTS[preset, budget]
+
+
+def test_scheduled_run_with_lr_events_pinned(tmp_path):
+    # MeZO-SVRG at p=2 with a sampled anchor batch and a two-step schedule window
+    config = tmp_path / "run.cfg"
+    config.write_text("p=2\nwindow=2\nkappa=1.0001\n")
+    csv, traj = str(tmp_path / "run.csv"), str(tmp_path / "run.zotrj")
+    code = cli.main(["run", "--config", str(config), "--problem", "ls", "--optimizer",
+                     "mezo-svrg", "--n", "64", "--d", "8", "--batch-size", "8",
+                     "--anchor-batch", "16", "--steps", "60", "--lr1", "0.05",
+                     "--lr2", "0.005", "--out", csv, "--traj-out", traj])
+    assert code == 0
+    events = [r for r in trajectory.load(traj).records if r.kind == trajectory.REC_LR_EVENT]
+    assert len(events) == 14
+    with open(traj, "rb") as fh:
+        traj_digest = hashlib.sha256(fh.read()).hexdigest()
+    assert (_csv_digest_without_elapsed(csv), traj_digest) == (
+        "bd5b143cbc83ef7a3ae3ecc08a7c479ddc40cdd329f089828f515db8497e0124",
+        "7380c1008673f620111007a0b829a76c1fde9bcf7a82418f0a578137a2fc1bd1")
 
 
 def _write_idx_pair(tmp_path, count=6, rows=3, cols=2):

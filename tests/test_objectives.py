@@ -13,6 +13,7 @@ from zovr import (
     load_idx,
     sample_minibatch,
 )
+from zovr.harness import build_objective
 from zovr.objectives import (
     IDX_IMAGES_MAGIC,
     IDX_LABELS_MAGIC,
@@ -188,6 +189,33 @@ def test_load_idx_truncated_and_mismatched(tmp_path):
     images, labels = _write_idx(tmp_path, label_count=4)
     with pytest.raises(ValueError, match="mismatch"):
         load_idx(images, labels)
+
+
+def test_load_idx_converts_only_the_kept_rows(tmp_path):
+    count, pixels = 3000, 28 * 28
+    payload = (np.arange(count * pixels) % 251).astype(np.uint8)
+    images, labels = tmp_path / "big.idx3-ubyte", tmp_path / "big.idx1-ubyte"
+    images.write_bytes(struct.pack(">IIII", IDX_IMAGES_MAGIC, count, 28, 28) + payload.tobytes())
+    labels.write_bytes(struct.pack(">II", IDX_LABELS_MAGIC, count) + bytes(count))
+    tracemalloc.start()
+    try:
+        x, y = load_idx(str(images), str(labels), max_samples=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(x, payload[:2 * pixels].reshape(2, pixels).astype(np.float64) / 255.0)
+    assert list(y) == [0, 0]
+    # the uint8 payload is read once; a float64 copy of every image is 8 times it
+    assert peak < 2 * payload.nbytes
+
+
+def test_mlp_head_has_every_class_of_its_source(tmp_path):
+    images, labels = _write_idx(tmp_path, count=10)  # labels 0..9
+    idx = build_objective("mlp", {"n": 2, "idx_images": images, "idx_labels": labels})
+    assert (idx.n, list(idx.labels), idx.n_classes) == (2, [0, 1], 10)
+    synthetic = build_objective("mlp", {"n": 3})
+    assert len(set(synthetic.labels)) < 10
+    assert (synthetic.n_classes, synthetic.d) == (10, 25_818)
 
 
 def test_synthetic_digits_schema_matches_idx():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zovr import (
     Budget,
@@ -14,7 +15,6 @@ from zovr import (
     ZoSvrgConfig,
     fo_sgd_step,
     full_batch,
-    lr_schedule_update,
     make_least_squares,
     materialize,
     mezo_step,
@@ -25,7 +25,7 @@ from zovr import (
     spsa_batch_avg,
     zo_svrg_step,
 )
-from zovr.optimizers import KIND_FULLBATCH, KIND_MINIBATCH, LrScheduleState
+from zovr.optimizers import KIND_FULLBATCH, KIND_MINIBATCH, _LossWindows
 from zovr.prng import fold, normals
 
 
@@ -43,7 +43,7 @@ def test_mezo_step_zero_eta_keeps_theta():
     ls = make_least_squares(16, 4, seed=1)
     theta = normals(fold(1, 1), 0, 4)
     snapshot = theta.copy()
-    report, _ = mezo_step(ls, theta, full_batch(16), PerturbationSeed(2), 0.0, SpsaConfig())
+    report = mezo_step(ls, theta, full_batch(16), PerturbationSeed(2), 0.0, SpsaConfig())
     assert np.max(np.abs(theta - snapshot)) < 1e-12
     assert report.queries == 32
 
@@ -126,11 +126,11 @@ def test_mezo_svrg_anchor_branch_refreshes_even_with_zero_eta():
     theta = normals(fold(5, 1), 0, 4)
     snapshot = theta.copy()
     cfg = MezoSvrgConfig(eta1=0.0, eta2=1e-4, q=2, b=4)
-    report, anchor, coeffs = mezo_svrg_step(
+    report, anchor = mezo_svrg_step(
         ls, theta, None, full_batch(12), PerturbationSeed(6), cfg, t=0)
     assert report.kind == KIND_FULLBATCH
     assert anchor.step_created == 0
-    assert len(coeffs) == 1
+    assert len(report.coeffs) == 1
     assert np.max(np.abs(theta - snapshot) / np.abs(snapshot)) < 1e-12
     assert np.array_equal(anchor.theta_bar, theta)
 
@@ -139,18 +139,18 @@ def test_mezo_svrg_minibatch_cancellation_at_anchor():
     ls = make_least_squares(32, 6, seed=6)
     theta = normals(fold(6, 1), 0, 6)
     cfg = MezoSvrgConfig(eta1=1e-3, eta2=1e-4, q=4, b=8)
-    anchor_report, anchor, _ = mezo_svrg_step(
+    anchor_report, anchor = mezo_svrg_step(
         ls, theta, None, full_batch(32), PerturbationSeed(7), cfg, t=0,
         eta1=0.0)  # keep theta == theta_bar
     assert np.array_equal(anchor.theta_bar, theta)
     before = theta.copy()
     batch = sample_minibatch(32, 8, fold(6, 3))
-    report, anchor, coeffs = mezo_svrg_step(
+    report, anchor = mezo_svrg_step(
         ls, theta, anchor, batch, PerturbationSeed(8), cfg, t=1)
     # lines 5-6 cancel; net update is -eta2 * anchor estimate
     expected = before - cfg.eta2 * materialize(anchor.estimate)
     assert np.linalg.norm(theta - expected) <= 1e-10 * np.linalg.norm(before)
-    assert len(coeffs) == 2
+    assert len(report.coeffs) == 2
     assert report.queries == 4 * 8
 
 
@@ -209,15 +209,44 @@ def test_fo_sgd_fullbatch_reaches_normal_equation_optimum():
 
 
 def test_lr_schedule_update_cases():
-    state = LrScheduleState(kappa=1.05, alpha=5.0, window=3)
-    state.loss_history = [1.0] * 6
-    assert lr_schedule_update(state, 1e-3, 1e-4) == (1e-3, 1e-4)  # flat
-    state.loss_history = [1.0, 1.0, 1.0, 1.1, 1.1, 1.1]  # ratio 1.10 > 1.05
-    assert lr_schedule_update(state, 1e-3, 1e-4) == (1e-3 / 5.0, 1e-4 / 5.0)
-    state.loss_history = [0.0] * 6  # division guard
-    assert lr_schedule_update(state, 1e-3, 1e-4) == (1e-3, 1e-4)
-    state.loss_history = [1.0, 2.0]  # insufficient history
-    assert lr_schedule_update(state, 1e-3, 1e-4) == (1e-3, 1e-4)
+    def rates(losses):
+        windows = _LossWindows(LrScheduleConfig(kappa=1.05, alpha=5.0), window=3)
+        etas = (1e-3, 1e-4)
+        for loss in losses:
+            etas = windows.update(loss, 1e-3, 1e-4)
+        return etas
+
+    assert rates([1.0] * 6) == (1e-3, 1e-4)  # flat
+    assert rates([1.0, 1.0, 1.0, 1.1, 1.1, 1.1]) == (1e-3 / 5.0, 1e-4 / 5.0)  # ratio 1.10 > 1.05
+    assert rates([0.0] * 6) == (1e-3, 1e-4)  # division guard
+    assert rates([1.0, 2.0]) == (1e-3, 1e-4)  # insufficient history
+
+
+def _full_history_rates(losses, window, kappa, alpha, eta1, eta2):
+    # the annealing rule as it read the whole loss history of the run
+    history, out = [], []
+    for loss in losses:
+        history.append(loss)
+        if len(history) >= 2 * window and len(history) % window == 0:
+            m1 = sum(history[-window:]) / window
+            m2 = sum(history[-2 * window:-window]) / window
+            if m2 != 0.0 and m1 / m2 > kappa:
+                eta1, eta2 = eta1 / alpha, eta2 / alpha
+        out.append((eta1, eta2))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(losses=st.lists(st.one_of(st.sampled_from([0.0, 1.0, 1.04, 1.06, 2.0]),
+                                 st.floats(-1e6, 1e6, allow_nan=False)), max_size=40),
+       window=st.integers(1, 5), kappa=st.sampled_from([1.0001, 1.05, 1.5]))
+def test_loss_windows_match_full_history_rule(losses, window, kappa):
+    windows = _LossWindows(LrScheduleConfig(kappa=kappa, alpha=5.0), window)
+    etas, got = (1e-3, 1e-4), []
+    for loss in losses:
+        etas = windows.update(loss, *etas)
+        got.append(etas)
+    assert got == _full_history_rates(losses, window, kappa, 5.0, 1e-3, 1e-4)
 
 
 def test_lr_schedule_monotone_in_run():

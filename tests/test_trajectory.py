@@ -15,6 +15,8 @@ from zovr import (
 )
 from zovr import cli, estimators
 from zovr.trajectory import (
+    REC_LR_EVENT,
+    StepRecord,
     TrajectoryError,
     TrajectoryLog,
     load,
@@ -292,3 +294,24 @@ def test_cli_replay_rejects_config_without_key(tmp_path, capsys, optimizer, miss
     assert repr(missing) in capsys.readouterr().err
     with pytest.raises(TrajectoryError, match=repr(missing)):
         replay(traj, theta0, 1)
+
+
+@pytest.mark.parametrize("step, etas, message", [
+    (7, (1e-4, 1e-5), "LR event for step 7, expected 1"),
+    (1, (1e-4,), "LR event for step 1 has 1 values, expected 2"),
+])
+def test_load_rejects_misplaced_lr_event(tmp_path, capsys, step, etas, message):
+    theta0 = np.zeros(4)
+    traj = TrajectoryLog.for_run(2, theta0, "mezo-svrg",
+                                 {"eta1": "0.001", "eta2": "0.0001", "mu": "0.001"})
+    traj.record_step(0, "fullbatch", (0.5,))
+    traj.records.append(StepRecord(step, REC_LR_EVENT, etas))  # past record_lr_event's check
+    path = str(tmp_path / "t.zotrj")
+    save(traj, path)
+    np.save(path + ".theta0.npy", theta0)
+    with pytest.raises(TrajectoryError, match=message):
+        load(path)
+    code = cli.main(["replay", "--traj", path, "--theta0", path + ".theta0.npy",
+                     "--step", "1", "--out", str(tmp_path / "ckpt.npy")])
+    assert code == 1
+    assert message in capsys.readouterr().err
