@@ -69,7 +69,8 @@ class PerturbationSeed:
 
     def shifted(self, count: int) -> "PerturbationSeed":
         """Seed for the disjoint window `count` normals further along."""
-        return PerturbationSeed(self.seed, self.offset + count)
+        # draw 0 of every step reads the window itself; the seed is immutable
+        return self if count == 0 else PerturbationSeed(self.seed, self.offset + count)
 
 
 @dataclass(frozen=True)
@@ -110,13 +111,22 @@ class Minibatch:
             raise ValueError("minibatch has duplicate indices")
         object.__setattr__(self, "indices", idx)
 
+    @classmethod
+    def _of_sorted(cls, indices: np.ndarray) -> "Minibatch":
+        """A batch of int64 indices that are ascending and distinct by construction."""
+        batch = object.__new__(cls)
+        object.__setattr__(batch, "indices", indices)
+        return batch
+
     @property
     def b(self) -> int:
         return int(self.indices.size)
 
 
 def full_batch(n: int) -> Minibatch:
-    return Minibatch(np.arange(n, dtype=np.int64))
+    if n < 1:
+        raise ValueError("minibatch must be a non-empty 1-d index array")
+    return Minibatch._of_sorted(np.arange(n, dtype=np.int64))
 
 
 def sample_minibatch(n: int, b: int, seed: int) -> Minibatch:
@@ -131,11 +141,14 @@ def sample_minibatch(n: int, b: int, seed: int) -> Minibatch:
     # word k of the stream decides draw k, as prng.randint_below(seed, k, bound)
     words = prng.raw_words(seed, 0, b)
     # Floyd: draw k picks from [0, n-b+k]
-    draws = words % np.arange(n - b + 1, n + 1, dtype=np.uint64)
+    np.remainder(words, np.arange(n - b + 1, n + 1, dtype=np.uint64), out=words)
     chosen: set[int] = set()
-    for j, t in enumerate(draws.tolist(), n - b):
-        chosen.add(j if t in chosen else t)
-    return Minibatch(np.fromiter(sorted(chosen), dtype=np.int64, count=b))
+    pick = chosen.add
+    for j, t in enumerate(words.tolist(), n - b):
+        pick(j if t in chosen else t)
+    indices = np.fromiter(chosen, np.int64, b)
+    indices.sort()
+    return Minibatch._of_sorted(indices)
 
 
 @dataclass(frozen=True)
@@ -236,6 +249,11 @@ def _stream_add_scaled(theta: np.ndarray, seed: PerturbationSeed, alpha: float) 
     # pieces in ascending index order. The serial loop stays inline: at
     # small d a pass takes microseconds, and an extra call per pass shows.
     d = theta.shape[0]
+    if d <= STREAM_CHUNK:  # one piece: no slicing of theta
+        z = prng.normals(seed.seed, seed.offset, d)
+        z *= alpha
+        theta += z
+        return
     if d >= PARALLEL_MIN_D:
         pool = _second_lane()
         if pool is not None:

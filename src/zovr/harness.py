@@ -151,8 +151,12 @@ def read_csv(path: str) -> list[dict]:
         if header[:len(CSV_COLUMNS)] != CSV_COLUMNS:
             raise ValueError(f"unexpected CSV schema in {path}: {header}")
         rows = []
-        for line in fh:
-            row = dict(zip(header, line.rstrip("\n").split(",")))
+        for number, line in enumerate(fh, 2):
+            fields = line.rstrip("\n").split(",")
+            if len(fields) != len(header):
+                raise ValueError(f"{path} line {number} has {len(fields)} fields, "
+                                 f"its header {len(header)} (a cut or corrupt file)")
+            row = dict(zip(header, fields))
             for key, parse in _CSV_PARSERS.items():
                 row[key] = parse(row[key])
             rows.append(row)

@@ -8,6 +8,7 @@ pure, so they are safe to query concurrently.
 
 from __future__ import annotations
 
+import os
 import struct
 import warnings
 
@@ -367,9 +368,10 @@ def _read_idx(path_images: str, path_labels: str, max_samples: int | None):
         magic, count, rows, cols = struct.unpack(">IIII", head)
         if magic != IDX_IMAGES_MAGIC:
             raise ValueError(f"bad IDX image magic 0x{magic:08x}, want 0x{IDX_IMAGES_MAGIC:08x}")
-        raw = fh.read(count * rows * cols)
-        if len(raw) != count * rows * cols:
+        if os.fstat(fh.fileno()).st_size - 16 < count * rows * cols:
             raise ValueError("truncated IDX image payload")
+        kept = len(range(count)[:max_samples])  # the rows images[:max_samples] keeps
+        raw = fh.read(kept * rows * cols)
     with open(path_labels, "rb") as fh:
         head = fh.read(8)
         if len(head) < 8:
@@ -382,10 +384,9 @@ def _read_idx(path_images: str, path_labels: str, max_samples: int | None):
             raise ValueError("truncated IDX label payload")
     if label_count != count:
         raise ValueError(f"image/label count mismatch: {count} images, {label_count} labels")
-    images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
+    images = np.frombuffer(raw, dtype=np.uint8).reshape(kept, rows * cols)
     labels = np.frombuffer(raw_labels, dtype=np.uint8)
-    # only the kept uint8 rows become float64
-    return (images[:max_samples] / 255.0, labels[:max_samples].astype(np.int64),
+    return (images / 255.0, labels[:kept].astype(np.int64),
             int(labels.max(initial=0)) + 1)
 
 

@@ -25,9 +25,9 @@ apply its list, so the two cannot drift apart.
 The reference ZO-SVRG keeps the memory-naive per-sample averaged
 estimators and dense blending; it exists as the 5x-footprint baseline.
 
-Per-step randomness is derived from one master seed: perturbation seeds
-are fold(fold(master, tag), step) with tag 1 for minibatch steps and 2
-for anchor steps (`perturb_seed`); batch sampler seeds use tags 3
+Per-step randomness is derived from one master seed (`StepSeeds`):
+perturbation seeds are fold(fold(master, tag), step) with tag 1 for
+minibatch steps and 2 for anchor steps; batch sampler seeds use tags 3
 (minibatch) and 4 (anchor subsampling). Every minibatch is drawn
 without replacement. Trajectory replay relies on exactly this scheme.
 """
@@ -66,16 +66,30 @@ KIND_FO = "fo"
 DIVERGENCE_FACTOR = 1e6
 
 
-def perturb_seed(master_seed: int, t: int, kind: str) -> PerturbationSeed:
-    """The perturbation seed of step t: anchor steps and the rest use separate streams."""
-    tag = TAG_ANCHOR_PERTURB if kind == KIND_FULLBATCH else TAG_STEP_PERTURB
-    return PerturbationSeed(fold(fold(master_seed, tag), t))
+class StepSeeds:
+    """The per-step seeds of one master seed, fold(fold(master, tag), t).
 
-def step_batch_seed(master_seed: int, t: int) -> int:
-    return fold(fold(master_seed, TAG_STEP_BATCH), t)
+    fold(master, tag) is taken once per tag, here; a step folds in only t.
+    """
 
-def anchor_batch_seed(master_seed: int, t: int) -> int:
-    return fold(fold(master_seed, TAG_ANCHOR_BATCH), t)
+    __slots__ = ("_step_perturb", "_anchor_perturb", "_step_batch", "_anchor_batch")
+
+    def __init__(self, master_seed: int):
+        self._step_perturb = fold(master_seed, TAG_STEP_PERTURB)
+        self._anchor_perturb = fold(master_seed, TAG_ANCHOR_PERTURB)
+        self._step_batch = fold(master_seed, TAG_STEP_BATCH)
+        self._anchor_batch = fold(master_seed, TAG_ANCHOR_BATCH)
+
+    def perturb_seed(self, t: int, kind: str) -> PerturbationSeed:
+        """The perturbation seed of step t: anchor steps and the rest use separate streams."""
+        tag_seed = self._anchor_perturb if kind == KIND_FULLBATCH else self._step_perturb
+        return PerturbationSeed(fold(tag_seed, t))
+
+    def step_batch_seed(self, t: int) -> int:
+        return fold(self._step_batch, t)
+
+    def anchor_batch_seed(self, t: int) -> int:
+        return fold(self._anchor_batch, t)
 
 
 def update_plan(seed: PerturbationSeed, coeffs: tuple[float, ...], d: int,
@@ -262,7 +276,7 @@ class Budget:
                 raise ValueError("budget values must be positive")
 
 
-@dataclass
+@dataclass(slots=True)
 class StepReport:
     kind: str
     loss_before: float
@@ -364,7 +378,7 @@ def fo_sgd_step(obj, theta: np.ndarray, batch: Minibatch, eta: float,
     return StepReport(KIND_FO, float(loss), batch.b, backward_queries=batch.b)
 
 
-@dataclass
+@dataclass(slots=True)
 class RunRecord:
     step: int
     cumulative_queries: int
@@ -422,6 +436,7 @@ def run(obj, theta0: np.ndarray, optimizer: str, config, budget: Budget,
     schedule = getattr(config, "schedule", None)
     windows = None if schedule is None else _LossWindows(
         schedule, schedule.window or -(-obj.n // config.b))
+    seeds = StepSeeds(master_seed)
     status, reason = "completed", ""
     initial_loss: float | None = None
     t = 0
@@ -438,10 +453,10 @@ def run(obj, theta0: np.ndarray, optimizer: str, config, budget: Budget,
                 kind = KIND_FULLBATCH
                 anchor_n = obj.n if config.anchor_batch is None else config.anchor_batch
                 batch = (full_batch(obj.n) if anchor_n >= obj.n else
-                         sample_minibatch(obj.n, anchor_n, anchor_batch_seed(master_seed, t)))
+                         sample_minibatch(obj.n, anchor_n, seeds.anchor_batch_seed(t)))
             else:
-                batch = sample_minibatch(obj.n, config.b, step_batch_seed(master_seed, t))
-            seed = perturb_seed(master_seed, t, kind)
+                batch = sample_minibatch(obj.n, config.b, seeds.step_batch_seed(t))
+            seed = seeds.perturb_seed(t, kind)
             if optimizer == "mezo":
                 report = mezo_step(obj, theta, batch, seed, eta1_cur, config.spsa)
             elif optimizer == "mezo-svrg":
@@ -450,7 +465,7 @@ def run(obj, theta0: np.ndarray, optimizer: str, config, budget: Budget,
             elif optimizer == "zo-svrg":
                 refreshed = t % config.q == 0
                 if refreshed:
-                    anchor = _refresh_dense_anchor(obj, theta, anchor, t, master_seed,
+                    anchor = _refresh_dense_anchor(obj, theta, anchor, t, seeds,
                                                    config, meter)
                 report = zo_svrg_step(obj, theta, anchor, batch,
                                       _per_sample_seeds(seed, batch.b), eta1_cur,
@@ -525,9 +540,10 @@ def _set_anchor(anchor: SvrgAnchor | None, theta: np.ndarray, estimate, t: int,
     return anchor
 
 
-def _refresh_dense_anchor(obj, theta, anchor, t, master_seed, config, meter):
-    seeds = _per_sample_seeds(perturb_seed(master_seed, t, KIND_FULLBATCH), obj.n)
-    dense = spsa_batch_avg(obj, theta, full_batch(obj.n), seeds, config.spsa, meter=meter)
+def _refresh_dense_anchor(obj, theta, anchor, t, seeds, config, meter):
+    per_sample = _per_sample_seeds(seeds.perturb_seed(t, KIND_FULLBATCH), obj.n)
+    dense = spsa_batch_avg(obj, theta, full_batch(obj.n), per_sample, config.spsa,
+                           meter=meter)
     if anchor is not None and meter is not None:
         meter.release(theta.shape[0])  # the previous dense estimate
     return _set_anchor(anchor, theta, dense, t, meter)

@@ -24,20 +24,35 @@ GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-# numpy forms of the constants, so array arithmetic stays in uint64.
-_U_GOLDEN = np.uint64(GOLDEN)
-_U_2GOLDEN = np.uint64(2 * GOLDEN & _MASK)
-_U_MIX1 = np.uint64(_MIX1)
-_U_MIX2 = np.uint64(_MIX2)
-_U_30 = np.uint64(30)
-_U_27 = np.uint64(27)
-_U_31 = np.uint64(31)
-_U_11 = np.uint64(11)
+# numpy forms of the constants, as 0-d arrays: a ufunc takes a 0-d array
+# operand at a fraction of the cost of a numpy scalar or a python int, and
+# uint64 arithmetic stays in uint64.
+_U64 = np.dtype(np.uint64)
+_I64 = np.dtype(np.int64)
+_F64 = np.dtype(np.float64)
+_U_GOLDEN = np.array(GOLDEN, _U64)
+_U_2GOLDEN = np.array(2 * GOLDEN & _MASK, _U64)
+_U_MIX1 = np.array(_MIX1, _U64)
+_U_MIX2 = np.array(_MIX2, _U64)
+_U_30 = np.array(30, _U64)
+_U_27 = np.array(27, _U64)
+_U_31 = np.array(31, _U64)
+_U_11 = np.array(11, _U64)
 
 # Exact power-of-two scales: a 53-bit integer times 2**-53 is exact, and
 # x * (2*pi * 2**-53) rounds exactly like (x / 2**53) * (2*pi).
-_TWO_M53 = 2.0**-53
-_TWO_PI_M53 = (2.0 * np.pi) * _TWO_M53
+_TWO_M53 = np.array(2.0**-53)
+_TWO_PI_M53 = np.array((2.0 * np.pi) * 2.0**-53)
+_MINUS_2 = np.array(-2.0)
+
+# k * GOLDEN mod 2**64 for the first _TABLE_WORDS words of a window (4 KiB):
+# a short window adds a slice of it to its first counter instead of building
+# an arange and scaling it, which at a few hundred words costs more than
+# the words themselves.
+_TABLE_WORDS = 512
+_OFFSETS = np.arange(_TABLE_WORDS, dtype=_U64)
+np.multiply(_OFFSETS, _U_GOLDEN, out=_OFFSETS)
+_OFFSETS.flags.writeable = False
 
 
 def mix64(x: int) -> int:
@@ -60,21 +75,32 @@ def fold(seed: int, value: int) -> int:
 
 def _mix64_in_place(x: np.ndarray) -> None:
     """SplitMix64 finalizer over a uint64 array, in place, one temporary."""
-    t = x >> _U_30
-    x ^= t
-    x *= _U_MIX1
-    np.right_shift(x, _U_27, t)
-    x ^= t
-    x *= _U_MIX2
-    np.right_shift(x, _U_31, t)
-    x ^= t
+    t = np.right_shift(x, _U_30)
+    np.bitwise_xor(x, t, out=x)
+    np.multiply(x, _U_MIX1, out=x)
+    np.right_shift(x, _U_27, out=t)
+    np.bitwise_xor(x, t, out=x)
+    np.multiply(x, _U_MIX2, out=x)
+    np.right_shift(x, _U_31, out=t)
+    np.bitwise_xor(x, t, out=x)
+
+
+def _counters(x: np.ndarray, first: int, stride: int) -> None:
+    """x[j] = first + j * stride * GOLDEN mod 2**64, for stride 1 or 2."""
+    count = x.shape[0]
+    if count * stride <= _TABLE_WORDS:
+        x.fill(first & _MASK)
+        np.add(x, _OFFSETS[:count * stride:stride], out=x)
+        return
+    np.multiply(np.arange(count, dtype=_U64), _U_GOLDEN if stride == 1 else _U_2GOLDEN,
+                out=x)
+    np.add(x, np.array(first & _MASK, _U64), out=x)
 
 
 def raw_words(seed: int, start: int, count: int) -> np.ndarray:
     """64-bit words at stream positions [start, start+count) as uint64."""
-    x = np.arange(count, dtype=np.uint64)
-    x *= _U_GOLDEN
-    x += np.uint64((seed + (start + 1) * GOLDEN) & _MASK)
+    x = np.empty(count, _U64)
+    _counters(x, seed + (start + 1) * GOLDEN, 1)
     _mix64_in_place(x)
     return x
 
@@ -100,25 +126,28 @@ def normals(seed: int, start: int, count: int) -> np.ndarray:
     u2 = (w_odd >> 11) / 2**53 in [0, 1). The even and odd words are the
     two contiguous rows of one buffer, and the float stages run in place.
     """
-    w = np.empty((2, count), dtype=np.uint64)
-    even, odd = w
+    w = np.empty((2, count), _U64)
+    even = w[0]
     # counter of word 2(start+j) is 2(start+j)+1; its odd partner's is one more
-    np.multiply(np.arange(count, dtype=np.uint64), _U_2GOLDEN, even)
-    even += np.uint64((seed + (2 * start + 1) * GOLDEN) & _MASK)
-    np.add(even, _U_GOLDEN, odd)
+    _counters(even, seed + (2 * start + 1) * GOLDEN, 2)
+    np.add(even, _U_GOLDEN, out=w[1])
     _mix64_in_place(w)
-    w >>= _U_11
-    # 53-bit integers convert exactly through int64; the floats reuse w
-    bits = w.view(np.int64)
-    u1, u2 = w.view(np.float64)
-    np.multiply(bits[0], _TWO_M53, u1)
-    u1 += _TWO_M53
-    np.multiply(bits[1], _TWO_PI_M53, u2)
-    np.log(u1, u1)
-    u1 *= -2.0
-    np.sqrt(u1, u1)
-    np.cos(u2, u2)
-    return u1 * u2
+    np.right_shift(w, _U_11, out=w)
+    # 53-bit integers convert exactly through int64; the floats reuse w.
+    # The two scalings stay two multiplies: one broadcast multiply over
+    # both rows makes numpy copy the overlapping operand.
+    bits = w.view(_I64)
+    f = w.view(_F64)
+    u1 = f[0]
+    u2 = f[1]
+    np.multiply(bits[0], _TWO_M53, out=u1)
+    np.add(u1, _TWO_M53, out=u1)
+    np.multiply(bits[1], _TWO_PI_M53, out=u2)
+    np.log(u1, out=u1)
+    np.multiply(u1, _MINUS_2, out=u1)
+    np.sqrt(u1, out=u1)
+    np.cos(u2, out=u2)
+    return np.multiply(u1, u2)
 
 
 def randint_below(seed: int, index: int, bound: int) -> int:

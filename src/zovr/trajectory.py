@@ -40,9 +40,9 @@ from .optimizers import (
     KIND_FULLBATCH,
     KIND_MINIBATCH,
     SEED_REPLAY,
+    StepSeeds,
     build_optimizer_config,
     initial_etas,
-    perturb_seed,
     update_plan,
 )
 
@@ -107,6 +107,9 @@ class TrajectoryLog:
 
     def record_lr_event(self, effective_step: int, eta1: float, eta2: float) -> None:
         """New learning rates, effective from `effective_step` onwards."""
+        if self.optimizer != "mezo-svrg":
+            raise TrajectoryError(f"LR event for step {effective_step} in a {self.optimizer} "
+                                  f"log; only mezo-svrg has a learning-rate schedule")
         if effective_step != self._next_step:
             raise TrajectoryError(
                 f"LR event for step {effective_step}, expected {self._next_step}")
@@ -225,6 +228,7 @@ def replay(log: TrajectoryLog, theta0: np.ndarray, upto: int) -> np.ndarray:
     mu, p, eta1, eta2 = _header_settings(log)
 
     theta = np.array(theta0, dtype=np.float64, copy=True)
+    seeds = StepSeeds(log.master_seed)
     anchor_est = None
     applied = 0
     for rec in log.records:
@@ -244,7 +248,7 @@ def replay(log: TrajectoryLog, theta0: np.ndarray, upto: int) -> np.ndarray:
         if len(rec.coeffs) != want:
             raise TrajectoryError(f"{kind} record at step {t} has {len(rec.coeffs)} "
                                   f"coefficients, expected {want}")
-        seed = perturb_seed(log.master_seed, t, kind)
+        seed = seeds.perturb_seed(t, kind)
         apply_probe_sequence(theta, seed, mu, p)
         plan = update_plan(seed, rec.coeffs, log.d, anchor_est if anchored else None,
                            eta2 if anchored else eta1)

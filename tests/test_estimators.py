@@ -265,6 +265,12 @@ def test_query_accounting_with_p():
         assert counting.forward_queries == 2 * 5 * p
 
 
+def test_shifted_addresses_the_window_further_along():
+    seed = PerturbationSeed(43, 5)
+    assert seed.shifted(0) is seed
+    assert seed.shifted(33) == PerturbationSeed(43, 38)
+
+
 def test_p_average_uses_disjoint_windows():
     ls = make_least_squares(40, 33, seed=16)
     theta = normals(fold(16, 1), 0, 33)

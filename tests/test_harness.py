@@ -332,6 +332,18 @@ def test_cli_compare_identical_inputs(tmp_path, capsys):
     assert "PASS" in out
 
 
+def test_cli_compare_rejects_a_row_cut_mid_line(tmp_path, capsys):
+    path = tmp_path / "cut.csv"
+    execute(_ls_spec(max_steps=5), out=str(path))
+    text = path.read_text()
+    path.write_text(text[:-30])  # the last row loses its final fields
+    rows = len(text.splitlines())
+    with pytest.raises(ValueError, match=f"line {rows} has"):
+        harness.read_csv(str(path))
+    assert cli.main(["compare", str(path), str(path), "--criterion", "final-loss"]) == 1
+    assert f"error: {path} line {rows} has" in capsys.readouterr().err
+
+
 def test_preset_listing_and_small_preset(tmp_path):
     assert set(harness.PRESETS) == {
         "fig1a", "batch-robustness", "q-ablation", "anchor-approx",

@@ -20,6 +20,7 @@ from zovr.objectives import (
     LeastSquaresProblem,
     LogisticProblem,
     Mlp2Problem,
+    _read_idx,
 )
 from zovr.oracles import finite_difference_gradient
 from zovr.prng import fold, normals, raw_words
@@ -207,6 +208,28 @@ def test_load_idx_converts_only_the_kept_rows(tmp_path):
     assert list(y) == [0, 0]
     # the uint8 payload is read once; a float64 copy of every image is 8 times it
     assert peak < 2 * payload.nbytes
+
+
+def test_load_idx_reads_only_the_kept_rows(tmp_path):
+    count, pixels = 3000, 28 * 28
+    payload = (np.arange(count * pixels) % 251).astype(np.uint8)
+    images, labels = tmp_path / "big.idx3-ubyte", tmp_path / "big.idx1-ubyte"
+    images.write_bytes(struct.pack(">IIII", IDX_IMAGES_MAGIC, count, 28, 28) + payload.tobytes())
+    labels.write_bytes(struct.pack(">II", IDX_LABELS_MAGIC, count)
+                       + bytes(range(10)) + bytes(count - 10))
+    tracemalloc.start()
+    try:
+        features, y, n_classes = _read_idx(str(images), str(labels), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(features, payload[:2 * pixels].reshape(2, pixels) / 255.0)
+    assert (list(y), n_classes) == ([0, 1], 10)  # classes from the whole label file
+    # 2 rows of 784 bytes, their floats and the 3,000 labels; not the 2.35 MB payload
+    assert peak < payload.nbytes // 50
+    images.write_bytes(images.read_bytes()[:-1])
+    with pytest.raises(ValueError, match="truncated IDX image payload"):
+        _read_idx(str(images), str(labels), 2)
 
 
 def test_mlp_head_has_every_class_of_its_source(tmp_path):

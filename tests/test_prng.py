@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zovr import prng
-from zovr.estimators import sample_minibatch
+from zovr import estimators, prng
+from zovr.estimators import PerturbationSeed, _stream_add_scaled, sample_minibatch
 
 
 def test_normals_deterministic():
@@ -122,3 +122,55 @@ def test_minibatch_stream_pinned(key):
     n, b = key
     batches = (sample_minibatch(n, b, s).indices for s in (*_PIN_SEEDS, 12345))
     assert _digest(batches) == _PINNED_MINIBATCHES[key]
+
+
+# SHA-256 of windows on both sides of every size gate of the kernels: the
+# 512-word counter table (256 normals, 512 words), one STREAM_CHUNK piece
+# of a z pass, and the arange path beyond, at odd starts. Recorded from the
+# kernels as they were before the table and the one-piece pass existed.
+_GATE_SEEDS = (12345, 2**64 - 59)
+_GATE_COUNTS = (1, 255, 256, 257, 511, 512, 513, 8192, 16391)
+_PINNED_GATE_WINDOWS = {
+    ("normals", 3): "ebf7f739fead5ca4e3561499d2550fd22902481dff2db3d320d776484a15c2e5",
+    ("normals", 2**40 + 1): "a7498c3dc8fa12a4b1f43a57106459d2bc8ea4ac3e953ee598d1937ea000a7fd",
+    ("raw_words", 3): "14175b948b17ad2c69e8e67a9fa9269cfa7a8f1db9cc977d4f1593e40d671d65",
+    ("raw_words", 2**40 + 1): "bad09c994da4bee68f32108e27f34881dd5a635d2690f28f4386e2d78c336552",
+}
+_PINNED_GATE_MINIBATCHES = {
+    (1000, 32): "e48dd721a0eebef79723f3c3c1d22de42d29d71d3d48c9a00f811c3a1e5422b1",
+    (1000, 1000): "986e65a1aa68a7fa4dc24545ec6481f0be6e137fb4e1e9998c6a70e7293a9ce9",
+    (7, 7): "991a14bbee1272655e2bfdbc19fe55c09ddf81511be3b0a333f660e27bbbc280",
+}
+
+
+@pytest.mark.parametrize("key", list(_PINNED_GATE_WINDOWS))
+def test_windows_across_size_gates_pinned(key):
+    fn, start = key
+    windows = (getattr(prng, fn)(s, start, c) for s in _GATE_SEEDS for c in _GATE_COUNTS)
+    assert _digest(windows) == _PINNED_GATE_WINDOWS[key]
+
+
+@pytest.mark.parametrize("key", list(_PINNED_GATE_MINIBATCHES))
+def test_minibatches_across_size_gates_pinned(key):
+    batches = (sample_minibatch(*key, s).indices for s in (1, 2**63 + 7, 99991))
+    assert _digest(batches) == _PINNED_GATE_MINIBATCHES[key]
+
+
+def test_z_pass_across_the_one_piece_gate_pinned():
+    def passes():
+        for d in (1, 100, estimators.STREAM_CHUNK, estimators.STREAM_CHUNK + 1):
+            theta = prng.normals(77, 0, d)
+            _stream_add_scaled(theta, PerturbationSeed(2**64 - 59, 5), -0.37)
+            yield theta
+    assert _digest(passes()) == "564196abd5369acc9860e28dbee121e6b328e17d98208ee3c41698a7f10fac25"
+
+
+def test_no_resident_buffers_beyond_the_counter_table():
+    # tracemalloc peaks never see what a module allocates at import, so a
+    # per-call temporary moved into a module-level table would hide there
+    values = [v for m in (prng, estimators) for v in vars(m).values()]
+    values += [x for v in values if isinstance(v, (tuple, list)) for x in v]
+    values += [x for v in values if isinstance(v, dict) for x in v.values()]
+    arrays = [v for v in values if isinstance(v, np.ndarray)]
+    constants = sum(a.nbytes for a in arrays if a.ndim == 0)
+    assert sum(a.nbytes for a in arrays) <= 4096 + constants

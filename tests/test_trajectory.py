@@ -296,6 +296,26 @@ def test_cli_replay_rejects_config_without_key(tmp_path, capsys, optimizer, miss
         replay(traj, theta0, 1)
 
 
+def test_mezo_log_rejects_lr_events(tmp_path, capsys):
+    theta0 = np.zeros(4)
+    traj = TrajectoryLog.for_run(2, theta0, "mezo", {"eta": "0.001", "mu": "0.001"})
+    traj.record_step(0, "minibatch", (0.5,))
+    with pytest.raises(TrajectoryError, match="only mezo-svrg has"):
+        traj.record_lr_event(1, 100.0, 100.0)
+    traj.records.append(StepRecord(1, REC_LR_EVENT, (100.0, 100.0)))  # past the check
+    traj.record_step(1, "minibatch", (0.5,))
+    path = str(tmp_path / "t.zotrj")
+    save(traj, path)
+    np.save(path + ".theta0.npy", theta0)
+    message = "LR event for step 1 in a mezo log"
+    with pytest.raises(TrajectoryError, match=message):
+        load(path)
+    code = cli.main(["replay", "--traj", path, "--theta0", path + ".theta0.npy",
+                     "--step", "2", "--out", str(tmp_path / "ckpt.npy")])
+    assert code == 1
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("step, etas, message", [
     (7, (1e-4, 1e-5), "LR event for step 7, expected 1"),
     (1, (1e-4,), "LR event for step 1 has 1 values, expected 2"),
