@@ -16,7 +16,7 @@ are provided:
   memory-naive path kept for the reference ZO-SVRG optimizer and for
   the correctness oracles.
 
-All parameter mutation is streamed in fixed-size chunks so no second
+All parameter mutation is streamed in pieces of one size, so no second
 d-length buffer is allocated. From `PARALLEL_MIN_D` parameters on, and
 with two usable CPUs, each streaming pass runs in two lanes: the caller
 and one pooled worker thread share its pieces. Every element still gets
@@ -36,17 +36,14 @@ import numpy as np
 
 from . import prng
 
-# Streaming granularity for in-place perturbation/update kernels. Chunk
-# temporaries are the constant-memory overhead documented by the
-# harness accounting model.
-STREAM_CHUNK = 16384
+# The piece size of every streaming pass. A piece holds about four words per
+# value while it is made, so a serial pass holds half of the memory model's
+# constant C, and two lanes' pieces in flight hold all of it.
+STREAM_CHUNK = 8192
 
-# Smallest d streamed in two lanes, from a d sweep of _stream_add_scaled
-# on a 2-CPU machine: here two lanes won, at half this d they won and lost
-# by turns. The lanes take half-size pieces, so the chunk temporaries in
-# flight still add up to one STREAM_CHUNK.
-PARALLEL_MIN_D = 4 * STREAM_CHUNK
-_LANE_CHUNK = STREAM_CHUNK // 2
+# Smallest d streamed in two lanes: in a d sweep of _stream_add_scaled on a
+# 2-CPU machine two lanes won here, at half this d they won and lost by turns.
+PARALLEL_MIN_D = 8 * STREAM_CHUNK
 
 # (pid, one-thread pool or None on a single usable CPU); see _second_lane
 _lane_pool: tuple[int, ThreadPoolExecutor | None] = (-1, None)
@@ -97,9 +94,12 @@ class Minibatch:
     indices: np.ndarray
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
+        idx = np.asarray(self.indices)
         if idx.ndim != 1 or idx.size == 0:
             raise ValueError("minibatch must be a non-empty 1-d index array")
+        if idx.dtype.kind not in "iu":  # a cast would truncate floats silently
+            raise ValueError(f"minibatch indices must be integers, got {idx.dtype}")
+        idx = idx.astype(np.int64, copy=False)
         # one comparison pass accepts the sampler's sorted, distinct batches
         distinct = (idx[1:] > idx[:-1]).all()
         if not distinct:
@@ -206,16 +206,16 @@ def _second_lane() -> ThreadPoolExecutor | None:
 
 def _stream_pieces(theta: np.ndarray, seed: PerturbationSeed, alpha: float,
                    starts) -> None:
-    # theta[a:a+_LANE_CHUNK] += alpha * z(seed)[a:a+_LANE_CHUNK] for each a
-    # taken from `starts`; both lanes draw from one iterator, whose next()
+    # theta[a:a+STREAM_CHUNK] += alpha * z(seed)[a:a+STREAM_CHUNK] for each a
+    # taken from `starts`; the two lanes draw from one iterator, whose next()
     # runs under the interpreter lock, so each piece is streamed once
     d = theta.shape[0]
     for a in starts:
-        b = min(a + _LANE_CHUNK, d)
+        b = min(a + STREAM_CHUNK, d)
         z = prng.normals(seed.seed, seed.offset + a, b - a)
         z *= alpha
         theta[a:b] += z
-        del z
+        del z  # free this piece before the next one is generated
 
 
 def _worker_lane(started: threading.Event, *lane) -> None:
@@ -227,13 +227,13 @@ def _stream_two_lanes(theta: np.ndarray, seed: PerturbationSeed, alpha: float,
                       pool: ThreadPoolExecutor) -> None:
     """theta += alpha * z(seed), streamed by the caller and `pool`'s thread.
 
-    The lanes share one queue of _LANE_CHUNK pieces, so a lane that waits
+    The lanes share one queue of STREAM_CHUNK pieces, so a lane that waits
     for the interpreter lock or for a busy CPU leaves its pieces to the
     other. The caller starts only once the worker runs; otherwise it takes
     the lock back between its short ufuncs and the worker waits. Both
     lanes have stopped when this returns or raises.
     """
-    starts = iter(range(0, theta.shape[0], _LANE_CHUNK))
+    starts = iter(range(0, theta.shape[0], STREAM_CHUNK))
     started = threading.Event()
     worker = pool.submit(_worker_lane, started, theta, seed, alpha, starts)
     try:
@@ -245,9 +245,8 @@ def _stream_two_lanes(theta: np.ndarray, seed: PerturbationSeed, alpha: float,
 
 
 def _stream_add_scaled(theta: np.ndarray, seed: PerturbationSeed, alpha: float) -> None:
-    # theta += alpha * z(seed); large d in two lanes, else in STREAM_CHUNK
-    # pieces in ascending index order. The serial loop stays inline: at
-    # small d a pass takes microseconds, and an extra call per pass shows.
+    # theta += alpha * z(seed): one piece inline (a small-d pass takes microseconds,
+    # an extra call shows), large d in two lanes, else piece by piece in order
     d = theta.shape[0]
     if d <= STREAM_CHUNK:  # one piece: no slicing of theta
         z = prng.normals(seed.seed, seed.offset, d)
@@ -259,12 +258,7 @@ def _stream_add_scaled(theta: np.ndarray, seed: PerturbationSeed, alpha: float) 
         if pool is not None:
             _stream_two_lanes(theta, seed, alpha, pool)
             return
-    for a in range(0, d, STREAM_CHUNK):
-        b = min(a + STREAM_CHUNK, d)
-        z = prng.normals(seed.seed, seed.offset + a, b - a)
-        z *= alpha
-        theta[a:b] += z
-        del z  # free this chunk before the next one is generated
+    _stream_pieces(theta, seed, alpha, range(0, d, STREAM_CHUNK))
 
 
 def perturb_in_place(theta: np.ndarray, seed: PerturbationSeed, s: int, mu: float) -> None:

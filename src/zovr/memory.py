@@ -11,13 +11,12 @@ footprints of each optimizer family:
                                    estimates + anchor copy + parameters)
     fo-sgd                2 x d   (parameters + dense gradient)
 
-plus a constant overhead C that covers the streaming chunk temporaries
-and bookkeeping. C bounds the measured heap of the streaming kernel: one
-in-place ``theta += alpha * z`` pass allocates at most 8*C bytes
-(tracemalloc) for any d, which a test checks. Above ``PARALLEL_MIN_D``
-the pass runs in two lanes of half-size pieces, so the temporaries in
-flight still fit in C. Full-batch loss queries
-read the dataset in place, so an anchor query adds no copy of the data.
+plus a constant overhead C: two lanes' ``STREAM_CHUNK`` pieces in flight
+and bookkeeping. One ``theta += alpha * z`` pass allocates at most 8*C
+bytes (tracemalloc) for any d, a serial one at most half that; tests check
+both. Full-batch loss queries read the dataset in place; a minibatch query
+gathers its b rows (b x 784 for the MLP), a term proportional to the data
+that the model leaves out.
 The live runs register their actual d-scale buffers on a SlotMeter so
 measured peaks can be cross-checked against the model; note the
 in-place MeZO-SVRG implementation keeps its anchor estimate as
@@ -28,8 +27,8 @@ from __future__ import annotations
 
 from .estimators import STREAM_CHUNK
 
-# Documented constant overhead: a few streaming chunks plus bookkeeping.
-CONSTANT_OVERHEAD = 4 * STREAM_CHUNK + 1024
+# Documented constant overhead: two lanes' pieces in flight plus bookkeeping.
+CONSTANT_OVERHEAD = 8 * STREAM_CHUNK + 1024
 
 # Extra d-multiples on top of the parameter slots themselves. An optimizer's
 # first listed mode is its default (`accounting_mode`).

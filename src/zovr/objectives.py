@@ -290,12 +290,15 @@ class Mlp2Problem(Objective):
 
     def _forward(self, theta, Xb):
         W1, b1, W2, b2, W3, b3 = self._views(theta)
-        z1 = Xb @ W1 + b1
-        a1 = np.maximum(z1, 0.0)
-        z2 = a1 @ W2 + b2
-        a2 = np.maximum(z2, 0.0)
-        logits = a2 @ W3 + b3
-        return z1, a1, z2, a2, logits
+        a1 = Xb @ W1
+        a1 += b1
+        np.maximum(a1, 0.0, out=a1)
+        a2 = a1 @ W2
+        a2 += b2
+        np.maximum(a2, 0.0, out=a2)
+        logits = a2 @ W3
+        logits += b3
+        return a1, a2, logits
 
     @staticmethod
     def _cross_entropy(logits, labels):
@@ -319,7 +322,7 @@ class Mlp2Problem(Objective):
         Xb = self.features[idx]
         yb = self.labels[idx]
         W1, b1, W2, b2, W3, b3 = self._views(theta)
-        z1, a1, z2, a2, logits = self._forward(theta, Xb)
+        a1, a2, logits = self._forward(theta, Xb)
         m = logits.max(axis=1, keepdims=True)
         e = np.exp(logits - m)
         probs = e / e.sum(axis=1, keepdims=True)
@@ -328,13 +331,16 @@ class Mlp2Problem(Objective):
         g3 /= idx.size
         grad = np.empty(self.d)
         gW1, gb1, gW2, gb2, gW3, gb3 = self._views(grad)
-        gW3[:] = a2.T @ g3
+        # a > 0 is z > 0, NaN included; weight blocks are written in place
+        np.matmul(a2.T, g3, out=gW3)
         gb3[:] = g3.sum(axis=0)
-        g2 = (g3 @ W3.T) * (z2 > 0.0)
-        gW2[:] = a1.T @ g2
+        g2 = g3 @ W3.T
+        g2 *= a2 > 0.0
+        np.matmul(a1.T, g2, out=gW2)
         gb2[:] = g2.sum(axis=0)
-        g1 = (g2 @ W2.T) * (z1 > 0.0)
-        gW1[:] = Xb.T @ g1
+        g1 = g2 @ W2.T
+        g1 *= a1 > 0.0
+        np.matmul(Xb.T, g1, out=gW1)
         gb1[:] = g1.sum(axis=0)
         return grad
 

@@ -372,7 +372,8 @@ def fo_sgd_step(obj, theta: np.ndarray, batch: Minibatch, eta: float,
     if meter is not None:
         meter.add(theta.shape[0])
     grad = obj.batch_grad(theta, batch.indices)
-    theta -= eta * grad
+    grad *= eta  # in place: eta * grad would be a second d-length temporary
+    theta -= grad
     if meter is not None:
         meter.release(theta.shape[0])
     return StepReport(KIND_FO, float(loss), batch.b, backward_queries=batch.b)

@@ -326,8 +326,12 @@ def test_minibatch_accepts(indices, stored):
     (np.array([3, 1, 3]), "duplicate"),
     (np.array([4, -2, 1]), "non-negative"),
     (np.array([2, -1, 2]), "non-negative"),  # the negative is reported first
+    (np.array([0.5, 1.7, 2.9]), "must be integers"),  # not truncated to [0 1 2]
+    (np.array([0.0, 3.0]), "must be integers"),
+    ([1, 2.5], "must be integers"),
+    (np.array([True, False]), "must be integers"),
 ], ids=["empty", "2-d", "sorted-duplicate", "unsorted-duplicate", "negative",
-        "negative-and-duplicate"])
+        "negative-and-duplicate", "float", "whole-float", "float-list", "bool"])
 def test_minibatch_rejects(indices, message):
     with pytest.raises(ValueError, match=message):
         Minibatch(indices)

@@ -17,6 +17,7 @@ from zovr import (
 )
 from zovr.estimators import PARALLEL_MIN_D, STREAM_CHUNK, _stream_add_scaled
 from zovr.memory import CONSTANT_OVERHEAD
+from zovr.objectives import make_mlp2, make_synthetic_digits
 
 
 def test_model_values_and_exact_ratios():
@@ -105,3 +106,39 @@ def test_stream_kernel_heap_within_constant_overhead():
 def test_two_lane_stream_heap_within_constant_overhead():
     # both lanes' pieces in flight together still fit in C
     assert _stream_pass_peak(PARALLEL_MIN_D + 7) <= CONSTANT_OVERHEAD * 8
+
+
+@pytest.mark.parametrize("d", [STREAM_CHUNK + 1, PARALLEL_MIN_D - 1])
+def test_serial_stream_heap_within_half_the_constant_overhead(d):
+    # a serial pass holds one piece in flight, half of two lanes' C
+    assert _stream_pass_peak(d) <= CONSTANT_OVERHEAD * 4
+
+
+def _fo_sgd_run_peak(b):
+    # whole-run tracemalloc peak of FO-SGD on an MLP with d = 235,146
+    mlp = make_mlp2(make_synthetic_digits(64, seed=2), seed=2, hidden=(256, 128))
+    theta0 = mlp.initial_theta()
+    config = FoSgdConfig(eta=1e-2, b=b)
+    run(mlp, theta0, "fo-sgd", config, Budget(max_steps=1), 3)  # warm numpy's caches
+    tracemalloc.start()
+    try:
+        result = run(mlp, theta0, "fo-sgd", config, Budget(max_steps=4), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.status == "completed"
+    return peak, mlp
+
+
+def test_fo_sgd_run_heap_within_model():
+    peak, mlp = _fo_sgd_run_peak(8)
+    assert peak <= 8 * account_memory("fo-sgd", None, mlp.d)
+
+
+def test_fo_sgd_run_heap_within_model_plus_batch_gather():
+    # a minibatch query gathers its b x 784 rows, a term proportional to the
+    # data that the 2d + C model leaves out: at b = 64 the peak exceeds the
+    # model by most of that term
+    peak, mlp = _fo_sgd_run_peak(64)
+    gather = 64 * mlp.features.shape[1]
+    assert peak <= 8 * (account_memory("fo-sgd", None, mlp.d) + gather)

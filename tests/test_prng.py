@@ -156,13 +156,25 @@ def test_minibatches_across_size_gates_pinned(key):
     assert _digest(batches) == _PINNED_GATE_MINIBATCHES[key]
 
 
+def _z_passes(sizes):
+    for d in sizes:
+        theta = prng.normals(77, 0, d)
+        _stream_add_scaled(theta, PerturbationSeed(2**64 - 59, 5), -0.37)
+        yield theta
+
+
 def test_z_pass_across_the_one_piece_gate_pinned():
-    def passes():
-        for d in (1, 100, estimators.STREAM_CHUNK, estimators.STREAM_CHUNK + 1):
-            theta = prng.normals(77, 0, d)
-            _stream_add_scaled(theta, PerturbationSeed(2**64 - 59, 5), -0.37)
-            yield theta
-    assert _digest(passes()) == "564196abd5369acc9860e28dbee121e6b328e17d98208ee3c41698a7f10fac25"
+    # the gate when STREAM_CHUNK was 16,384; recorded before the gate existed
+    passes = _z_passes((1, 100, 16384, 16385))
+    assert _digest(passes) == "564196abd5369acc9860e28dbee121e6b328e17d98208ee3c41698a7f10fac25"
+
+
+def test_z_pass_across_todays_piece_gate_pinned():
+    # recorded when every size here but the last streamed as one 16,384-value piece
+    c = estimators.STREAM_CHUNK
+    passes = _z_passes((c - 1, c, c + 1, 3 * c + 5))
+    assert c == 8192
+    assert _digest(passes) == "9da63fb606fe6cc22f009a8dc139b18a258b97bbb4340e8508325e822bc1c183"
 
 
 def test_no_resident_buffers_beyond_the_counter_table():

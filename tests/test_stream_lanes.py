@@ -26,7 +26,7 @@ from zovr.estimators import (
     _stream_two_lanes,
 )
 
-_PIECE = STREAM_CHUNK // 2
+_PIECE = STREAM_CHUNK  # every pass, serial or in two lanes, streams pieces of one size
 
 
 def _serial_stream(theta, seed, alpha):
