@@ -134,28 +134,7 @@ def cmd_compare(args) -> int:
     rows = [harness.read_csv(p) for p in args.csv]
     for path, r in zip(args.csv, rows):
         print(f"{path} loss-vs-queries: {harness.curve_summary(r)}")
-    crit = args.criterion
-    if crit == "convergence":
-        if len(rows) != 3:
-            raise ValueError("convergence comparison needs mezo, mezo-svrg, fo-sgd CSVs")
-        report = harness.compare_convergence(rows[0], rows[1], rows[2])
-    elif crit == "batch-robustness":
-        if len(rows) != 3:
-            raise ValueError("batch-robustness needs mezo-small, mezo-large, "
-                             "mezo-svrg-small CSVs")
-        report = harness.compare_batch_robustness(rows[0], rows[1], rows[2])
-    elif crit == "final-loss":
-        if len(rows) != 2:
-            raise ValueError("final-loss comparison needs exactly two CSVs")
-        report = harness.compare_final_loss(rows[0], rows[1], "first", "second")
-    else:  # gap: plain report of optimality gaps
-        report = harness.CompareReport()
-        for path, r in zip(args.csv, rows):
-            try:
-                report.note(f"{path}: final gap {harness.final_gap(r):.6e}")
-            except ValueError:
-                report.note(f"{path}: final loss "
-                            f"{r[-1]['train_loss']:.6e} (no fstar)")
+    report = harness.judge(args.criterion, rows, args.csv)
     print(report.render())
     return 0 if report.passed else 1
 
@@ -219,8 +198,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("compare", help="compare run CSVs against a criterion")
     p.add_argument("csv", nargs="+")
-    p.add_argument("--criterion", default="gap",
-                   choices=("gap", "convergence", "batch-robustness", "final-loss"))
+    p.add_argument("--criterion", default="gap", choices=tuple(harness.CRITERIA))
 
     p = sub.add_parser("replay", help="reconstruct a checkpoint from a trajectory")
     p.add_argument("--traj", required=True)

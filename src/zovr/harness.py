@@ -219,8 +219,9 @@ class CompareReport:
         return "\n".join(self.lines)
 
 
-def compare_convergence(mezo_rows, svrg_rows, fo_rows) -> CompareReport:
+def compare_convergence(rows, labels) -> CompareReport:
     """Least-squares convergence comparison at matched budgets."""
+    mezo_rows, svrg_rows, fo_rows = rows
     rep = CompareReport()
     gap_mezo = final_gap(mezo_rows)
     gap_svrg = final_gap(svrg_rows)
@@ -236,8 +237,8 @@ def compare_convergence(mezo_rows, svrg_rows, fo_rows) -> CompareReport:
     return rep
 
 
-def compare_batch_robustness(mezo_small, mezo_large, svrg_small,
-                             fraction: float = 0.2) -> CompareReport:
+def compare_batch_robustness(rows, labels, fraction: float = 0.2) -> CompareReport:
+    mezo_small, mezo_large, svrg_small = rows
     rep = CompareReport()
     s_small = trailing_std(mezo_small, fraction)
     s_large = trailing_std(mezo_large, fraction)
@@ -250,8 +251,8 @@ def compare_batch_robustness(mezo_small, mezo_large, svrg_small,
     return rep
 
 
-def compare_final_loss(rows_a, rows_b, label_a: str, label_b: str,
-                       max_rel_diff: float | None = None) -> CompareReport:
+def compare_final_loss(rows, labels, max_rel_diff: float | None = None) -> CompareReport:
+    (rows_a, rows_b), (label_a, label_b) = rows, labels
     rep = CompareReport()
     fa = float(np.mean(trailing_losses(rows_a, 0.02)))
     fb = float(np.mean(trailing_losses(rows_b, 0.02)))
@@ -265,8 +266,60 @@ def compare_final_loss(rows_a, rows_b, label_a: str, label_b: str,
     return rep
 
 
+def report_gaps(rows, labels) -> CompareReport:
+    """Each run's optimality gap, or its final loss where it has no fstar."""
+    rep = CompareReport()
+    for label, r in zip(labels, rows):
+        try:
+            rep.note(f"{label}: final gap {final_gap(r):.6e}")
+        except ValueError:
+            rep.note(f"{label}: final loss {r[-1]['train_loss']:.6e} (no fstar)")
+    return rep
+
+
+# criterion -> (its judge of the runs' CSV rows, the runs it takes in order or None: any)
+CRITERIA = {
+    "gap": (report_gaps, None),
+    "convergence": (compare_convergence, ("mezo", "mezo-svrg", "fo-sgd")),
+    "batch-robustness": (compare_batch_robustness,
+                         ("mezo-small", "mezo-large", "mezo-svrg-small")),
+    "final-loss": (compare_final_loss, ("first", "second")),
+}
+
+
+def judge(criterion: str, rows: list[list[dict]], labels: list[str],
+          **options) -> CompareReport:
+    """The report of `criterion` on the CSV rows of runs named by `labels`."""
+    if criterion not in CRITERIA:
+        raise ValueError(f"unknown criterion {criterion!r}; known: {tuple(CRITERIA)}")
+    judge_rows, runs = CRITERIA[criterion]
+    if runs is not None and len(rows) != len(runs):
+        raise ValueError(f"{criterion} takes {len(runs)} CSVs ({', '.join(runs)}), "
+                         f"got {len(rows)}")
+    return judge_rows(rows, labels, **options)
+
+
 def _ls_params(seed: int) -> dict:
     return {"n": 1000, "d": 100, "noise_std": 0.01, "seed": seed}
+
+
+# each optimizer's settings in the paper's least-squares runs
+_BASE_SETTINGS = {
+    "mezo": {"b": 32, "eta": 1e-3, "mu": 1e-3},
+    "mezo-svrg": {"b": 32, "eta1": 1e-3, "eta2": 1e-4, "mu": 1e-3, "q": 2},
+    "fo-sgd": {"b": 32, "eta": 1e-3},
+}
+
+
+def _specs(seed: int, query_budget: int, runs, problem: str = "ls",
+           params: dict | None = None) -> list[RunSpec]:
+    """One spec per (name, optimizer, overrides of its base settings) run, all
+    on one problem (by default the paper's least squares) at one query budget."""
+    params = _ls_params(seed) if params is None else params
+    return [RunSpec(name, problem, params, optimizer,
+                    {**_BASE_SETTINGS[optimizer], **overrides}, seed,
+                    max_queries=query_budget)
+            for name, optimizer, overrides in runs]
 
 
 def preset_fig1a(seed: int = 0, query_budget: int = 2_000_000) -> list[RunSpec]:
@@ -275,75 +328,37 @@ def preset_fig1a(seed: int = 0, query_budget: int = 2_000_000) -> list[RunSpec]:
     The first-order baseline runs at the step count MeZO-SVRG reaches
     inside the query budget (patched in by run_preset).
     """
-    ls = _ls_params(seed)
-    return [
-        RunSpec("mezo", "ls", ls, "mezo",
-                {"b": 32, "eta": 1e-3, "mu": 1e-3}, seed, max_queries=query_budget),
-        RunSpec("mezo-svrg", "ls", ls, "mezo-svrg",
-                {"b": 32, "eta1": 1e-3, "eta2": 1e-4, "mu": 1e-3, "q": 2},
-                seed, max_queries=query_budget),
-        RunSpec("fo-sgd", "ls", ls, "fo-sgd", {"b": 32, "eta": 1e-3},
-                seed, max_steps=1),  # patched to mezo-svrg's step count
-    ]
+    runs = [(name, name, {}) for name in ("mezo", "mezo-svrg", "fo-sgd")]
+    mezo, svrg, fo = _specs(seed, query_budget, runs)
+    return [mezo, svrg, replace(fo, max_steps=1, max_queries=None)]
 
 
 def preset_batch_robustness(seed: int = 0, query_budget: int = 800_000) -> list[RunSpec]:
-    ls = _ls_params(seed)
-    return [
-        RunSpec("mezo-b8", "ls", ls, "mezo", {"b": 8, "eta": 1e-3, "mu": 1e-3},
-                seed, max_queries=query_budget),
-        RunSpec("mezo-b128", "ls", ls, "mezo", {"b": 128, "eta": 1e-3, "mu": 1e-3},
-                seed, max_queries=query_budget),
-        RunSpec("mezo-svrg-b8", "ls", ls, "mezo-svrg",
-                {"b": 8, "eta1": 1e-3, "eta2": 1e-4, "mu": 1e-3, "q": 2},
-                seed, max_queries=query_budget),
-    ]
+    return _specs(seed, query_budget, [("mezo-b8", "mezo", {"b": 8}),
+                                       ("mezo-b128", "mezo", {"b": 128}),
+                                       ("mezo-svrg-b8", "mezo-svrg", {"b": 8})])
 
 
 def preset_q_ablation(seed: int = 0, query_budget: int = 2_000_000) -> list[RunSpec]:
-    ls = _ls_params(seed)
-    base = {"b": 32, "eta1": 1e-3, "eta2": 1e-4, "mu": 1e-3}
-    return [
-        RunSpec("q2", "ls", ls, "mezo-svrg", dict(base, q=2), seed,
-                max_queries=query_budget),
-        RunSpec("q10", "ls", ls, "mezo-svrg", dict(base, q=10), seed,
-                max_queries=query_budget),
-    ]
+    return _specs(seed, query_budget, [(f"q{q}", "mezo-svrg", {"q": q}) for q in (2, 10)])
 
 
 def preset_anchor_approx(seed: int = 0, query_budget: int = 2_000_000) -> list[RunSpec]:
-    ls = _ls_params(seed)
-    base = {"b": 32, "eta1": 1e-3, "eta2": 1e-4, "mu": 1e-3, "q": 2}
-    return [
-        RunSpec("anchor-full", "ls", ls, "mezo-svrg", dict(base), seed,
-                max_queries=query_budget),
-        RunSpec("anchor-half", "ls", ls, "mezo-svrg",
-                dict(base, anchor_batch=ls["n"] // 2), seed, max_queries=query_budget),
-    ]
+    half = _ls_params(seed)["n"] // 2
+    return _specs(seed, query_budget, [("anchor-full", "mezo-svrg", {}),
+                                       ("anchor-half", "mezo-svrg", {"anchor_batch": half})])
 
 
 def preset_mu_ablation(seed: int = 0, query_budget: int = 200_000) -> list[RunSpec]:
-    ls = _ls_params(seed)
-    specs = []
-    for mu in (1.0, 0.5, 1e-1, 1e-2, 1e-3, 1e-4):
-        specs.append(RunSpec(
-            f"mu-{mu:g}", "ls", ls, "mezo-svrg",
-            {"b": 32, "eta1": 1e-3, "eta2": 1e-4, "mu": mu, "q": 2},
-            seed, max_queries=query_budget))
-    return specs
+    return _specs(seed, query_budget, [(f"mu-{mu:g}", "mezo-svrg", {"mu": mu})
+                                       for mu in (1.0, 0.5, 1e-1, 1e-2, 1e-3, 1e-4)])
 
 
 def preset_mlp(seed: int = 0, query_budget: int = 400_000) -> list[RunSpec]:
-    mlp = {"n": 512, "seed": seed}
-    return [
-        RunSpec("mezo", "mlp", mlp, "mezo", {"b": 64, "eta": 1e-4, "mu": 1e-3},
-                seed, max_queries=query_budget),
-        RunSpec("mezo-svrg", "mlp", mlp, "mezo-svrg",
-                {"b": 64, "eta1": 1e-3, "eta2": 1e-5, "mu": 1e-3, "q": 2},
-                seed, max_queries=query_budget),
-        RunSpec("fo-sgd", "mlp", mlp, "fo-sgd", {"b": 64, "eta": 1e-3},
-                seed, max_queries=query_budget),
-    ]
+    return _specs(seed, query_budget, [("mezo", "mezo", {"b": 64, "eta": 1e-4}),
+                                       ("mezo-svrg", "mezo-svrg", {"b": 64, "eta2": 1e-5}),
+                                       ("fo-sgd", "fo-sgd", {"b": 64})],
+                  problem="mlp", params={"n": 512, "seed": seed})
 
 
 PRESETS = {
@@ -353,6 +368,14 @@ PRESETS = {
     "anchor-approx": preset_anchor_approx,
     "mu-ablation": preset_mu_ablation,
     "mlp": preset_mlp,
+}
+
+# preset -> (its criterion, the judge's options), labelling runs by spec name; others: no report
+_PRESET_CRITERIA = {
+    "fig1a": ("convergence", {}),
+    "batch-robustness": ("batch-robustness", {}),
+    "q-ablation": ("final-loss", {}),
+    "anchor-approx": ("final-loss", {"max_rel_diff": 0.2}),
 }
 
 
@@ -378,17 +401,7 @@ def run_preset(name: str, seed: int, outdir: str,
 
 
 def _preset_report(name: str, executions: list[ExecutionResult]) -> CompareReport | None:
-    rows = [read_csv(e.csv_path) for e in executions]
-    if name == "fig1a":
-        return compare_convergence(rows[0], rows[1], rows[2])
-    if name == "batch-robustness":
-        return compare_batch_robustness(rows[0], rows[1], rows[2])
-    if name == "q-ablation":
-        return compare_final_loss(rows[0], rows[1], "q2", "q10")
-    if name == "anchor-approx":
-        return compare_final_loss(rows[0], rows[1], "anchor-full", "anchor-half",
-                                  max_rel_diff=0.2)
-    if name == "mlp":
+    if name == "mlp":  # judged on the exact full-dataset losses, not on CSV rows
         rep = CompareReport()
         losses = [e.final_loss for e in executions]
         rep.note(f"final training loss: mezo={losses[0]:.4f} "
@@ -396,7 +409,11 @@ def _preset_report(name: str, executions: list[ExecutionResult]) -> CompareRepor
         rep.check("mezo-svrg <= mezo", losses[1] <= losses[0])
         rep.check("fo-sgd <= mezo-svrg", losses[2] <= losses[1])
         return rep
-    return None
+    if name not in _PRESET_CRITERIA:
+        return None
+    criterion, options = _PRESET_CRITERIA[name]
+    return judge(criterion, [read_csv(e.csv_path) for e in executions],
+                 [e.spec.name for e in executions], **options)
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -419,5 +436,6 @@ __all__ = [
     "build_optimizer_config", "execute", "write_csv", "read_csv",
     "trailing_std", "final_gap", "query_parity_ok", "CompareReport",
     "compare_convergence", "compare_batch_robustness", "compare_final_loss",
-    "PRESETS", "run_preset", "parse_config_file", "account_memory",
+    "report_gaps", "CRITERIA", "judge", "PRESETS", "run_preset", "parse_config_file",
+    "account_memory",
 ]

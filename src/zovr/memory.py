@@ -17,10 +17,12 @@ bytes (tracemalloc) for any d, a serial one at most half that; tests check
 both. Full-batch loss queries read the dataset in place; a minibatch query
 gathers its b rows (b x 784 for the MLP), a term proportional to the data
 that the model leaves out.
-The live runs register their actual d-scale buffers on a SlotMeter so
-measured peaks can be cross-checked against the model; note the
-in-place MeZO-SVRG implementation keeps its anchor estimate as
-(seed, scalar) and therefore measures *below* the 3d model.
+The live runs register the d-length buffers they hold on a SlotMeter, so
+its peak (the CSV's ``peak_slots``) is registered, not measured: by
+construction 1d, 2d, 5d and 2d for MeZO, MeZO-SVRG, ZO-SVRG and FO-SGD.
+The in-place MeZO-SVRG keeps its anchor estimate as (seed, scalar) and
+so stays *below* its 3d model. Only tracemalloc, in the tests, measures
+the heap itself.
 """
 
 from __future__ import annotations

@@ -148,10 +148,9 @@ class LeastSquaresProblem(Objective):
         return _mean(r)
 
     def batch_grad(self, theta, indices):
-        idx = np.asarray(indices, dtype=np.int64)
-        Xb = self.X[idx]
-        r = Xb @ theta - self.y[idx]
-        return (2.0 / idx.size) * (Xb.T @ r)
+        X, y = _rows(indices, self.X, self.y)
+        r = X @ theta - y
+        return (2.0 / y.size) * (X.T @ r)
 
 
 _TAG_LS_X = 11
@@ -198,23 +197,18 @@ class LogisticProblem(Objective):
         self.separation = separation
         self.n, self.d = X.shape
 
-    def _margins(self, theta, indices):
-        X, labels = _rows(indices, self.X, self.labels)
-        return labels * (X @ theta)
-
     def loss(self, theta, index):
         m = float(self.labels[index] * (self.X[index] @ theta))
         return float(np.logaddexp(0.0, -m))
 
     def batch_loss(self, theta, indices):
-        return _mean(np.logaddexp(0.0, -self._margins(theta, indices)))
+        X, labels = _rows(indices, self.X, self.labels)
+        return _mean(np.logaddexp(0.0, -(labels * (X @ theta))))
 
     def batch_grad(self, theta, indices):
-        idx = np.asarray(indices, dtype=np.int64)
-        m = self._margins(theta, idx)
-        sig = 1.0 / (1.0 + np.exp(m))
-        w = -self.labels[idx] * sig
-        return (self.X[idx].T @ w) / idx.size
+        X, labels = _rows(indices, self.X, self.labels)
+        sig = 1.0 / (1.0 + np.exp(labels * (X @ theta)))
+        return (X.T @ (-labels * sig)) / labels.size
 
     def metric(self, theta):
         pred = np.sign(self.X @ theta)
@@ -318,17 +312,15 @@ class Mlp2Problem(Objective):
         return _mean(self._cross_entropy(logits, labels))
 
     def batch_grad(self, theta, indices):
-        idx = np.asarray(indices, dtype=np.int64)
-        Xb = self.features[idx]
-        yb = self.labels[idx]
+        Xb, yb = _rows(np.asarray(indices, dtype=np.int64), self.features, self.labels)
         W1, b1, W2, b2, W3, b3 = self._views(theta)
         a1, a2, logits = self._forward(theta, Xb)
         m = logits.max(axis=1, keepdims=True)
         e = np.exp(logits - m)
         probs = e / e.sum(axis=1, keepdims=True)
         g3 = probs
-        g3[np.arange(idx.size), yb] -= 1.0
-        g3 /= idx.size
+        g3[np.arange(yb.size), yb] -= 1.0
+        g3 /= yb.size
         grad = np.empty(self.d)
         gW1, gb1, gW2, gb2, gW3, gb3 = self._views(grad)
         # a > 0 is z > 0, NaN included; weight blocks are written in place
@@ -409,11 +401,13 @@ def make_synthetic_digits(n: int, rows: int = 28, cols: int = 28,
     Each class gets a fixed random template image; samples are a noisy
     blend of their class template, clipped to [0, 1].
     """
+    if classes < 1:
+        raise ValueError(f"classes must be >= 1, got {classes}")
     pix = rows * cols
     templates = prng.uniforms(prng.fold(seed, _TAG_DIGIT_TEMPLATE), 0, classes * pix)
     templates = templates.reshape(classes, pix)
-    labels = np.array([prng.randint_below(prng.fold(seed, _TAG_DIGIT_LABEL), i, classes)
-                       for i in range(n)], dtype=np.int64)
+    # label i is prng.randint_below(fold(seed, _TAG_DIGIT_LABEL), i, classes)
+    labels = (prng.raw_words(prng.fold(seed, _TAG_DIGIT_LABEL), 0, n) % classes).astype(np.int64)
     noise = prng.uniforms(prng.fold(seed, _TAG_DIGIT_NOISE), 0, n * pix).reshape(n, pix)
     features = np.clip(0.65 * templates[labels] + 0.35 * noise, 0.0, 1.0)
     return features, labels

@@ -181,8 +181,7 @@ class MezoSvrgConfig:
     schedule: LrScheduleConfig | None = None
 
     def __post_init__(self):
-        if self.q < 1:
-            raise ValueError(f"q must be >= 1, got {self.q}")
+        _check_batch("q", self.q)
         _check_batch("b", self.b)
         _check_batch("anchor_batch", self.anchor_batch)
 
@@ -195,8 +194,7 @@ class ZoSvrgConfig:
     spsa: SpsaConfig = field(default_factory=SpsaConfig)
 
     def __post_init__(self):
-        if self.q < 1:
-            raise ValueError(f"q must be >= 1, got {self.q}")
+        _check_batch("q", self.q)
         _check_batch("b", self.b)
 
 

@@ -54,6 +54,7 @@ REC_MINIBATCH = 2
 REC_LR_EVENT = 3
 
 _KIND_TO_CODE = {KIND_FULLBATCH: REC_FULLBATCH, KIND_MINIBATCH: REC_MINIBATCH}
+_CODE_TO_KIND = {code: kind for kind, code in _KIND_TO_CODE.items()}
 
 
 class TrajectoryError(ValueError):
@@ -88,6 +89,12 @@ class TrajectoryLog:
                 config: dict) -> "TrajectoryLog":
         cfg = {str(k): str(v) for k, v in config.items()}
         cfg["optimizer"] = optimizer
+        # a record counts its coefficients in one byte, and a MeZO-SVRG
+        # minibatch record holds two per draw
+        most = 127 if optimizer == "mezo-svrg" else 255
+        p = int(cfg.get("p") or 1)
+        if p > most:
+            raise TrajectoryError(f"a {optimizer} trajectory takes p up to {most}, got p={p}")
         return cls(master_seed, int(theta0.shape[0]), optimizer, cfg,
                    theta_digest(theta0))
 
@@ -191,10 +198,9 @@ def load(path: str) -> TrajectoryLog:
 
 
 def _code_to_kind(code: int) -> str:
-    for kind, c in _KIND_TO_CODE.items():
-        if c == code:
-            return kind
-    raise TrajectoryError(f"unknown record kind code {code}")
+    if code not in _CODE_TO_KIND:
+        raise TrajectoryError(f"unknown record kind code {code}")
+    return _CODE_TO_KIND[code]
 
 
 def _header_settings(log: TrajectoryLog) -> tuple[float, int, float, float | None]:

@@ -430,6 +430,100 @@ def test_preset_outputs_pinned(tmp_path, preset, budget):
     assert outputs == _PRESET_OUTPUTS[preset, budget]
 
 
+# SHA-256 of a logistic FO-SGD run's CSV without elapsed_seconds, at a sampled
+# and at a full batch
+_LOGISTIC_FO_SGD_CSVS = {
+    8: "7c17c69083635ce35ae7132a2649e274c8b83b96ceb752611a0b2f1dfe9f9bc6",
+    64: "fbf4a8f44eefd88694b0a893d1858e1e4f5684877582dcadb6efd662fdeabbee",
+}
+
+
+@pytest.mark.parametrize("b", sorted(_LOGISTIC_FO_SGD_CSVS))
+def test_logistic_fo_sgd_csv_pinned(tmp_path, b):
+    path = str(tmp_path / "logistic.csv")
+    execute(_ls_spec(problem="logistic", problem_params={"n": 64, "d": 4, "seed": 2},
+                     optimizer="fo-sgd", optimizer_params={"b": b, "eta": 1e-2},
+                     eval_every=10), out=path)
+    assert _csv_digest_without_elapsed(path) == _LOGISTIC_FO_SGD_CSVS[b]
+
+
+# SHA-256 of each preset's printed report at a small budget (None: no report)
+_PRESET_REPORTS = {
+    "fig1a": (6384, "48d5173c2431407fe4d899e5d1e06f6b6333414083b36191de5bb691f910d1eb"),
+    "batch-robustness": (
+        4000, "c4c62fbfc3c4e7a123839df9c2247ce5a91112e4768feaacd2c1a430e8bf4454"),
+    "q-ablation": (6000, "bbf5bd019096a91e93412ab3074f8c8e77677af7f69b4ca52f90cdb44e043786"),
+    "anchor-approx": (
+        6000, "c48c8b98fbd6e11a85d5efa311c3f3987764c561058cb23fa356bbfcec88e737"),
+    "mu-ablation": (2000, None),
+    "mlp": (2560, "371956c118333c8f6039ef55caadc329c1d06b1d4210e97058b77d8b7e7bf83d"),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(_PRESET_REPORTS))
+def test_preset_reports_pinned(tmp_path, preset):
+    budget, digest = _PRESET_REPORTS[preset]
+    _, report = harness.run_preset(preset, seed=0, outdir=str(tmp_path), query_budget=budget)
+    rendered = None if report is None else hashlib.sha256(report.render().encode()).hexdigest()
+    assert rendered == digest
+
+
+@pytest.fixture(scope="module")
+def fig1a_dir(tmp_path_factory):
+    """A directory holding the fig1a preset's three CSVs, at a small budget."""
+    outdir = tmp_path_factory.mktemp("fig1a")
+    harness.run_preset("fig1a", seed=0, outdir=str(outdir), query_budget=6384)
+    return outdir
+
+
+_FIG1A_CSVS = ["fig1a_mezo.csv", "fig1a_mezo-svrg.csv", "fig1a_fo-sgd.csv"]
+
+# (CSVs given, exit code, SHA-256 of stdout) per criterion on the fig1a runs;
+# final-loss names its runs by the CSV paths given
+_COMPARE_OUTPUTS = {
+    "gap": (_FIG1A_CSVS, 0,
+            "4c343b889213b4504affadf5ca02131d894de738892b5aff95de9e51a01047dd"),
+    "convergence": (_FIG1A_CSVS, 1,
+                    "de74099ef3c84d2e3041924a01b002416de3f40f8033c803865aa3286335bc3c"),
+    "batch-robustness": (_FIG1A_CSVS, 0,
+                         "0306afd9076ab48ee7507fac3f2af04e432649b5477c718054db5caea1770190"),
+    "final-loss": (_FIG1A_CSVS[:2], 0,
+                   "07534a457272032a8d040ec2fe5c7ad97471233844c31728cba0266eee6cc0b7"),
+}
+
+
+@pytest.mark.parametrize("criterion", sorted(_COMPARE_OUTPUTS))
+def test_cli_compare_outputs_pinned(fig1a_dir, monkeypatch, capsys, criterion):
+    csvs, code, digest = _COMPARE_OUTPUTS[criterion]
+    monkeypatch.chdir(fig1a_dir)  # the printed paths are the ones given
+    assert cli.main(["compare", *csvs, "--criterion", criterion]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_cli_compare_final_loss_labels_runs_by_path(fig1a_dir, monkeypatch, capsys):
+    monkeypatch.chdir(fig1a_dir)
+    assert cli.main(["compare", *_FIG1A_CSVS[:2], "--criterion", "final-loss"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == [
+        "final loss: fig1a_mezo.csv=7.341005e+01 fig1a_mezo-svrg.csv=7.754445e+01",
+        "[PASS] fig1a_mezo.csv <= fig1a_mezo-svrg.csv"]
+
+
+@pytest.mark.parametrize("criterion, given", [
+    ("convergence", 2), ("batch-robustness", 2), ("final-loss", 3)])
+def test_cli_compare_rejects_wrong_csv_count(fig1a_dir, capsys, criterion, given):
+    wanted = len(harness.CRITERIA[criterion][1])
+    csvs = [str(fig1a_dir / name) for name in _FIG1A_CSVS[:given]]
+    assert cli.main(["compare", *csvs, "--criterion", criterion]) == 1
+    assert f"error: {criterion} takes {wanted} CSVs" in capsys.readouterr().err
+
+
+def test_cli_criterion_choices_are_the_criteria(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["compare", "--help"])
+    assert "--criterion {" + ",".join(harness.CRITERIA) + "}" in capsys.readouterr().out
+
+
 def test_scheduled_run_with_lr_events_pinned(tmp_path):
     # MeZO-SVRG at p=2 with a sampled anchor batch and a two-step schedule window
     config = tmp_path / "run.cfg"
@@ -447,6 +541,24 @@ def test_scheduled_run_with_lr_events_pinned(tmp_path):
     assert (_csv_digest_without_elapsed(csv), traj_digest) == (
         "bd5b143cbc83ef7a3ae3ecc08a7c479ddc40cdd329f089828f515db8497e0124",
         "7380c1008673f620111007a0b829a76c1fde9bcf7a82418f0a578137a2fc1bd1")
+
+
+@pytest.mark.parametrize("optimizer, most", [("mezo", 255), ("mezo-svrg", 127)])
+def test_cli_refuses_unsavable_trajectory_before_any_step(tmp_path, capsys, optimizer, most):
+    # a record counts its coefficients in one byte: p, or 2p for a MeZO-SVRG minibatch
+    args = ["run", "--config", str(tmp_path / "run.cfg"), "--optimizer", optimizer,
+            "--problem", "ls", "--n", "16", "--d", "4", "--batch-size", "4",
+            "--steps", "2", "--out", str(tmp_path / "run.csv"),
+            "--traj-out", str(tmp_path / "run.zotrj")]
+    (tmp_path / "run.cfg").write_text(f"p={most + 1}\n")
+    assert cli.main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and f"p={most + 1}" in captured.err
+    assert os.listdir(tmp_path) == ["run.cfg"]
+    (tmp_path / "run.cfg").write_text(f"p={most}\n")
+    assert cli.main(args) == 0
+    assert len(trajectory.load(str(tmp_path / "run.zotrj")).records) == 2
 
 
 def _write_idx_pair(tmp_path, count=6, rows=3, cols=2):

@@ -20,10 +20,11 @@ from zovr.objectives import (
     LeastSquaresProblem,
     LogisticProblem,
     Mlp2Problem,
+    _TAG_DIGIT_LABEL,
     _read_idx,
 )
 from zovr.oracles import finite_difference_gradient
-from zovr.prng import fold, normals, raw_words
+from zovr.prng import fold, normals, randint_below, raw_words
 
 
 def relative_grad_error(obj, theta, indices, step=1e-5):
@@ -101,6 +102,17 @@ def test_logistic_separation_limit():
     # the Bayes-direction classifier drives the loss toward zero
     assert lg.batch_loss(3.0 * direction, np.arange(128)) < 1e-6
     assert lg.metric(3.0 * direction) == 1.0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_synthetic_digit_labels_are_one_stream_word_each(seed):
+    # the per-sample draw the labels were first made with, kept as the reference
+    stream = fold(seed, _TAG_DIGIT_LABEL)
+    labels = make_synthetic_digits(300, rows=2, cols=2, classes=7, seed=seed)[1]
+    assert labels.dtype == np.int64
+    assert labels.tolist() == [randint_below(stream, i, 7) for i in range(300)]
+    with pytest.raises(ValueError, match="classes"):
+        make_synthetic_digits(3, rows=2, cols=2, classes=0, seed=seed)
 
 
 def test_mlp_parameter_count_mnist_shape():
