@@ -19,7 +19,7 @@ import numpy as np
 
 from . import harness, oracles, trajectory
 from .estimators import PerturbationSeed, perturb_in_place
-from .memory import ACCOUNTING_MODES, accounting_mode
+from .memory import ACCOUNTING_MODES, account_memory, accounting_mode
 from .optimizers import OPTIMIZERS, _parsed
 from .prng import fold
 from .prng import normals as prng_normals
@@ -47,7 +47,7 @@ def _add_run_parser(sub):
     p.add_argument("--out", default=None, help="CSV output path (or preset directory)")
     p.add_argument("--traj-out", default=None, help="trajectory output path")
     p.add_argument("--accounting-mode", choices=ACCOUNTING_MODES, default=None,
-                   help="memory model to print next to the measured peak")
+                   help="memory model to print next to the registered peak")
     p.add_argument("--eval-every", type=int, default=None)
     p.add_argument("--n", type=int, default=None, help="problem sample count")
     p.add_argument("--d", type=int, default=None, help="problem dimension")
@@ -121,10 +121,10 @@ def cmd_run(args) -> int:
     result = execution.result
     print(f"status={result.status} steps={len(result.records)} "
           f"queries={result.total_queries} final_loss={execution.final_loss:.6e}")
-    modeled = harness.account_memory(spec.optimizer, mode, execution.objective.d)
-    measured = result.records[-1].peak_slots if result.records else 0
+    modeled = account_memory(spec.optimizer, mode, execution.objective.d)
+    registered = result.records[-1].peak_slots if result.records else 0
     print(f"memory model ({mode or 'base'}): {modeled} slots; "
-          f"measured peak: {measured} slots")
+          f"registered peak: {registered} slots")
     if result.reason:
         print(f"reason: {result.reason}")
     return 2 if result.status == "diverged" else 0

@@ -351,8 +351,7 @@ def spsa_batch_shared(obj, theta: np.ndarray, batch: Minibatch, seed: Perturbati
 
 
 def spsa_batch_avg(obj, theta: np.ndarray, batch: Minibatch,
-                   seeds: list[PerturbationSeed], cfg: SpsaConfig,
-                   meter=None) -> np.ndarray:
+                   seeds: list[PerturbationSeed], cfg: SpsaConfig) -> np.ndarray:
     """Average of per-sample SPSA estimates, materialized densely.
 
     Costs 2*b*p queries and allocates one d-vector. Only the reference
@@ -361,10 +360,7 @@ def spsa_batch_avg(obj, theta: np.ndarray, batch: Minibatch,
     """
     if len(seeds) != batch.b:
         raise ValueError(f"need one seed per sample: {len(seeds)} seeds, b={batch.b}")
-    d = theta.shape[0]
-    if meter is not None:
-        meter.add(d)
-    acc = np.zeros(d)
+    acc = np.zeros(theta.shape[0])
     for i, s in zip(batch.indices, seeds):
         est = spsa_sample(obj, theta, int(i), s, cfg)
         axpy_estimate_in_place(acc, est, 1.0 / batch.b)

@@ -26,8 +26,9 @@ from typing import get_type_hints
 import numpy as np
 
 from . import objectives, trajectory
-from .memory import SlotMeter, account_memory
+from .memory import SlotMeter
 from .optimizers import (
+    RUN_KINDS,
     Budget,
     RunRecord,
     RunResult,
@@ -239,6 +240,8 @@ def compare_convergence(rows, labels) -> CompareReport:
 
 def compare_batch_robustness(rows, labels, fraction: float = 0.2) -> CompareReport:
     mezo_small, mezo_large, svrg_small = rows
+    if max_step_queries(mezo_small) >= max_step_queries(mezo_large):
+        raise ValueError(f"{labels[0]} cannot take the mezo-small role: b >= {labels[1]}'s")
     rep = CompareReport()
     s_small = trailing_std(mezo_small, fraction)
     s_large = trailing_std(mezo_large, fraction)
@@ -277,7 +280,8 @@ def report_gaps(rows, labels) -> CompareReport:
     return rep
 
 
-# criterion -> (its judge of the runs' CSV rows, the runs it takes in order or None: any)
+# criterion -> (its judge of the runs' CSV rows, the runs it takes in order or None: any);
+# a run named for an optimizer, then perhaps a batch size, takes only a CSV of its kinds
 CRITERIA = {
     "gap": (report_gaps, None),
     "convergence": (compare_convergence, ("mezo", "mezo-svrg", "fo-sgd")),
@@ -296,6 +300,11 @@ def judge(criterion: str, rows: list[list[dict]], labels: list[str],
     if runs is not None and len(rows) != len(runs):
         raise ValueError(f"{criterion} takes {len(runs)} CSVs ({', '.join(runs)}), "
                          f"got {len(rows)}")
+    for role, run_rows, label in zip(runs or (), rows, labels):
+        logs = RUN_KINDS.get(role.removesuffix("-small").removesuffix("-large"))
+        kinds = {r["kind"] for r in run_rows}
+        if logs and not (logs[0] in kinds and kinds <= set(logs)):
+            raise ValueError(f"{label} cannot take the {role} role: it logs {sorted(kinds)}")
     return judge_rows(rows, labels, **options)
 
 
@@ -437,5 +446,4 @@ __all__ = [
     "trailing_std", "final_gap", "query_parity_ok", "CompareReport",
     "compare_convergence", "compare_batch_robustness", "compare_final_loss",
     "report_gaps", "CRITERIA", "judge", "PRESETS", "run_preset", "parse_config_file",
-    "account_memory",
 ]

@@ -17,12 +17,11 @@ bytes (tracemalloc) for any d, a serial one at most half that; tests check
 both. Full-batch loss queries read the dataset in place; a minibatch query
 gathers its b rows (b x 784 for the MLP), a term proportional to the data
 that the model leaves out.
-The live runs register the d-length buffers they hold on a SlotMeter, so
-its peak (the CSV's ``peak_slots``) is registered, not measured: by
-construction 1d, 2d, 5d and 2d for MeZO, MeZO-SVRG, ZO-SVRG and FO-SGD.
-The in-place MeZO-SVRG keeps its anchor estimate as (seed, scalar) and
-so stays *below* its 3d model. Only tracemalloc, in the tests, measures
-the heap itself.
+`optimizers.run` registers each optimizer's realized footprint (`held_slots`)
+on a SlotMeter once, so its peak, the CSV's ``peak_slots``, is registered,
+not measured: 1d, 2d, 5d and 2d for MeZO, MeZO-SVRG, ZO-SVRG and FO-SGD; the
+in-place MeZO-SVRG keeps its anchor estimate as (seed, scalar), below its 3d
+default. The tests measure whole MeZO, MeZO-SVRG and FO-SGD runs by tracemalloc.
 """
 
 from __future__ import annotations
@@ -43,6 +42,9 @@ _EXTRA_MULTIPLE = {
 }
 
 ACCOUNTING_MODES = tuple(mode for _, mode in _EXTRA_MULTIPLE if mode is not None)
+
+# The mode each optimizer's implementation realizes: the buffers its runs hold.
+REALIZED_MODE = {"mezo": None, "mezo-svrg": "recompute_g", "zo-svrg": "naive", "fo-sgd": None}
 
 
 class SlotMeter:
@@ -76,6 +78,11 @@ def accounting_mode(optimizer: str, mode: str | None = None) -> str | None:
         mode = next((m for o, m in _EXTRA_MULTIPLE if o == optimizer), None)
     _extra_multiple(optimizer, mode)
     return mode
+
+
+def held_slots(optimizer: str, d: int) -> int:
+    """The float slots a run of `optimizer` holds, as its realized mode models them."""
+    return (1 + _extra_multiple(optimizer, REALIZED_MODE[optimizer])) * d
 
 
 def account_memory(optimizer: str, mode: str | None, d: int) -> int:

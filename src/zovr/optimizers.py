@@ -52,6 +52,7 @@ from .estimators import (
     spsa_batch_avg,
     spsa_batch_shared,
 )
+from .memory import held_slots
 from .prng import fold
 
 TAG_STEP_PERTURB = 1
@@ -62,6 +63,9 @@ TAG_ANCHOR_BATCH = 4
 KIND_FULLBATCH = "fullbatch"
 KIND_MINIBATCH = "minibatch"
 KIND_FO = "fo"
+# the kinds of step each optimizer's runs log, the kind of its step 0 first
+RUN_KINDS = {"mezo": (KIND_MINIBATCH,), "mezo-svrg": (KIND_FULLBATCH, KIND_MINIBATCH),
+             "zo-svrg": (KIND_FULLBATCH, KIND_MINIBATCH), "fo-sgd": (KIND_FO,)}
 
 DIVERGENCE_FACTOR = 1e6
 
@@ -306,8 +310,8 @@ def mezo_step(obj, theta: np.ndarray, batch: Minibatch, seed: PerturbationSeed,
 
 def mezo_svrg_step(obj, theta: np.ndarray, anchor: SvrgAnchor | None,
                    batch: Minibatch, seed: PerturbationSeed, cfg: MezoSvrgConfig,
-                   t: int, eta1: float | None = None, eta2: float | None = None,
-                   meter=None) -> tuple[StepReport, SvrgAnchor]:
+                   t: int, eta1: float | None = None,
+                   eta2: float | None = None) -> tuple[StepReport, SvrgAnchor]:
     """One MeZO-SVRG step; the branch is chosen by t mod q.
 
     Returns (report, anchor); the report's coefficients are the draws of an
@@ -318,7 +322,7 @@ def mezo_svrg_step(obj, theta: np.ndarray, anchor: SvrgAnchor | None,
     eta2 = cfg.eta2 if eta2 is None else eta2
     if t % cfg.q == 0:
         est = spsa_batch_shared(obj, theta, batch, seed, cfg.spsa)
-        anchor = _set_anchor(anchor, theta, est, t, meter)
+        anchor = _set_anchor(anchor, theta, est, t)
         for e, scale in update_plan(seed, est.coeffs, est.d, None, eta1):
             axpy_estimate_in_place(theta, e, scale)
         return StepReport(KIND_FULLBATCH, est.loss_proxy, est.queries_used, est.coeffs), anchor
@@ -336,7 +340,7 @@ def mezo_svrg_step(obj, theta: np.ndarray, anchor: SvrgAnchor | None,
 
 def zo_svrg_step(obj, theta: np.ndarray, anchor: SvrgAnchor, batch: Minibatch,
                  per_sample_seeds: list[PerturbationSeed], eta: float,
-                 cfg: SpsaConfig, meter=None) -> StepReport:
+                 cfg: SpsaConfig) -> StepReport:
     """Reference ZO-SVRG blend with per-sample averaged estimators (dense).
 
     theta <- theta - eta * [est_I(theta) - est_I(theta_bar) + g], with the
@@ -345,35 +349,26 @@ def zo_svrg_step(obj, theta: np.ndarray, anchor: SvrgAnchor, batch: Minibatch,
     """
     if anchor is None or not isinstance(anchor.estimate, np.ndarray):
         raise RuntimeError("reference ZO-SVRG needs a dense anchor estimate")
-    at_theta = spsa_batch_avg(obj, theta, batch, per_sample_seeds, cfg, meter=meter)
-    at_anchor = spsa_batch_avg(obj, anchor.theta_bar, batch, per_sample_seeds, cfg, meter=meter)
+    at_theta = spsa_batch_avg(obj, theta, batch, per_sample_seeds, cfg)
+    at_anchor = spsa_batch_avg(obj, anchor.theta_bar, batch, per_sample_seeds, cfg)
     # loss is logged for free from the probe evaluations' midpoint; here the
     # per-sample estimators do not expose one, so log an uncounted evaluation
     loss_logged = obj.batch_loss(theta, batch.indices)
     at_theta -= at_anchor
     at_theta += anchor.estimate
-    if meter is not None:
-        meter.release(theta.shape[0])  # at_anchor dies here
     at_theta *= eta
     theta -= at_theta
-    if meter is not None:
-        meter.release(theta.shape[0])
     return StepReport(KIND_MINIBATCH, float(loss_logged), 4 * batch.b * cfg.p)
 
 
-def fo_sgd_step(obj, theta: np.ndarray, batch: Minibatch, eta: float,
-                meter=None) -> StepReport:
+def fo_sgd_step(obj, theta: np.ndarray, batch: Minibatch, eta: float) -> StepReport:
     """First-order baseline: theta <- theta - eta * mean batch gradient."""
     loss = obj.batch_loss(theta, batch.indices)
     if not math.isfinite(loss):
         raise NonFiniteLossError(f"non-finite batch loss {loss!r} in FO-SGD step")
-    if meter is not None:
-        meter.add(theta.shape[0])
     grad = obj.batch_grad(theta, batch.indices)
     grad *= eta  # in place: eta * grad would be a second d-length temporary
     theta -= grad
-    if meter is not None:
-        meter.release(theta.shape[0])
     return StepReport(KIND_FO, float(loss), batch.b, backward_queries=batch.b)
 
 
@@ -424,9 +419,8 @@ def run(obj, theta0: np.ndarray, optimizer: str, config, budget: Budget,
     if config.b > obj.n:
         raise ValueError(f"batch size b={config.b} exceeds the {obj.n} samples")
     theta = np.array(theta0, dtype=np.float64, copy=True)
-    d = theta.shape[0]
-    if meter is not None:
-        meter.add(d)
+    if meter is not None:  # the whole footprint, from step 0 on
+        meter.add(held_slots(optimizer, theta.shape[0]))
     records: list[RunRecord] = []
     queries = 0
     backward = 0
@@ -460,20 +454,18 @@ def run(obj, theta0: np.ndarray, optimizer: str, config, budget: Budget,
                 report = mezo_step(obj, theta, batch, seed, eta1_cur, config.spsa)
             elif optimizer == "mezo-svrg":
                 report, anchor = mezo_svrg_step(
-                    obj, theta, anchor, batch, seed, config, t, eta1_cur, eta2_cur, meter)
+                    obj, theta, anchor, batch, seed, config, t, eta1_cur, eta2_cur)
             elif optimizer == "zo-svrg":
                 refreshed = t % config.q == 0
                 if refreshed:
-                    anchor = _refresh_dense_anchor(obj, theta, anchor, t, seeds,
-                                                   config, meter)
+                    anchor = _refresh_dense_anchor(obj, theta, anchor, t, seeds, config)
                 report = zo_svrg_step(obj, theta, anchor, batch,
-                                      _per_sample_seeds(seed, batch.b), eta1_cur,
-                                      config.spsa, meter)
+                                      _per_sample_seeds(seed, batch.b), eta1_cur, config.spsa)
                 if refreshed:
                     report.queries += 2 * obj.n * config.spsa.p
                     report.kind = KIND_FULLBATCH
             else:  # fo-sgd
-                report = fo_sgd_step(obj, theta, batch, eta1_cur, meter)
+                report = fo_sgd_step(obj, theta, batch, eta1_cur)
             if trajectory is not None:
                 trajectory.record_step(t, report.kind, report.coeffs)
         except NonFiniteLossError as err:
@@ -526,12 +518,10 @@ def _per_sample_seeds(seed: PerturbationSeed, count: int) -> list[PerturbationSe
     return [PerturbationSeed(fold(seed.seed, i)) for i in range(count)]
 
 
-def _set_anchor(anchor: SvrgAnchor | None, theta: np.ndarray, estimate, t: int,
-                meter) -> SvrgAnchor:
+def _set_anchor(anchor: SvrgAnchor | None, theta: np.ndarray, estimate,
+                t: int) -> SvrgAnchor:
     """Anchor `estimate` at a copy of theta, in `anchor`'s buffer if there is one."""
     if anchor is None:
-        if meter is not None:
-            meter.add(theta.shape[0])  # theta_bar
         return SvrgAnchor(theta.copy(), estimate, t)
     anchor.theta_bar[:] = theta
     anchor.estimate = estimate
@@ -539,10 +529,7 @@ def _set_anchor(anchor: SvrgAnchor | None, theta: np.ndarray, estimate, t: int,
     return anchor
 
 
-def _refresh_dense_anchor(obj, theta, anchor, t, seeds, config, meter):
+def _refresh_dense_anchor(obj, theta, anchor, t, seeds, config):
     per_sample = _per_sample_seeds(seeds.perturb_seed(t, KIND_FULLBATCH), obj.n)
-    dense = spsa_batch_avg(obj, theta, full_batch(obj.n), per_sample, config.spsa,
-                           meter=meter)
-    if anchor is not None and meter is not None:
-        meter.release(theta.shape[0])  # the previous dense estimate
-    return _set_anchor(anchor, theta, dense, t, meter)
+    dense = spsa_batch_avg(obj, theta, full_batch(obj.n), per_sample, config.spsa)
+    return _set_anchor(anchor, theta, dense, t)

@@ -102,13 +102,22 @@ class TrajectoryLog:
         return self._next_step
 
     def record_step(self, step: int, kind: str, coeffs: tuple[float, ...]) -> None:
-        """Append one optimizer step; steps must arrive contiguously from 0."""
+        """Append one optimizer step that replay can apply; steps arrive in order from 0."""
         if step != self._next_step:
             raise TrajectoryError(
                 f"out-of-order append: got step {step}, expected {self._next_step}")
         code = _KIND_TO_CODE.get(kind)
         if code is None:
             raise TrajectoryError(f"unknown step kind {kind!r}")
+        if self.optimizer == "mezo" and kind != KIND_MINIBATCH:
+            raise TrajectoryError(f"MeZO log has an anchor record at step {step}")
+        anchored = self.optimizer == "mezo-svrg" and kind == KIND_MINIBATCH
+        if anchored and step == 0:
+            raise TrajectoryError(f"minibatch record at step {step} before any anchor")
+        want = int(self.config.get("p") or 1) * (2 if anchored else 1)
+        if len(coeffs) != want:
+            raise TrajectoryError(f"{kind} record at step {step} has {len(coeffs)} "
+                                  f"coefficients, expected {want}")
         self.records.append(StepRecord(step, code, tuple(float(c) for c in coeffs)))
         self._next_step = step + 1
 
@@ -243,21 +252,12 @@ def replay(log: TrajectoryLog, theta0: np.ndarray, upto: int) -> np.ndarray:
             continue
         if applied >= upto:
             break
-        t = rec.step
         kind = _code_to_kind(rec.kind)
-        if log.optimizer == "mezo" and kind != KIND_MINIBATCH:
-            raise TrajectoryError(f"MeZO log has an anchor record at step {t}")
-        anchored = log.optimizer == "mezo-svrg" and kind == KIND_MINIBATCH
-        if anchored and anchor_est is None:
-            raise TrajectoryError(f"minibatch record at step {t} before any anchor")
-        want = 2 * p if anchored else p
-        if len(rec.coeffs) != want:
-            raise TrajectoryError(f"{kind} record at step {t} has {len(rec.coeffs)} "
-                                  f"coefficients, expected {want}")
-        seed = seeds.perturb_seed(t, kind)
+        seed = seeds.perturb_seed(rec.step, kind)
         apply_probe_sequence(theta, seed, mu, p)
-        plan = update_plan(seed, rec.coeffs, log.d, anchor_est if anchored else None,
-                           eta2 if anchored else eta1)
+        # record_step let a minibatch record into a MeZO-SVRG log only after an anchor
+        anchor = anchor_est if kind == KIND_MINIBATCH else None
+        plan = update_plan(seed, rec.coeffs, log.d, anchor, eta1 if anchor is None else eta2)
         for est, scale in plan:
             axpy_estimate_in_place(theta, est, scale)
         if kind == KIND_FULLBATCH:

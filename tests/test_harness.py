@@ -263,6 +263,13 @@ def test_cli_accounting_mode_picks_printed_model(capsys):
     assert f"memory model (recompute_g): {2 * 8 + CONSTANT_OVERHEAD} slots" in out
 
 
+@pytest.mark.parametrize("optimizer, held", [
+    ("mezo", 1), ("mezo-svrg", 2), ("zo-svrg", 5), ("fo-sgd", 2)])
+def test_cli_prints_registered_peak(capsys, optimizer, held):
+    assert cli.main(_SMALL_RUN + ["--optimizer", optimizer]) == 0
+    assert f"; registered peak: {held * 8} slots\n" in capsys.readouterr().out
+
+
 def test_cli_rejects_accounting_mode_of_another_optimizer(tmp_path, capsys):
     out = tmp_path / "never.csv"
     code = cli.main(_SMALL_RUN + ["--optimizer", "mezo", "--accounting-mode", "naive",
@@ -447,6 +454,26 @@ def test_logistic_fo_sgd_csv_pinned(tmp_path, b):
     assert _csv_digest_without_elapsed(path) == _LOGISTIC_FO_SGD_CSVS[b]
 
 
+# SHA-256 of a ZO-SVRG run's CSV without elapsed_seconds: the 5d peak_slots column
+# of the dense reference, on least squares and on the MLP
+_ZO_SVRG_CSVS = {
+    "ls": ({"n": 48, "d": 24, "noise_std": 0.01, "seed": 1},
+           "ca8042d64efb12cd84a2373804aa625df71be5a6f6ef7c6edba7129e3c5da571"),
+    "mlp": ({"n": 40, "seed": 1},
+            "4f613040c0e8d516df3b937dffe4f968dd608c3dbc17e072856de83f19aa1413"),
+}
+
+
+@pytest.mark.parametrize("problem", sorted(_ZO_SVRG_CSVS))
+def test_zo_svrg_csv_pinned(tmp_path, problem):
+    params, digest = _ZO_SVRG_CSVS[problem]
+    path = str(tmp_path / "zo-svrg.csv")
+    execute(_ls_spec(problem=problem, problem_params=params, optimizer="zo-svrg",
+                     optimizer_params={"b": 8, "eta": 1e-3, "mu": 1e-3, "q": 3},
+                     max_steps=12, eval_every=4), out=path)
+    assert _csv_digest_without_elapsed(path) == digest
+
+
 # SHA-256 of each preset's printed report at a small budget (None: no report)
 _PRESET_REPORTS = {
     "fig1a": (6384, "48d5173c2431407fe4d899e5d1e06f6b6333414083b36191de5bb691f910d1eb"),
@@ -479,14 +506,15 @@ def fig1a_dir(tmp_path_factory):
 _FIG1A_CSVS = ["fig1a_mezo.csv", "fig1a_mezo-svrg.csv", "fig1a_fo-sgd.csv"]
 
 # (CSVs given, exit code, SHA-256 of stdout) per criterion on the fig1a runs;
-# final-loss names its runs by the CSV paths given
+# final-loss names its runs by the CSV paths given, and batch-robustness refuses
+# them: fig1a's mezo-svrg run cannot take its mezo-large role
 _COMPARE_OUTPUTS = {
     "gap": (_FIG1A_CSVS, 0,
             "4c343b889213b4504affadf5ca02131d894de738892b5aff95de9e51a01047dd"),
     "convergence": (_FIG1A_CSVS, 1,
                     "de74099ef3c84d2e3041924a01b002416de3f40f8033c803865aa3286335bc3c"),
-    "batch-robustness": (_FIG1A_CSVS, 0,
-                         "0306afd9076ab48ee7507fac3f2af04e432649b5477c718054db5caea1770190"),
+    "batch-robustness": (_FIG1A_CSVS, 1,
+                         "1b4b4206d9a67820e2f8f7369593182a09d5ea0283fa18a638f2effb00cd5e3a"),
     "final-loss": (_FIG1A_CSVS[:2], 0,
                    "07534a457272032a8d040ec2fe5c7ad97471233844c31728cba0266eee6cc0b7"),
 }
@@ -516,6 +544,38 @@ def test_cli_compare_rejects_wrong_csv_count(fig1a_dir, capsys, criterion, given
     csvs = [str(fig1a_dir / name) for name in _FIG1A_CSVS[:given]]
     assert cli.main(["compare", *csvs, "--criterion", criterion]) == 1
     assert f"error: {criterion} takes {wanted} CSVs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("criterion, order, message", [
+    ("convergence", (1, 0, 2), "fig1a_mezo-svrg.csv cannot take the mezo role: "
+                               "it logs ['fullbatch', 'minibatch']"),
+    ("convergence", (0, 2, 1), "fig1a_fo-sgd.csv cannot take the mezo-svrg role: "
+                               "it logs ['fo']"),
+    ("convergence", (0, 1, 1), "fig1a_mezo-svrg.csv cannot take the fo-sgd role"),
+    ("batch-robustness", (0, 1, 2), "fig1a_mezo-svrg.csv cannot take the mezo-large role"),
+    ("batch-robustness", (0, 0, 1), "fig1a_mezo.csv cannot take the mezo-small role: "
+                                    "b >= fig1a_mezo.csv's"),
+])
+def test_cli_compare_refuses_a_csv_in_the_wrong_role(fig1a_dir, monkeypatch, capsys,
+                                                     criterion, order, message):
+    monkeypatch.chdir(fig1a_dir)
+    csvs = [_FIG1A_CSVS[i] for i in order]
+    assert cli.main(["compare", *csvs, "--criterion", criterion]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_cli_compare_takes_the_batch_robustness_preset_csvs(tmp_path, capsys):
+    executions, report = harness.run_preset("batch-robustness", seed=0,
+                                            outdir=str(tmp_path), query_budget=4000)
+    small, large, svrg = (e.csv_path for e in executions)
+    capsys.readouterr()
+    code = cli.main(["compare", small, large, svrg, "--criterion", "batch-robustness"])
+    assert code == (0 if report.passed else 1)
+    out = capsys.readouterr().out
+    assert out.endswith(report.render() + "\n")
+    # the large-batch run cannot take the small-batch role
+    assert cli.main(["compare", large, small, svrg, "--criterion", "batch-robustness"]) == 1
+    assert "cannot take the mezo-small role" in capsys.readouterr().err
 
 
 def test_cli_criterion_choices_are_the_criteria(capsys):

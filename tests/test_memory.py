@@ -114,20 +114,36 @@ def test_serial_stream_heap_within_half_the_constant_overhead(d):
     assert _stream_pass_peak(d) <= CONSTANT_OVERHEAD * 4
 
 
-def _fo_sgd_run_peak(b):
-    # whole-run tracemalloc peak of FO-SGD on an MLP with d = 235,146
+def _mlp_run_peak(optimizer, config):
+    # whole-run tracemalloc peak on an MLP with d = 235,146
     mlp = make_mlp2(make_synthetic_digits(64, seed=2), seed=2, hidden=(256, 128))
     theta0 = mlp.initial_theta()
-    config = FoSgdConfig(eta=1e-2, b=b)
-    run(mlp, theta0, "fo-sgd", config, Budget(max_steps=1), 3)  # warm numpy's caches
+    run(mlp, theta0, optimizer, config, Budget(max_steps=1), 3)  # warm numpy's caches
     tracemalloc.start()
     try:
-        result = run(mlp, theta0, "fo-sgd", config, Budget(max_steps=4), 3)
+        result = run(mlp, theta0, optimizer, config, Budget(max_steps=4), 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert result.status == "completed"
     return peak, mlp
+
+
+def _fo_sgd_run_peak(b):
+    return _mlp_run_peak("fo-sgd", FoSgdConfig(eta=1e-2, b=b))
+
+
+def test_mezo_run_heap_within_model():
+    # parameters plus the pieces of z in flight; at d = 235,146 two lanes stream
+    peak, mlp = _mlp_run_peak("mezo", MezoConfig(eta=1e-3, b=8))
+    assert peak <= 8 * account_memory("mezo", None, mlp.d)
+
+
+def test_mezo_svrg_run_heap_within_model():
+    # parameters, the anchor copy and the pieces in flight: the anchor estimate
+    # stays a seed and a scalar, so the run fits recompute_g's 2d + C
+    peak, mlp = _mlp_run_peak("mezo-svrg", MezoSvrgConfig(eta1=1e-3, eta2=1e-4, q=2, b=8))
+    assert peak <= 8 * account_memory("mezo-svrg", "recompute_g", mlp.d)
 
 
 def test_fo_sgd_run_heap_within_model():

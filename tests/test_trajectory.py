@@ -15,7 +15,9 @@ from zovr import (
 )
 from zovr import cli, estimators
 from zovr.trajectory import (
+    REC_FULLBATCH,
     REC_LR_EVENT,
+    REC_MINIBATCH,
     StepRecord,
     TrajectoryError,
     TrajectoryLog,
@@ -206,17 +208,53 @@ def test_replay_rejects_wrong_coefficient_count(optimizer, kind, coeffs):
     cfg = {"eta": "0.001", "eta1": "0.001", "eta2": "0.0001", "q": "2",
            "mu": "0.001", "p": "1"}
     traj = TrajectoryLog.for_run(2, theta0, optimizer, cfg)
-    traj.record_step(0, kind, coeffs)
     with pytest.raises(TrajectoryError, match="coefficients, expected 1"):
-        replay(traj, theta0, 1)
+        traj.record_step(0, kind, coeffs)
 
 
 def test_replay_rejects_anchor_record_in_mezo_log():
     theta0 = np.zeros(4)
     traj = TrajectoryLog.for_run(2, theta0, "mezo", {"eta": "0.001", "mu": "0.001"})
-    traj.record_step(0, "fullbatch", (0.5,))
     with pytest.raises(TrajectoryError, match="anchor record"):
-        replay(traj, theta0, 1)
+        traj.record_step(0, "fullbatch", (0.5,))
+
+
+@pytest.mark.parametrize("optimizer, kind, coeffs, message", [
+    ("mezo", REC_FULLBATCH, (0.5,), "MeZO log has an anchor record at step 0"),
+    ("mezo", REC_MINIBATCH, (0.5, -0.25, 1.0),
+     "minibatch record at step 0 has 3 coefficients, expected 1"),
+    ("mezo-svrg", REC_MINIBATCH, (0.5, -0.25),
+     "minibatch record at step 0 before any anchor"),
+    ("mezo-svrg", REC_FULLBATCH, (0.5, -0.25),
+     "fullbatch record at step 0 has 2 coefficients, expected 1"),
+])
+def test_load_rejects_unreplayable_record(tmp_path, capsys, optimizer, kind, coeffs,
+                                          message):
+    theta0 = np.zeros(4)
+    traj = TrajectoryLog.for_run(2, theta0, optimizer,
+                                 {"eta": "0.001", "eta1": "0.001", "eta2": "0.0001",
+                                  "mu": "0.001", "p": "1"})
+    traj.records.append(StepRecord(0, kind, coeffs))  # past record_step's check
+    path = str(tmp_path / "t.zotrj")
+    save(traj, path)
+    np.save(path + ".theta0.npy", theta0)
+    with pytest.raises(TrajectoryError, match=message):
+        load(path)
+    code = cli.main(["replay", "--traj", path, "--theta0", path + ".theta0.npy",
+                     "--step", "0", "--out", str(tmp_path / "ckpt.npy")])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "ckpt.npy").exists()
+
+
+def test_record_step_reads_p_from_the_header():
+    theta0 = np.zeros(4)
+    traj = TrajectoryLog.for_run(2, theta0, "mezo-svrg",
+                                 {"eta1": "0.001", "eta2": "0.0001", "mu": "0.001", "p": "2"})
+    traj.record_step(0, "fullbatch", (0.5, -0.25))
+    traj.record_step(1, "minibatch", (0.5, -0.25, 1.0, 2.0))
+    with pytest.raises(TrajectoryError, match="has 2 coefficients, expected 4"):
+        traj.record_step(2, "minibatch", (0.5, -0.25))
 
 
 @settings(max_examples=60, deadline=None)
