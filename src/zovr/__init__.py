@@ -17,7 +17,6 @@ from .estimators import (
     full_batch,
     materialize,
     perturb_in_place,
-    regenerate_z,
     sample_minibatch,
     spsa_batch_avg,
     spsa_batch_shared,

@@ -179,13 +179,6 @@ class GradientEstimate:
         return self.coeffs[0]
 
 
-def regenerate_z(seed: PerturbationSeed, d: int) -> np.ndarray:
-    """The d standard-normal draws addressed by `seed`; pure and repeatable."""
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    return prng.normals(seed.seed, seed.offset, d)
-
-
 def _second_lane() -> ThreadPoolExecutor | None:
     """This process's worker for the second lane, or None with one usable CPU.
 

@@ -409,7 +409,11 @@ def make_synthetic_digits(n: int, rows: int = 28, cols: int = 28,
     # label i is prng.randint_below(fold(seed, _TAG_DIGIT_LABEL), i, classes)
     labels = (prng.raw_words(prng.fold(seed, _TAG_DIGIT_LABEL), 0, n) % classes).astype(np.int64)
     noise = prng.uniforms(prng.fold(seed, _TAG_DIGIT_NOISE), 0, n * pix).reshape(n, pix)
-    features = np.clip(0.65 * templates[labels] + 0.35 * noise, 0.0, 1.0)
+    features = templates[labels]  # a fresh (n, pix) array: blend into it in place
+    features *= 0.65
+    noise *= 0.35
+    features += noise
+    np.clip(features, 0.0, 1.0, out=features)
     return features, labels
 
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,8 +64,16 @@ TAG_ANCHOR_BATCH = 4
 KIND_FULLBATCH = "fullbatch"
 KIND_MINIBATCH = "minibatch"
 KIND_FO = "fo"
+# What a seed-replay trajectory log holds, per optimizer: the header `settings` replay
+# needs, and its record `kinds`, step 0's first, each with the estimates one draw carries
+ReplayLog = namedtuple("ReplayLog", "settings kinds")
+REPLAY_LOGS = {
+    "mezo": ReplayLog(("mu", "eta"), {KIND_MINIBATCH: 1}),
+    "mezo-svrg": ReplayLog(("mu", "eta1", "eta2"), {KIND_FULLBATCH: 1, KIND_MINIBATCH: 2}),
+}
+SEED_REPLAY = tuple(REPLAY_LOGS)  # the optimizers a trajectory log can replay
 # the kinds of step each optimizer's runs log, the kind of its step 0 first
-RUN_KINDS = {"mezo": (KIND_MINIBATCH,), "mezo-svrg": (KIND_FULLBATCH, KIND_MINIBATCH),
+RUN_KINDS = {**{opt: tuple(log.kinds) for opt, log in REPLAY_LOGS.items()},
              "zo-svrg": (KIND_FULLBATCH, KIND_MINIBATCH), "fo-sgd": (KIND_FO,)}
 
 DIVERGENCE_FACTOR = 1e6
@@ -214,7 +223,6 @@ class FoSgdConfig:
 CONFIGS = {"mezo": MezoConfig, "mezo-svrg": MezoSvrgConfig,
            "zo-svrg": ZoSvrgConfig, "fo-sgd": FoSgdConfig}
 OPTIMIZERS = tuple(CONFIGS)
-SEED_REPLAY = ("mezo", "mezo-svrg")  # the optimizers a trajectory log can replay
 
 # settings key -> parser, per target: the config's own fields, its spsa, its schedule
 _PARSERS = {
@@ -260,9 +268,7 @@ def trajectory_params(config) -> dict[str, str]:
 
 def initial_etas(optimizer: str, config) -> tuple[float, float | None]:
     """(eta1, eta2) at step 0; MeZO, ZO-SVRG and FO-SGD have one rate and no eta2."""
-    if optimizer == "mezo-svrg":
-        return config.eta1, config.eta2
-    return config.eta, None
+    return (config.eta1, config.eta2) if optimizer == "mezo-svrg" else (config.eta, None)
 
 
 @dataclass(frozen=True)
@@ -393,7 +399,6 @@ class RunResult:
     status: str  # completed | diverged
     reason: str = ""
     total_queries: int = 0
-    total_backward: int = 0
 
     @property
     def steps(self) -> int:
@@ -511,7 +516,7 @@ def run(obj, theta0: np.ndarray, optimizer: str, config, budget: Budget,
         t += 1
 
     return RunResult(theta=theta, records=records, status=status, reason=reason,
-                     total_queries=queries, total_backward=backward)
+                     total_queries=queries)
 
 
 def _per_sample_seeds(seed: PerturbationSeed, count: int) -> list[PerturbationSeed]:

@@ -114,7 +114,7 @@ def uniforms(seed: int, start: int, count: int) -> np.ndarray:
     """Uniform [0, 1) doubles at stream positions [start, start+count)."""
     w = raw_words(seed, start, count)
     w >>= _U_11
-    return w.view(np.int64) * _TWO_M53
+    return np.multiply(w.view(_I64), _TWO_M53, out=w.view(_F64))
 
 
 def normals(seed: int, start: int, count: int) -> np.ndarray:

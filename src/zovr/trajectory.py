@@ -4,8 +4,8 @@ A run of MeZO or MeZO-SVRG is fully determined by its master seed, its
 configuration, and the loss-difference coefficient(s) each step
 produced. This module records exactly that: the header carries the
 master seed, dimension, optimizer id and config, and a SHA-256 digest
-of theta0; each step record carries its coefficient scalars (one for a
-MeZO or anchor step, two for a MeZO-SVRG minibatch step, times p).
+of theta0; each step record carries its coefficient scalars, p times the
+estimates one draw of its kind carries (`optimizers.REPLAY_LOGS`).
 Learning-rate annealing events are stored as explicit records so replay
 never needs loss values.
 
@@ -39,7 +39,8 @@ from .estimators import apply_probe_sequence, axpy_estimate_in_place
 from .optimizers import (
     KIND_FULLBATCH,
     KIND_MINIBATCH,
-    SEED_REPLAY,
+    REPLAY_LOGS,
+    ReplayLog,
     StepSeeds,
     build_optimizer_config,
     initial_etas,
@@ -55,6 +56,7 @@ REC_LR_EVENT = 3
 
 _KIND_TO_CODE = {KIND_FULLBATCH: REC_FULLBATCH, KIND_MINIBATCH: REC_MINIBATCH}
 _CODE_TO_KIND = {code: kind for kind, code in _KIND_TO_CODE.items()}
+_NO_ROW = ReplayLog((), {})  # the row of an optimizer whose steps replay cannot apply
 
 
 class TrajectoryError(ValueError):
@@ -70,8 +72,7 @@ class StepRecord:
 
 def theta_digest(theta: np.ndarray) -> bytes:
     """Canonical SHA-256 of a parameter vector (little-endian float64)."""
-    buf = np.ascontiguousarray(theta, dtype="<f8")
-    return hashlib.sha256(buf.tobytes()).digest()
+    return hashlib.sha256(np.ascontiguousarray(theta, dtype="<f8")).digest()
 
 
 @dataclass
@@ -89,14 +90,12 @@ class TrajectoryLog:
                 config: dict) -> "TrajectoryLog":
         cfg = {str(k): str(v) for k, v in config.items()}
         cfg["optimizer"] = optimizer
-        # a record counts its coefficients in one byte, and a MeZO-SVRG
-        # minibatch record holds two per draw
-        most = 127 if optimizer == "mezo-svrg" else 255
+        # a record counts its coefficients in one byte: p times a draw's estimates
+        most = 255 // max(REPLAY_LOGS.get(optimizer, _NO_ROW).kinds.values(), default=1)
         p = int(cfg.get("p") or 1)
         if p > most:
             raise TrajectoryError(f"a {optimizer} trajectory takes p up to {most}, got p={p}")
-        return cls(master_seed, int(theta0.shape[0]), optimizer, cfg,
-                   theta_digest(theta0))
+        return cls(master_seed, int(theta0.shape[0]), optimizer, cfg, theta_digest(theta0))
 
     def steps(self) -> int:
         return self._next_step
@@ -106,26 +105,25 @@ class TrajectoryLog:
         if step != self._next_step:
             raise TrajectoryError(
                 f"out-of-order append: got step {step}, expected {self._next_step}")
-        code = _KIND_TO_CODE.get(kind)
-        if code is None:
-            raise TrajectoryError(f"unknown step kind {kind!r}")
-        if self.optimizer == "mezo" and kind != KIND_MINIBATCH:
-            raise TrajectoryError(f"MeZO log has an anchor record at step {step}")
-        anchored = self.optimizer == "mezo-svrg" and kind == KIND_MINIBATCH
-        if anchored and step == 0:
-            raise TrajectoryError(f"minibatch record at step {step} before any anchor")
-        want = int(self.config.get("p") or 1) * (2 if anchored else 1)
+        kinds = REPLAY_LOGS.get(self.optimizer, _NO_ROW).kinds
+        if kind not in kinds:
+            raise TrajectoryError(f"{kind} record at step {step}: a {self.optimizer} "
+                                  f"log holds none")
+        if step == 0 and kind != next(iter(kinds)):
+            raise TrajectoryError(f"{kind} record at step {step} before any anchor")
+        want = int(self.config.get("p") or 1) * kinds[kind]
         if len(coeffs) != want:
             raise TrajectoryError(f"{kind} record at step {step} has {len(coeffs)} "
                                   f"coefficients, expected {want}")
-        self.records.append(StepRecord(step, code, tuple(float(c) for c in coeffs)))
+        self.records.append(StepRecord(step, _KIND_TO_CODE[kind], tuple(map(float, coeffs))))
         self._next_step = step + 1
 
     def record_lr_event(self, effective_step: int, eta1: float, eta2: float) -> None:
         """New learning rates, effective from `effective_step` onwards."""
-        if self.optimizer != "mezo-svrg":
+        if "eta2" not in REPLAY_LOGS.get(self.optimizer, _NO_ROW).settings:
+            scheduled = ", ".join(o for o, row in REPLAY_LOGS.items() if "eta2" in row.settings)
             raise TrajectoryError(f"LR event for step {effective_step} in a {self.optimizer} "
-                                  f"log; only mezo-svrg has a learning-rate schedule")
+                                  f"log; only {scheduled} has a learning-rate schedule")
         if effective_step != self._next_step:
             raise TrajectoryError(
                 f"LR event for step {effective_step}, expected {self._next_step}")
@@ -217,7 +215,7 @@ def _header_settings(log: TrajectoryLog) -> tuple[float, int, float, float | Non
 
     Only the scalars outlive this call, so replay holds no config object.
     """
-    for key in ("mu", "eta") if log.optimizer == "mezo" else ("mu", "eta1", "eta2"):
+    for key in REPLAY_LOGS[log.optimizer].settings:
         if not log.config.get(key):
             raise TrajectoryError(f"{log.optimizer} trajectory config has no {key!r}")
     config = build_optimizer_config(log.optimizer, log.config)
@@ -238,7 +236,7 @@ def replay(log: TrajectoryLog, theta0: np.ndarray, upto: int) -> np.ndarray:
         raise TrajectoryError(f"theta0 has dimension {theta0.shape[0]}, log has {log.d}")
     if theta_digest(theta0) != log.theta0_sha256:
         raise TrajectoryError("theta0 digest does not match the trajectory header")
-    if log.optimizer not in SEED_REPLAY:
+    if log.optimizer not in REPLAY_LOGS:
         raise TrajectoryError(f"cannot replay optimizer {log.optimizer!r}")
     mu, p, eta1, eta2 = _header_settings(log)
 

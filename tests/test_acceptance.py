@@ -26,7 +26,6 @@ from zovr import (
     make_mlp2,
     make_synthetic_digits,
     perturb_in_place,
-    regenerate_z,
     run,
     sample_minibatch,
     spsa_batch_shared,
@@ -136,7 +135,7 @@ def test_acceptance_04_central_difference_exactness():
         work = theta.copy()
         est = spsa_batch_shared(ls, work, batch, seed, cfg)
         directional = float(ls.batch_grad(theta, batch.indices)
-                            @ regenerate_z(seed, ls.d))
+                            @ normals(seed.seed, seed.offset, ls.d))
         worst = max(worst, abs(est.coeff - directional) / (1.0 + abs(directional)))
     assert _announce(4, worst < 1e-9, f"max |coeff - grad.z| error {worst:.2e} "
                                       f"over 100 probes (tol 1e-9)")

@@ -13,7 +13,6 @@ from zovr import (
     make_least_squares,
     materialize,
     perturb_in_place,
-    regenerate_z,
     sample_minibatch,
     spsa_batch_avg,
     spsa_batch_shared,
@@ -63,9 +62,9 @@ class ScalarSquare:
 
 def test_regenerate_z_deterministic_and_seed_sensitive():
     seed = PerturbationSeed(42)
-    assert np.array_equal(regenerate_z(seed, 5), regenerate_z(seed, 5))
-    other = regenerate_z(PerturbationSeed(43), 10_000)
-    assert abs(np.corrcoef(regenerate_z(PerturbationSeed(42), 10_000), other)[0, 1]) < 0.1
+    assert np.array_equal(normals(seed.seed, seed.offset, 5), normals(seed.seed, seed.offset, 5))
+    other = normals(43, 0, 10_000)
+    assert abs(np.corrcoef(normals(42, 0, 10_000), other)[0, 1]) < 0.1
 
 
 def test_perturb_restore_cycle():
@@ -81,7 +80,7 @@ def test_perturb_identity_case():
     seed = PerturbationSeed(21)
     theta = np.zeros(64)
     perturb_in_place(theta, seed, 1, 1.0)
-    assert np.array_equal(theta, regenerate_z(seed, 64))
+    assert np.array_equal(theta, normals(seed.seed, seed.offset, 64))
 
 
 def test_perturb_rejects_bad_scaling():
@@ -116,7 +115,7 @@ def test_spsa_sample_linear_exact():
     theta = normals(fold(2, 10), 0, 7)
     seed = PerturbationSeed(11)
     est = spsa_sample(obj, theta, 1, seed, SpsaConfig(mu=0.37))
-    expected = float(obj.coefs[1] @ regenerate_z(seed, 7))
+    expected = float(obj.coefs[1] @ normals(seed.seed, seed.offset, 7))
     assert est.coeff == pytest.approx(expected, rel=1e-12)
 
 
@@ -124,7 +123,7 @@ def test_spsa_sample_quadratic_exact_d1():
     obj = ScalarSquare()
     theta = np.array([1.0])
     est = spsa_sample(obj, theta, 0, PerturbationSeed(3), SpsaConfig(mu=0.1))
-    z = float(regenerate_z(PerturbationSeed(3), 1)[0])
+    z = float(normals(3, 0, 1)[0])
     # [ (1+mu z)^2 - (1-mu z)^2 ] / 2mu = 2 z, times the direction z
     assert est.coeff == pytest.approx(2.0 * z, rel=1e-12)
     assert theta[0] == pytest.approx(1.0, rel=1e-12)
@@ -147,7 +146,8 @@ def test_central_difference_exactness_on_quadratics():
         batch = sample_minibatch(ls.n, 8, fold(71, probe))
         seed = PerturbationSeed(fold(72, probe))
         est = spsa_batch_shared(ls, theta, batch, seed, cfg)
-        directional = float(ls.batch_grad(theta, batch.indices) @ regenerate_z(seed, ls.d))
+        directional = float(ls.batch_grad(theta, batch.indices)
+                            @ normals(seed.seed, seed.offset, ls.d))
         worst = max(worst, abs(est.coeff - directional) / (1.0 + abs(directional)))
     assert worst < 1e-9
 
@@ -171,7 +171,7 @@ def test_batch_shared_fullbatch_definition():
     seed = PerturbationSeed(19)
     mu = 1e-3
     est = spsa_batch_shared(ls, theta, full_batch(ls.n), seed, SpsaConfig(mu=mu))
-    z = regenerate_z(seed, 5)
+    z = normals(seed.seed, seed.offset, 5)
     f_plus = np.mean([(ls.X[i] @ (theta + mu * z) - ls.y[i]) ** 2 for i in range(ls.n)])
     f_minus = np.mean([(ls.X[i] @ (theta - mu * z) - ls.y[i]) ** 2 for i in range(ls.n)])
     expected = (f_plus - f_minus) / (2 * mu)
@@ -212,7 +212,7 @@ def test_batch_avg_matches_eq4_fullbatch():
     dense = spsa_batch_avg(ls, theta, full_batch(4), seeds, SpsaConfig(mu=1e-4))
     expected = np.zeros(3)
     for i, s in enumerate(seeds):
-        z = regenerate_z(s, 3)
+        z = normals(s.seed, s.offset, 3)
         mu = 1e-4
         diff = (ls.loss(theta + mu * z, i) - ls.loss(theta - mu * z, i)) / (2 * mu)
         expected += diff * z / 4.0
@@ -225,7 +225,7 @@ def test_materialize_properties():
     est = GradientEstimate(PerturbationSeed(31), (1.7,), 8, 2)
     first, second = materialize(est), materialize(est)
     assert np.array_equal(first, second)
-    z = regenerate_z(PerturbationSeed(31), 8)
+    z = normals(31, 0, 8)
     assert np.linalg.norm(first) == pytest.approx(1.7 * np.linalg.norm(z), rel=1e-12)
     cosine = float(first @ z / (np.linalg.norm(first) * np.linalg.norm(z)))
     assert abs(cosine) == pytest.approx(1.0, abs=1e-12)
@@ -276,8 +276,8 @@ def test_p_average_uses_disjoint_windows():
     theta = normals(fold(16, 1), 0, 33)
     seed = PerturbationSeed(43)
     est = spsa_batch_shared(ls, theta, full_batch(40), seed, SpsaConfig(p=2))
-    z0 = regenerate_z(seed, 33)
-    z1 = regenerate_z(seed.shifted(33), 33)
+    z0 = normals(seed.seed, seed.offset, 33)
+    z1 = normals(seed.seed, seed.offset + 33, 33)
     expected = 0.5 * (est.coeffs[0] * z0 + est.coeffs[1] * z1)
     assert np.allclose(materialize(est), expected, rtol=1e-12, atol=1e-15)
 
@@ -381,5 +381,5 @@ def test_shared_estimator_parallel_to_z(d, seed, scale):
     est = spsa_batch_shared(obj, theta, full_batch(3), PerturbationSeed(seed),
                             SpsaConfig(mu=scale))
     v = materialize(est)
-    z = regenerate_z(PerturbationSeed(seed), d)
+    z = normals(seed, 0, d)
     assert np.allclose(v, est.coeff * z, rtol=1e-12, atol=1e-15)

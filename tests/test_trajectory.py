@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from zovr import (
     run,
 )
 from zovr import cli, estimators
+from zovr.optimizers import OPTIMIZERS, REPLAY_LOGS, RUN_KINDS
 from zovr.trajectory import (
     REC_FULLBATCH,
     REC_LR_EVENT,
@@ -215,12 +218,12 @@ def test_replay_rejects_wrong_coefficient_count(optimizer, kind, coeffs):
 def test_replay_rejects_anchor_record_in_mezo_log():
     theta0 = np.zeros(4)
     traj = TrajectoryLog.for_run(2, theta0, "mezo", {"eta": "0.001", "mu": "0.001"})
-    with pytest.raises(TrajectoryError, match="anchor record"):
+    with pytest.raises(TrajectoryError, match="fullbatch record at step 0: a mezo log holds none"):
         traj.record_step(0, "fullbatch", (0.5,))
 
 
 @pytest.mark.parametrize("optimizer, kind, coeffs, message", [
-    ("mezo", REC_FULLBATCH, (0.5,), "MeZO log has an anchor record at step 0"),
+    ("mezo", REC_FULLBATCH, (0.5,), "fullbatch record at step 0: a mezo log holds none"),
     ("mezo", REC_MINIBATCH, (0.5, -0.25, 1.0),
      "minibatch record at step 0 has 3 coefficients, expected 1"),
     ("mezo-svrg", REC_MINIBATCH, (0.5, -0.25),
@@ -255,6 +258,75 @@ def test_record_step_reads_p_from_the_header():
     traj.record_step(1, "minibatch", (0.5, -0.25, 1.0, 2.0))
     with pytest.raises(TrajectoryError, match="has 2 coefficients, expected 4"):
         traj.record_step(2, "minibatch", (0.5, -0.25))
+
+
+@pytest.mark.parametrize("theta", [
+    np.linspace(-3.0, 3.0, 2**20),
+    np.linspace(-3.0, 3.0, 1000, dtype=np.float32),
+    np.linspace(-3.0, 3.0, 1000).astype(">f8"),
+    np.linspace(-3.0, 3.0, 2000)[::2],
+], ids=["f8-2^20", "f4", "big-endian", "strided"])
+def test_digest_hashes_the_little_endian_float64_bytes(theta):
+    expected = hashlib.sha256(np.asarray(theta, dtype="<f8").tobytes()).digest()
+    assert theta_digest(theta) == expected
+
+
+_HEADER = {"eta": "0.001", "eta1": "0.001", "eta2": "0.0001", "mu": "0.001"}
+
+
+def _log_at_step_one(optimizer, p):
+    """A log of `optimizer` at p draws that holds a valid step 0."""
+    traj = TrajectoryLog.for_run(2, np.zeros(4), optimizer, {**_HEADER, "p": str(p)})
+    first, estimates = next(iter(REPLAY_LOGS[optimizer].kinds.items()))
+    traj.record_step(0, first, (0.5,) * (p * estimates))
+    return traj
+
+
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("optimizer, kind, estimates", [
+    (opt, kind, estimates)
+    for opt, row in REPLAY_LOGS.items() for kind, estimates in row.kinds.items()])
+def test_record_step_takes_p_times_the_estimates_of_its_kind(optimizer, kind, estimates, p):
+    want = p * estimates
+    for count in (want - 1, want + 1):
+        with pytest.raises(TrajectoryError, match=f"coefficients, expected {want}"):
+            _log_at_step_one(optimizer, p).record_step(1, kind, (0.5,) * count)
+    traj = _log_at_step_one(optimizer, p)
+    traj.record_step(1, kind, (0.5,) * want)
+    assert traj.steps() == 2 and len(traj.records[-1].coeffs) == want
+
+
+@pytest.mark.parametrize("optimizer", list(REPLAY_LOGS))
+def test_record_step_refuses_a_kind_outside_the_row(optimizer):
+    kinds = REPLAY_LOGS[optimizer].kinds
+    outside = {k for run_kinds in RUN_KINDS.values() for k in run_kinds} - set(kinds)
+    assert outside
+    for kind in sorted(outside):
+        with pytest.raises(TrajectoryError, match=f"{kind} record at step 1: a {optimizer} "
+                                                  f"log holds none"):
+            _log_at_step_one(optimizer, 1).record_step(1, kind, (0.5,))
+
+
+@pytest.mark.parametrize("optimizer", list(REPLAY_LOGS))
+def test_record_step_refuses_a_step_zero_of_another_kind(optimizer):
+    kinds = REPLAY_LOGS[optimizer].kinds
+    for kind, estimates in list(kinds.items())[1:]:
+        traj = TrajectoryLog.for_run(2, np.zeros(4), optimizer, _HEADER)
+        with pytest.raises(TrajectoryError, match=f"{kind} record at step 0 before any anchor"):
+            traj.record_step(0, kind, (0.5,) * estimates)
+    first, estimates = next(iter(kinds.items()))
+    traj = TrajectoryLog.for_run(2, np.zeros(4), optimizer, _HEADER)
+    traj.record_step(0, first, (0.5,) * estimates)
+
+
+@pytest.mark.parametrize("optimizer", OPTIMIZERS)
+def test_for_run_p_limit_follows_the_table(optimizer):
+    row = REPLAY_LOGS.get(optimizer)
+    most = 255 // max(row.kinds.values()) if row else 255
+    assert most == {"mezo": 255, "mezo-svrg": 127, "zo-svrg": 255, "fo-sgd": 255}[optimizer]
+    TrajectoryLog.for_run(2, np.zeros(4), optimizer, {"p": str(most)})
+    with pytest.raises(TrajectoryError, match=f"takes p up to {most}, got p={most + 1}"):
+        TrajectoryLog.for_run(2, np.zeros(4), optimizer, {"p": str(most + 1)})
 
 
 @settings(max_examples=60, deadline=None)
