@@ -20,7 +20,6 @@ from .estimators import (
     sample_minibatch,
     spsa_batch_avg,
     spsa_batch_shared,
-    spsa_sample,
 )
 from .memory import SlotMeter, account_memory
 from .objectives import (

@@ -12,9 +12,9 @@ are provided:
 * shared-perturbation (``spsa_batch_shared``): the whole batch is
   perturbed along one z, costing 2*b loss queries and one stored scalar;
 * per-sample averaged (``spsa_batch_avg``): one independent z per
-  sample, costing 2*b queries and a dense d-vector. This is the
-  memory-naive path kept for the reference ZO-SVRG optimizer and for
-  the correctness oracles.
+  sample, each sample's estimate a one-sample shared estimate, costing
+  2*b queries and a dense d-vector. This is the memory-naive path kept
+  for the reference ZO-SVRG optimizer.
 
 All parameter mutation is streamed in pieces of one size, so no second
 d-length buffer is allocated. From `PARALLEL_MIN_D` parameters on, and
@@ -322,14 +322,6 @@ def _estimate(theta: np.ndarray, seed: PerturbationSeed, cfg: SpsaConfig,
     return GradientEstimate(seed, tuple(coeffs), d, queries_per_draw * cfg.p, proxy)
 
 
-def spsa_sample(obj, theta: np.ndarray, index: int, seed: PerturbationSeed,
-                cfg: SpsaConfig) -> GradientEstimate:
-    """Per-sample SPSA estimate of grad f_index at theta (2*p queries)."""
-    if not (0 <= index < obj.n):
-        raise ValueError(f"sample index {index} out of range [0, {obj.n})")
-    return _estimate(theta, seed, cfg, 2, lambda: obj.loss(theta, index))
-
-
 def spsa_batch_shared(obj, theta: np.ndarray, batch: Minibatch, seed: PerturbationSeed,
                       cfg: SpsaConfig) -> GradientEstimate:
     """Shared-perturbation minibatch estimate: every sample moves along one z.
@@ -347,15 +339,16 @@ def spsa_batch_avg(obj, theta: np.ndarray, batch: Minibatch,
                    seeds: list[PerturbationSeed], cfg: SpsaConfig) -> np.ndarray:
     """Average of per-sample SPSA estimates, materialized densely.
 
+    Sample j's estimate is the one-sample shared estimate along seeds[j].
     Costs 2*b*p queries and allocates one d-vector. Only the reference
-    ZO-SVRG path and the oracles use this; the in-place optimizers never
-    do.
+    ZO-SVRG path uses this; the in-place optimizers never do.
     """
     if len(seeds) != batch.b:
         raise ValueError(f"need one seed per sample: {len(seeds)} seeds, b={batch.b}")
     acc = np.zeros(theta.shape[0])
-    for i, s in zip(batch.indices, seeds):
-        est = spsa_sample(obj, theta, int(i), s, cfg)
+    for j, s in enumerate(seeds):
+        est = spsa_batch_shared(obj, theta, Minibatch._of_sorted(batch.indices[j:j + 1]),
+                                s, cfg)
         axpy_estimate_in_place(acc, est, 1.0 / batch.b)
     return acc
 

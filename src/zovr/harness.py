@@ -300,6 +300,9 @@ def judge(criterion: str, rows: list[list[dict]], labels: list[str],
     if runs is not None and len(rows) != len(runs):
         raise ValueError(f"{criterion} takes {len(runs)} CSVs ({', '.join(runs)}), "
                          f"got {len(rows)}")
+    for run_rows, label in zip(rows, labels):
+        if not run_rows:  # a run that stopped before its first step, e.g. diverged
+            raise ValueError(f"{label} has no rows to judge")
     for role, run_rows, label in zip(runs or (), rows, labels):
         logs = RUN_KINDS.get(role.removesuffix("-small").removesuffix("-large"))
         kinds = {r["kind"] for r in run_rows}

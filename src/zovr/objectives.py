@@ -1,4 +1,4 @@
-"""Desk-scale objectives with per-sample losses and optional analytic gradients.
+"""Desk-scale objectives with batch losses and optional analytic gradients.
 
 Every objective is an empirical risk f(theta) = (1/n) sum_i f_i(theta):
 batch losses are always mean-scaled, never sum-scaled. Objectives are
@@ -48,17 +48,14 @@ def _mean(v: np.ndarray) -> float:
 class Objective:
     """Sample-indexed loss oracle over n samples in dimension d.
 
-    Subclasses implement ``loss`` and a vectorized ``batch_loss`` (and
-    ``batch_grad`` if an analytic gradient exists). ``f_star`` holds the
-    optimal mean loss when a closed form is available, else None.
+    Subclasses implement ``batch_loss``, and optionally ``batch_grad``
+    (an analytic gradient) and ``metric``. ``f_star`` holds the optimal
+    mean loss when a closed form is available, else None.
     """
 
     n: int
     d: int
     f_star = None
-
-    def loss(self, theta: np.ndarray, index: int) -> float:
-        raise NotImplementedError
 
     def batch_loss(self, theta: np.ndarray, indices: np.ndarray) -> float:
         """Mean per-sample loss over `indices`."""
@@ -77,7 +74,7 @@ class Objective:
 class CountingObjective:
     """Wraps an objective, counting forward and backward query equivalents.
 
-    One forward query = one per-sample loss evaluation; gradients count
+    One forward query = one sample of a batch_loss call; gradients count
     backward equivalents separately. Used by tests to assert query
     accounting and zero-query replay.
     """
@@ -98,10 +95,6 @@ class CountingObjective:
     @property
     def f_star(self):
         return self.inner.f_star
-
-    def loss(self, theta, index):
-        self.forward_queries += 1
-        return self.inner.loss(theta, index)
 
     def batch_loss(self, theta, indices):
         self.forward_queries += len(indices)
@@ -127,18 +120,12 @@ class LeastSquaresProblem(Objective):
     construction.
     """
 
-    def __init__(self, X: np.ndarray, y: np.ndarray, w_star: np.ndarray,
-                 noise_std: float):
+    def __init__(self, X: np.ndarray, y: np.ndarray, w_star: np.ndarray):
         self.X = X
         self.y = y
         self.w_star = w_star
-        self.noise_std = noise_std
         self.n, self.d = X.shape
         self.w_ls, self.f_star = oracles.ls_normal_equations(self)
-
-    def loss(self, theta, index):
-        r = float(self.X[index] @ theta - self.y[index])
-        return r * r
 
     def batch_loss(self, theta, indices):
         X, y = _rows(indices, self.X, self.y)
@@ -177,7 +164,7 @@ def make_least_squares(n: int = 1000, d: int = 100, noise_std: float = 0.01,
         if noise_std > 0:
             y = y + noise_std * prng.normals(prng.fold(s, _TAG_LS_NOISE), 0, n)
         try:
-            return LeastSquaresProblem(X, y, w_star, noise_std)
+            return LeastSquaresProblem(X, y, w_star)
         except np.linalg.LinAlgError:
             warnings.warn(f"singular X^T X for seed {s}, regenerating")
     raise np.linalg.LinAlgError("could not draw a non-singular least-squares instance")
@@ -191,15 +178,10 @@ class LogisticProblem(Objective):
     exactly why it exists between the LS and MLP objectives.
     """
 
-    def __init__(self, X: np.ndarray, labels: np.ndarray, separation: float):
+    def __init__(self, X: np.ndarray, labels: np.ndarray):
         self.X = X
         self.labels = labels.astype(np.float64)
-        self.separation = separation
         self.n, self.d = X.shape
-
-    def loss(self, theta, index):
-        m = float(self.labels[index] * (self.X[index] @ theta))
-        return float(np.logaddexp(0.0, -m))
 
     def batch_loss(self, theta, indices):
         X, labels = _rows(indices, self.X, self.labels)
@@ -229,7 +211,7 @@ def make_logistic(n: int = 256, d: int = 16, separation: float = 2.0,
     direction = np.ones(d) / np.sqrt(d)
     X = prng.normals(prng.fold(seed, _TAG_LOG_X), 0, n * d).reshape(n, d)
     X = X + np.outer(labels, (separation / 2.0) * direction)
-    return LogisticProblem(X, labels, separation)
+    return LogisticProblem(X, labels)
 
 
 class Mlp2Problem(Objective):
@@ -300,10 +282,6 @@ class Mlp2Problem(Objective):
         lse = m + np.log(np.sum(np.exp(logits - m[:, None]), axis=1))
         picked = logits[np.arange(logits.shape[0]), labels]
         return lse - picked
-
-    def loss(self, theta, index):
-        logits = self._forward(theta, self.features[index:index + 1])[-1]
-        return float(self._cross_entropy(logits, self.labels[index:index + 1])[0])
 
     def batch_loss(self, theta, indices):
         features, labels = _rows(np.asarray(indices, dtype=np.int64),
@@ -423,6 +401,8 @@ def _make_mlp(n: int = 512, seed: int = 0, idx_images: str | None = None,
 
     Its head has a unit for every class of the source, not only of those n samples.
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
     if (idx_images is None) != (idx_labels is None):
         raise ValueError("idx_images and idx_labels must be given together")
     if idx_images is None:

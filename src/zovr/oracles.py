@@ -31,7 +31,6 @@ from .estimators import (
     materialize,
     sample_minibatch,
     spsa_batch_shared,
-    spsa_sample,
 )
 
 
@@ -100,7 +99,8 @@ def control_variate_check(obj, theta: np.ndarray, theta_prime: np.ndarray,
     """Check the control-variate identities with a fixed perturbation z.
 
     u_i = est_i(theta) - est_i(theta') - (est_full(theta) - est_full(theta'))
-    where every estimator shares z. Returns the exact zero-sum norm and,
+    where every estimator shares z and est_i is the one-sample shared
+    estimate on sample i. Returns the exact zero-sum norm and,
     for each M in pair_counts, the Monte Carlo cross-moment magnitude
     over M i.i.d. uniformly sampled (with replacement) index pairs;
     those magnitudes shrink like 1/sqrt(M) toward the exact population
@@ -117,8 +117,9 @@ def control_variate_check(obj, theta: np.ndarray, theta_prime: np.ndarray,
     for i in range(obj.n):
         work_a[:] = theta
         work_b[:] = theta_prime
-        at_theta = materialize(spsa_sample(obj, work_a, i, z_seed, cfg))
-        at_prime = materialize(spsa_sample(obj, work_b, i, z_seed, cfg))
+        sample = Minibatch(np.array([i]))
+        at_theta = materialize(spsa_batch_shared(obj, work_a, sample, z_seed, cfg))
+        at_prime = materialize(spsa_batch_shared(obj, work_b, sample, z_seed, cfg))
         u[i] = at_theta - at_prime
     work_a[:] = theta
     work_b[:] = theta_prime

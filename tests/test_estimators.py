@@ -16,7 +16,6 @@ from zovr import (
     sample_minibatch,
     spsa_batch_avg,
     spsa_batch_shared,
-    spsa_sample,
 )
 from zovr.estimators import apply_probe_sequence
 from zovr.prng import fold, normals, randint_below
@@ -25,9 +24,6 @@ from zovr.prng import fold, normals, randint_below
 class ConstantObjective:
     def __init__(self, n, d, value=3.0):
         self.n, self.d, self.value = n, d, value
-
-    def loss(self, theta, index):
-        return self.value
 
     def batch_loss(self, theta, indices):
         return self.value
@@ -40,9 +36,6 @@ class LinearObjective:
         self.coefs = np.asarray(coefs, dtype=np.float64)
         self.n, self.d = self.coefs.shape
 
-    def loss(self, theta, index):
-        return float(self.coefs[index] @ theta)
-
     def batch_loss(self, theta, indices):
         return float(np.mean(self.coefs[indices] @ theta))
 
@@ -52,9 +45,6 @@ class ScalarSquare:
 
     n = 1
     d = 1
-
-    def loss(self, theta, index):
-        return float(theta[0] ** 2)
 
     def batch_loss(self, theta, indices):
         return float(theta[0] ** 2)
@@ -104,7 +94,8 @@ def test_apply_probe_sequence_matches_estimator_wobble():
 
 def test_spsa_sample_constant_function():
     obj = ConstantObjective(4, 6)
-    est = spsa_sample(obj, np.ones(6), 2, PerturbationSeed(5), SpsaConfig())
+    est = spsa_batch_shared(obj, np.ones(6), Minibatch(np.array([2])), PerturbationSeed(5),
+                            SpsaConfig())
     assert est.coeff == 0.0
     assert np.all(materialize(est) == 0.0)
     assert est.queries_used == 2
@@ -114,7 +105,7 @@ def test_spsa_sample_linear_exact():
     obj = LinearObjective(normals(fold(2, 9), 0, 4 * 7).reshape(4, 7))
     theta = normals(fold(2, 10), 0, 7)
     seed = PerturbationSeed(11)
-    est = spsa_sample(obj, theta, 1, seed, SpsaConfig(mu=0.37))
+    est = spsa_batch_shared(obj, theta, Minibatch(np.array([1])), seed, SpsaConfig(mu=0.37))
     expected = float(obj.coefs[1] @ normals(seed.seed, seed.offset, 7))
     assert est.coeff == pytest.approx(expected, rel=1e-12)
 
@@ -122,7 +113,8 @@ def test_spsa_sample_linear_exact():
 def test_spsa_sample_quadratic_exact_d1():
     obj = ScalarSquare()
     theta = np.array([1.0])
-    est = spsa_sample(obj, theta, 0, PerturbationSeed(3), SpsaConfig(mu=0.1))
+    est = spsa_batch_shared(obj, theta, Minibatch(np.array([0])), PerturbationSeed(3),
+                            SpsaConfig(mu=0.1))
     z = float(normals(3, 0, 1)[0])
     # [ (1+mu z)^2 - (1-mu z)^2 ] / 2mu = 2 z, times the direction z
     assert est.coeff == pytest.approx(2.0 * z, rel=1e-12)
@@ -133,7 +125,7 @@ def test_spsa_sample_restores_theta():
     ls = make_least_squares(10, 5, seed=4)
     theta = 1.0 + np.abs(normals(fold(4, 4), 0, 5))
     snapshot = theta.copy()
-    spsa_sample(ls, theta, 3, PerturbationSeed(6), SpsaConfig())
+    spsa_batch_shared(ls, theta, Minibatch(np.array([3])), PerturbationSeed(6), SpsaConfig())
     assert np.max(np.abs(theta - snapshot) / np.abs(snapshot)) < 1e-12
 
 
@@ -153,13 +145,16 @@ def test_central_difference_exactness_on_quadratics():
 
 
 def test_batch_shared_singleton_equals_sample():
+    # batch=[i] must match the central difference of f_i built from its definition
     ls = make_least_squares(6, 4, seed=8)
     theta = normals(fold(8, 1), 0, 4)
     seed = PerturbationSeed(17)
-    single = spsa_sample(ls, theta, 2, seed, SpsaConfig())
+    mu = SpsaConfig().mu
     batched = spsa_batch_shared(ls, theta, Minibatch(np.array([2])), seed, SpsaConfig())
-    # identical up to the BLAS reduction path of a length-1 batch
-    assert batched.coeff == pytest.approx(single.coeff, rel=1e-12)
+    z = normals(seed.seed, seed.offset, 4)
+    f_plus = (ls.X[2] @ (theta + mu * z) - ls.y[2]) ** 2
+    f_minus = (ls.X[2] @ (theta - mu * z) - ls.y[2]) ** 2
+    assert batched.coeff == pytest.approx((f_plus - f_minus) / (2 * mu), rel=1e-12)
     assert batched.queries_used == 2
 
 
@@ -184,7 +179,8 @@ def test_batch_avg_singleton_equals_sample():
     theta = normals(fold(10, 1), 0, 4)
     seed = PerturbationSeed(23)
     dense = spsa_batch_avg(ls, theta, Minibatch(np.array([4])), [seed], SpsaConfig())
-    single = materialize(spsa_sample(ls, theta, 4, seed, SpsaConfig()))
+    single = materialize(spsa_batch_shared(ls, theta, Minibatch(np.array([4])), seed,
+                                           SpsaConfig()))
     assert np.allclose(dense, single, rtol=1e-14, atol=0)
 
 
@@ -199,7 +195,8 @@ def test_batch_avg_identical_samples_and_seeds():
     theta = np.zeros(3)
     seed = PerturbationSeed(29)
     dense = spsa_batch_avg(obj, theta, full_batch(4), [seed] * 4, SpsaConfig())
-    single = materialize(spsa_sample(obj, theta, 0, seed, SpsaConfig()))
+    single = materialize(spsa_batch_shared(obj, theta, Minibatch(np.array([0])), seed,
+                                           SpsaConfig()))
     assert np.allclose(dense, single, rtol=1e-12, atol=1e-15)
 
 
@@ -214,7 +211,9 @@ def test_batch_avg_matches_eq4_fullbatch():
     for i, s in enumerate(seeds):
         z = normals(s.seed, s.offset, 3)
         mu = 1e-4
-        diff = (ls.loss(theta + mu * z, i) - ls.loss(theta - mu * z, i)) / (2 * mu)
+        f_plus = (ls.X[i] @ (theta + mu * z) - ls.y[i]) ** 2
+        f_minus = (ls.X[i] @ (theta - mu * z) - ls.y[i]) ** 2
+        diff = (f_plus - f_minus) / (2 * mu)
         expected += diff * z / 4.0
     assert np.allclose(dense, expected, rtol=1e-10, atol=1e-14)
 

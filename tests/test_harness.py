@@ -351,6 +351,18 @@ def test_cli_compare_rejects_a_row_cut_mid_line(tmp_path, capsys):
     assert f"error: {path} line {rows} has" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("criterion, count", [("gap", 1), ("final-loss", 2)])
+def test_cli_compare_refuses_a_run_without_rows(tmp_path, capsys, criterion, count):
+    # a run that diverges at its first step writes a header-only CSV
+    path = str(tmp_path / "diverged.csv")
+    assert cli.main(["run", "--problem", "ls", "--optimizer", "mezo", "--mu", "1e300",
+                     "--steps", "3", "--out", path]) == 2
+    assert read_csv(path) == []
+    capsys.readouterr()
+    assert cli.main(["compare", *[path] * count, "--criterion", criterion]) == 1
+    assert f"error: {path} has no rows to judge" in capsys.readouterr().err
+
+
 def test_preset_listing_and_small_preset(tmp_path):
     assert set(harness.PRESETS) == {
         "fig1a", "batch-robustness", "q-ablation", "anchor-approx",
@@ -455,10 +467,12 @@ def test_logistic_fo_sgd_csv_pinned(tmp_path, b):
 
 
 # SHA-256 of a ZO-SVRG run's CSV without elapsed_seconds: the 5d peak_slots column
-# of the dense reference, on least squares and on the MLP
+# of the dense reference, on least squares, logistic regression and the MLP
 _ZO_SVRG_CSVS = {
     "ls": ({"n": 48, "d": 24, "noise_std": 0.01, "seed": 1},
            "ca8042d64efb12cd84a2373804aa625df71be5a6f6ef7c6edba7129e3c5da571"),
+    "logistic": ({"n": 40, "d": 6, "seed": 1},
+                 "6397e8e1a78c72a82194ca8dccc28ae489ea4e49763b40fd14c4c220c0dee49d"),
     "mlp": ({"n": 40, "seed": 1},
             "4f613040c0e8d516df3b937dffe4f968dd608c3dbc17e072856de83f19aa1413"),
 }
@@ -697,6 +711,21 @@ def test_cli_rejects_half_idx_pair(tmp_path, capsys):
         assert code == 1
         assert "idx_images and idx_labels" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+@pytest.mark.parametrize("source", ["synthetic", "idx"])
+def test_cli_rejects_an_mlp_sample_count_below_one(tmp_path, capsys, source, n):
+    given = []
+    if source == "idx":
+        images, labels = _write_idx_pair(tmp_path)
+        given = ["--idx-images", images, "--idx-labels", labels]
+    out = tmp_path / "never.csv"
+    code = cli.main(["run", "--problem", "mlp", "--n", n, "--optimizer", "fo-sgd",
+                     "--steps", "2", "--batch-size", "1", "--out", str(out)] + given)
+    assert code == 1
+    assert f"error: need n >= 1, got n={n}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # (flag, a value that prints back as given, the settings key it lands under)

@@ -36,7 +36,7 @@ def relative_grad_error(obj, theta, indices, step=1e-5):
 def test_ls_mean_consistency():
     ls = make_least_squares(50, 7, seed=1)
     theta = normals(fold(1, 1), 0, 7)
-    per_sample = np.mean([ls.loss(theta, i) for i in range(ls.n)])
+    per_sample = np.mean([(ls.X[i] @ theta - ls.y[i]) ** 2 for i in range(ls.n)])
     assert ls.batch_loss(theta, np.arange(ls.n)) == pytest.approx(per_sample, rel=1e-12)
 
 
@@ -50,7 +50,7 @@ def test_ls_hand_solvable():
     from zovr.objectives import LeastSquaresProblem
 
     prob = LeastSquaresProblem(np.array([[1.0], [1.0]]), np.array([1.0, 3.0]),
-                               np.array([0.0]), 0.0)
+                               np.array([0.0]))
     assert prob.w_ls[0] == pytest.approx(2.0)
     assert prob.f_star == pytest.approx(1.0)
 
@@ -156,7 +156,9 @@ def test_mlp_single_sample_loss_and_metric():
     features, labels = make_synthetic_digits(8, rows=3, cols=3, classes=2, seed=12)
     mlp = make_mlp2((features, labels), seed=12, hidden=(4, 3), n_classes=2)
     theta = mlp.initial_theta()
-    assert mlp.loss(theta, 0) == pytest.approx(mlp.batch_loss(theta, np.array([0])), rel=1e-12)
+    one = np.array([0])
+    assert mlp.batch_loss(theta, one) == pytest.approx(_gathered_loss(mlp, theta, one),
+                                                       rel=1e-12)
     assert 0.0 <= mlp.metric(theta) <= 1.0
 
 
@@ -267,10 +269,9 @@ def test_counting_objective_counts():
     ls = make_least_squares(20, 4, seed=16)
     counting = CountingObjective(ls)
     theta = np.zeros(4)
-    counting.loss(theta, 1)
     counting.batch_loss(theta, np.arange(10))
     counting.batch_grad(theta, np.arange(5))
-    assert counting.forward_queries == 1 + 10 + 5
+    assert counting.forward_queries == 10 + 5
     assert counting.backward_queries == 5
 
 

@@ -31,9 +31,6 @@ from zovr.prng import fold, normals
 class ScalarSquare:
     n, d = 1, 1
 
-    def loss(self, theta, index):
-        return float(theta[0] ** 2)
-
     def batch_loss(self, theta, indices):
         return float(theta[0] ** 2)
 
