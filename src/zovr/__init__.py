@@ -16,14 +16,12 @@ from .estimators import (
     axpy_estimate_in_place,
     full_batch,
     materialize,
-    perturb_in_place,
     sample_minibatch,
     spsa_batch_avg,
     spsa_batch_shared,
 )
 from .memory import SlotMeter, account_memory
 from .objectives import (
-    CountingObjective,
     LeastSquaresProblem,
     LogisticProblem,
     Mlp2Problem,
@@ -53,8 +51,6 @@ from .optimizers import (
 )
 from .oracles import (
     control_variate_check,
-    estimator_variance_probe,
-    finite_difference_gradient,
     ls_normal_equations,
     unbiasedness_check,
 )

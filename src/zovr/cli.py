@@ -18,8 +18,8 @@ import sys
 import numpy as np
 
 from . import harness, oracles, trajectory
-from .estimators import PerturbationSeed, perturb_in_place
-from .memory import ACCOUNTING_MODES, account_memory, accounting_mode
+from .estimators import PerturbationSeed, apply_probe_sequence
+from .memory import ACCOUNTING_MODES, account_memory, accounting_mode, held_slots
 from .optimizers import OPTIMIZERS, _parsed
 from .prng import fold
 from .prng import normals as prng_normals
@@ -122,7 +122,7 @@ def cmd_run(args) -> int:
     print(f"status={result.status} steps={len(result.records)} "
           f"queries={result.total_queries} final_loss={execution.final_loss:.6e}")
     modeled = account_memory(spec.optimizer, mode, execution.objective.d)
-    registered = result.records[-1].peak_slots if result.records else 0
+    registered = held_slots(spec.optimizer, execution.objective.d)
     print(f"memory model ({mode or 'base'}): {modeled} slots; "
           f"registered peak: {registered} slots")
     if result.reason:
@@ -180,10 +180,7 @@ def cmd_verify(args) -> int:
 
     theta = 1.0 + np.arange(1000, dtype=np.float64) / 1000.0
     snapshot = theta.copy()
-    seed = PerturbationSeed(77)
-    perturb_in_place(theta, seed, 1, 1e-3)
-    perturb_in_place(theta, seed, -2, 1e-3)
-    perturb_in_place(theta, seed, 1, 1e-3)
+    apply_probe_sequence(theta, PerturbationSeed(77), 1e-3)
     rel = float(np.max(np.abs(theta - snapshot) / np.abs(snapshot)))
     report.check("perturb-restore returns parameters", rel < 1e-12, f"max rel err {rel:.2e}")
     print(report.render())

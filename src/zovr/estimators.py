@@ -1,4 +1,4 @@
-"""SPSA gradient estimators and the in-place perturbation primitive.
+"""SPSA gradient estimators and the streamed probe walk they share with replay.
 
 A two-point SPSA estimate along a random direction z is the scalar
 
@@ -157,7 +157,7 @@ class GradientEstimate:
 
     The materialized vector is ``mean_k coeffs[k] * z_k`` where draw k
     reads the normal window starting at ``seed.offset + k*d``. With the
-    default p=1 this is exactly ``coeff * z(seed)``. ``loss_proxy`` is
+    default p=1 this is exactly ``coeffs[0] * z(seed)``. ``loss_proxy`` is
     the mean of the two perturbed losses of the first draw, a free
     O(mu^2)-accurate stand-in for the unperturbed batch loss.
     """
@@ -171,12 +171,6 @@ class GradientEstimate:
     @property
     def p(self) -> int:
         return len(self.coeffs)
-
-    @property
-    def coeff(self) -> float:
-        if len(self.coeffs) != 1:
-            raise ValueError("coeff is only defined for single-draw estimates")
-        return self.coeffs[0]
 
 
 def _second_lane() -> ThreadPoolExecutor | None:
@@ -252,20 +246,6 @@ def _stream_add_scaled(theta: np.ndarray, seed: PerturbationSeed, alpha: float) 
             _stream_two_lanes(theta, seed, alpha, pool)
             return
     _stream_pieces(theta, seed, alpha, range(0, d, STREAM_CHUNK))
-
-
-def perturb_in_place(theta: np.ndarray, seed: PerturbationSeed, s: int, mu: float) -> None:
-    """Apply theta += s*mu*z(seed) entrywise without a second d-length buffer.
-
-    The scaling factor is restricted to s in {1, -2}: +1 steps forward,
-    -2 swings to the mirror point, and a final +1 restores the original
-    state to floating-point accuracy.
-    """
-    if s not in (1, -2):
-        raise ValueError(f"scaling factor must be 1 or -2, got {s}")
-    if not (mu > 0):
-        raise ValueError(f"mu must be positive, got {mu}")
-    _stream_add_scaled(theta, seed, float(s) * mu)
 
 
 def _central_difference(theta, seed, mu, evaluate):

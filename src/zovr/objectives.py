@@ -71,47 +71,6 @@ class Objective:
         return np.zeros(self.d)
 
 
-class CountingObjective:
-    """Wraps an objective, counting forward and backward query equivalents.
-
-    One forward query = one sample of a batch_loss call; gradients count
-    backward equivalents separately. Used by tests to assert query
-    accounting and zero-query replay.
-    """
-
-    def __init__(self, inner: Objective):
-        self.inner = inner
-        self.forward_queries = 0
-        self.backward_queries = 0
-
-    @property
-    def n(self):
-        return self.inner.n
-
-    @property
-    def d(self):
-        return self.inner.d
-
-    @property
-    def f_star(self):
-        return self.inner.f_star
-
-    def batch_loss(self, theta, indices):
-        self.forward_queries += len(indices)
-        return self.inner.batch_loss(theta, indices)
-
-    def batch_grad(self, theta, indices):
-        self.forward_queries += len(indices)
-        self.backward_queries += len(indices)
-        return self.inner.batch_grad(theta, indices)
-
-    def metric(self, theta):
-        return self.inner.metric(theta)
-
-    def initial_theta(self):
-        return self.inner.initial_theta()
-
-
 class LeastSquaresProblem(Objective):
     """f_i(w) = (x_i . w - y_i)^2 with y = X w_star + noise.
 
@@ -410,4 +369,6 @@ def _make_mlp(n: int = 512, seed: int = 0, idx_images: str | None = None,
         n_classes = DIGIT_CLASSES
     else:
         features, labels, n_classes = _read_idx(idx_images, idx_labels, n)
+        if len(labels) < n:
+            raise ValueError(f"need n <= {len(labels)}, the IDX pair's images, got n={n}")
     return make_mlp2((features, labels), seed=seed, n_classes=n_classes)

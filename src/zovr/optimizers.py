@@ -316,16 +316,13 @@ def mezo_step(obj, theta: np.ndarray, batch: Minibatch, seed: PerturbationSeed,
 
 def mezo_svrg_step(obj, theta: np.ndarray, anchor: SvrgAnchor | None,
                    batch: Minibatch, seed: PerturbationSeed, cfg: MezoSvrgConfig,
-                   t: int, eta1: float | None = None,
-                   eta2: float | None = None) -> tuple[StepReport, SvrgAnchor]:
+                   t: int, eta1: float, eta2: float) -> tuple[StepReport, SvrgAnchor]:
     """One MeZO-SVRG step; the branch is chosen by t mod q.
 
     Returns (report, anchor); the report's coefficients are the draws of an
     anchor step, or of a minibatch step at theta, then at theta_bar.
     `batch` must hold the anchor-batch indices on anchor steps.
     """
-    eta1 = cfg.eta1 if eta1 is None else eta1
-    eta2 = cfg.eta2 if eta2 is None else eta2
     if t % cfg.q == 0:
         est = spsa_batch_shared(obj, theta, batch, seed, cfg.spsa)
         anchor = _set_anchor(anchor, theta, est, t)

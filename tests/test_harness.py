@@ -34,6 +34,8 @@ from zovr.harness import (
     trailing_std,
 )
 
+from helpers import assert_pinned
+
 
 def _ls_spec(**overrides):
     base = dict(
@@ -270,6 +272,16 @@ def test_cli_prints_registered_peak(capsys, optimizer, held):
     assert f"; registered peak: {held * 8} slots\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("optimizer, held", [("mezo", 1), ("mezo-svrg", 2)])
+def test_cli_prints_registered_peak_of_a_run_diverged_at_step_0(capsys, optimizer, held):
+    # the run held its footprint before the first query; it writes no row
+    assert cli.main(["run", "--problem", "ls", "--optimizer", optimizer, "--mu", "1e300",
+                     "--steps", "3"]) == 2
+    out = capsys.readouterr().out
+    assert "status=diverged steps=0 " in out
+    assert f"; registered peak: {held * 100} slots\n" in out
+
+
 def test_cli_rejects_accounting_mode_of_another_optimizer(tmp_path, capsys):
     out = tmp_path / "never.csv"
     code = cli.main(_SMALL_RUN + ["--optimizer", "mezo", "--accounting-mode", "naive",
@@ -446,7 +458,7 @@ def test_preset_outputs_pinned(tmp_path, preset, budget):
     outputs = {e.spec.name: (hashlib.sha256(e.result.theta.tobytes()).hexdigest(),
                              _csv_digest_without_elapsed(e.csv_path))
                for e in executions}
-    assert outputs == _PRESET_OUTPUTS[preset, budget]
+    assert_pinned(outputs, _PRESET_OUTPUTS[preset, budget])
 
 
 # SHA-256 of a logistic FO-SGD run's CSV without elapsed_seconds, at a sampled
@@ -485,7 +497,7 @@ def test_zo_svrg_csv_pinned(tmp_path, problem):
     execute(_ls_spec(problem=problem, problem_params=params, optimizer="zo-svrg",
                      optimizer_params={"b": 8, "eta": 1e-3, "mu": 1e-3, "q": 3},
                      max_steps=12, eval_every=4), out=path)
-    assert _csv_digest_without_elapsed(path) == digest
+    assert_pinned(_csv_digest_without_elapsed(path), digest)
 
 
 # SHA-256 of each preset's printed report at a small budget (None: no report)
@@ -695,10 +707,10 @@ def test_build_objective_pinned(tmp_path, problem):
     params = dict(_PROBLEM_FULL_PARAMS[problem])
     if problem == "mlp":
         params["idx_images"], params["idx_labels"] = _write_idx_pair(tmp_path)
-    assert _objective_digests(harness.build_objective(problem, {})) == default
+    assert_pinned(_objective_digests(harness.build_objective(problem, {})), default)
     # an empty value means the default, as it does for optimizer keys
-    assert _objective_digests(harness.build_objective(problem, {"n": ""})) == default
-    assert _objective_digests(harness.build_objective(problem, params)) == full
+    assert_pinned(_objective_digests(harness.build_objective(problem, {"n": ""})), default)
+    assert_pinned(_objective_digests(harness.build_objective(problem, params)), full)
 
 
 def test_cli_rejects_half_idx_pair(tmp_path, capsys):
@@ -726,6 +738,23 @@ def test_cli_rejects_an_mlp_sample_count_below_one(tmp_path, capsys, source, n):
     assert code == 1
     assert f"error: need n >= 1, got n={n}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("n", ["7", None])
+def test_cli_rejects_an_mlp_sample_count_above_the_idx_images(tmp_path, capsys, n):
+    # the pair holds 6 images; without --n the default 512 asks for more
+    images, labels = _write_idx_pair(tmp_path)
+    out = tmp_path / "never.csv"
+    code = cli.main(["run", "--problem", "mlp", "--optimizer", "fo-sgd", "--steps", "2",
+                     "--batch-size", "1", "--idx-images", images, "--idx-labels", labels,
+                     "--out", str(out)] + (["--n", n] if n else []))
+    assert code == 1
+    want = n or "512"
+    assert f"error: need n <= 6, the IDX pair's images, got n={want}" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+    with pytest.raises(ValueError, match=f"got n={want}"):
+        harness.build_objective("mlp", {"n": n, "idx_images": images, "idx_labels": labels})
 
 
 # (flag, a value that prints back as given, the settings key it lands under)

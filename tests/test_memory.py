@@ -114,14 +114,14 @@ def test_serial_stream_heap_within_half_the_constant_overhead(d):
     assert _stream_pass_peak(d) <= CONSTANT_OVERHEAD * 4
 
 
-def _mlp_run_peak(optimizer, config):
+def _mlp_run_peak(optimizer, config, n=64, steps=4):
     # whole-run tracemalloc peak on an MLP with d = 235,146
-    mlp = make_mlp2(make_synthetic_digits(64, seed=2), seed=2, hidden=(256, 128))
+    mlp = make_mlp2(make_synthetic_digits(n, seed=2), seed=2, hidden=(256, 128))
     theta0 = mlp.initial_theta()
     run(mlp, theta0, optimizer, config, Budget(max_steps=1), 3)  # warm numpy's caches
     tracemalloc.start()
     try:
-        result = run(mlp, theta0, optimizer, config, Budget(max_steps=4), 3)
+        result = run(mlp, theta0, optimizer, config, Budget(max_steps=steps), 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -158,3 +158,17 @@ def test_fo_sgd_run_heap_within_model_plus_batch_gather():
     peak, mlp = _fo_sgd_run_peak(64)
     gather = 64 * mlp.features.shape[1]
     assert peak <= 8 * (account_memory("fo-sgd", None, mlp.d) + gather)
+
+
+def test_saving_over_fo_sgd_grows_with_the_batch_size():
+    # the paper's memory claim: FO-SGD's backward pass holds activations and
+    # their gradients for all b rows, while a MeZO-SVRG query holds one forward
+    # pass at a time, so the FO-SGD / MeZO-SVRG peak ratio rises with b
+    ratios = []
+    for b in (8, 64, 256, 1024):
+        fo, _ = _mlp_run_peak("fo-sgd", FoSgdConfig(eta=1e-2, b=b), n=1024, steps=3)
+        svrg, _ = _mlp_run_peak(
+            "mezo-svrg", MezoSvrgConfig(eta1=1e-3, eta2=1e-4, q=2, b=b, anchor_batch=b),
+            n=1024, steps=3)
+        ratios.append(fo / svrg)
+    assert all(lo < hi for lo, hi in zip(ratios, ratios[1:])), ratios

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from zovr import (
-    CountingObjective,
     make_least_squares,
     make_logistic,
     make_mlp2,
@@ -23,8 +22,24 @@ from zovr.objectives import (
     _TAG_DIGIT_LABEL,
     _read_idx,
 )
-from zovr.oracles import finite_difference_gradient
 from zovr.prng import fold, normals, randint_below, raw_words
+
+from helpers import CountingObjective
+
+
+def finite_difference_gradient(func, theta: np.ndarray, step: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of a scalar function, one axis at a time."""
+    grad = np.empty(theta.shape[0])
+    probe = theta.copy()
+    for j in range(theta.shape[0]):
+        orig = probe[j]
+        probe[j] = orig + step
+        f_plus = func(probe)
+        probe[j] = orig - step
+        f_minus = func(probe)
+        probe[j] = orig
+        grad[j] = (f_plus - f_minus) / (2.0 * step)
+    return grad
 
 
 def relative_grad_error(obj, theta, indices, step=1e-5):

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from zovr import (
     Budget,
-    CountingObjective,
     FoSgdConfig,
     LrScheduleConfig,
     MezoConfig,
@@ -26,6 +25,8 @@ from zovr import (
 )
 from zovr.optimizers import KIND_FULLBATCH, KIND_MINIBATCH, _LossWindows
 from zovr.prng import fold, normals
+
+from helpers import CountingObjective
 
 
 class ScalarSquare:
@@ -123,7 +124,8 @@ def test_mezo_svrg_anchor_branch_refreshes_even_with_zero_eta():
     snapshot = theta.copy()
     cfg = MezoSvrgConfig(eta1=0.0, eta2=1e-4, q=2, b=4)
     report, anchor = mezo_svrg_step(
-        ls, theta, None, full_batch(12), PerturbationSeed(6), cfg, t=0)
+        ls, theta, None, full_batch(12), PerturbationSeed(6), cfg, t=0,
+        eta1=cfg.eta1, eta2=cfg.eta2)
     assert report.kind == KIND_FULLBATCH
     assert anchor.step_created == 0
     assert len(report.coeffs) == 1
@@ -137,12 +139,13 @@ def test_mezo_svrg_minibatch_cancellation_at_anchor():
     cfg = MezoSvrgConfig(eta1=1e-3, eta2=1e-4, q=4, b=8)
     anchor_report, anchor = mezo_svrg_step(
         ls, theta, None, full_batch(32), PerturbationSeed(7), cfg, t=0,
-        eta1=0.0)  # keep theta == theta_bar
+        eta1=0.0, eta2=cfg.eta2)  # keep theta == theta_bar
     assert np.array_equal(anchor.theta_bar, theta)
     before = theta.copy()
     batch = sample_minibatch(32, 8, fold(6, 3))
     report, anchor = mezo_svrg_step(
-        ls, theta, anchor, batch, PerturbationSeed(8), cfg, t=1)
+        ls, theta, anchor, batch, PerturbationSeed(8), cfg, t=1,
+        eta1=cfg.eta1, eta2=cfg.eta2)
     # lines 5-6 cancel; net update is -eta2 * anchor estimate
     expected = before - cfg.eta2 * materialize(anchor.estimate)
     assert np.linalg.norm(theta - expected) <= 1e-10 * np.linalg.norm(before)
@@ -155,7 +158,7 @@ def test_mezo_svrg_requires_anchor_for_minibatch_step():
     cfg = MezoSvrgConfig(q=2, b=4)
     with pytest.raises(RuntimeError, match="anchor"):
         mezo_svrg_step(ls, np.zeros(3), None, sample_minibatch(8, 4, 1),
-                       PerturbationSeed(1), cfg, t=1)
+                       PerturbationSeed(1), cfg, t=1, eta1=cfg.eta1, eta2=cfg.eta2)
 
 
 def test_mezo_svrg_anchor_cadence():

@@ -1,18 +1,79 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from zovr import (
     PerturbationSeed,
+    SpsaConfig,
+    full_batch,
     make_least_squares,
     make_logistic,
+    materialize,
+    sample_minibatch,
+    spsa_batch_shared,
 )
 from zovr.oracles import (
     control_variate_check,
-    estimator_variance_probe,
     ls_normal_equations,
     unbiasedness_check,
 )
 from zovr.prng import fold, normals
+
+
+@dataclass
+class VarianceProbeReport:
+    plain_trace_var: float
+    blended_trace_var: float
+    plain_se: float
+    blended_se: float
+
+    def blended_smaller_by_sigmas(self) -> float:
+        """How many combined standard errors separate the two variances."""
+        spread = np.hypot(self.plain_se, self.blended_se)
+        if spread == 0.0:
+            return float("inf")
+        return (self.plain_trace_var - self.blended_trace_var) / spread
+
+
+def estimator_variance_probe(obj, theta: np.ndarray, anchor_theta: np.ndarray,
+                             b: int, num_seeds: int, master_seed: int = 0,
+                             cfg: SpsaConfig | None = None) -> VarianceProbeReport:
+    """Monte Carlo trace-of-covariance of plain vs blended directions.
+
+    Per draw: a fresh minibatch, a fresh perturbation, and a fresh
+    fullbatch anchor estimate at ``anchor_theta``. The plain direction
+    is the shared minibatch estimator at theta; the blended one is the
+    variance-reduced combination est(theta) - est(anchor) + anchor_full.
+    """
+    if num_seeds < 100:
+        raise ValueError("variance probe needs at least 100 seeds")
+    cfg = cfg or SpsaConfig()
+    work_a = np.array(theta, dtype=np.float64, copy=True)
+    work_b = np.array(anchor_theta, dtype=np.float64, copy=True)
+    plain = np.empty((num_seeds, obj.d))
+    blended = np.empty((num_seeds, obj.d))
+    for s in range(num_seeds):
+        batch = sample_minibatch(obj.n, b, fold(fold(master_seed, 1), s))
+        z = PerturbationSeed(fold(fold(master_seed, 2), s))
+        zg = PerturbationSeed(fold(fold(master_seed, 3), s))
+        work_a[:] = theta
+        work_b[:] = anchor_theta
+        est_theta = spsa_batch_shared(obj, work_a, batch, z, cfg)
+        plain[s] = materialize(est_theta)
+        est_anchor = spsa_batch_shared(obj, work_b, batch, z, cfg)
+        work_b[:] = anchor_theta
+        est_full = spsa_batch_shared(obj, work_b, full_batch(obj.n), zg, cfg)
+        blended[s] = plain[s] - materialize(est_anchor) + materialize(est_full)
+
+    def trace_var(v):
+        centered = v - v.mean(axis=0)
+        per_draw = np.sum(centered * centered, axis=1)
+        return float(per_draw.mean()), float(per_draw.std(ddof=1) / np.sqrt(num_seeds))
+
+    pv, pse = trace_var(plain)
+    bv, bse = trace_var(blended)
+    return VarianceProbeReport(pv, bv, pse, bse)
 
 
 def test_unbiasedness_exhaustive_small_ls():

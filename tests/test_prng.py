@@ -7,6 +7,9 @@ from hypothesis import given, settings, strategies as st
 from zovr import estimators, prng
 from zovr.estimators import PerturbationSeed, _stream_add_scaled, sample_minibatch
 
+import helpers
+from helpers import assert_pinned
+
 
 def test_normals_deterministic():
     a = prng.normals(42, 0, 512)
@@ -112,7 +115,7 @@ def test_stream_windows_pinned(key):
     fn, seed_i, start_i = key
     seed, start = _PIN_SEEDS[seed_i], _PIN_STARTS[start_i]
     windows = (getattr(prng, fn)(seed, start, c) for c in _PIN_COUNTS[fn])
-    assert _digest(windows) == _PINNED_WINDOWS[key]
+    assert_pinned(_digest(windows), _PINNED_WINDOWS[key])
 
 
 # The ids keep the names these two cases had when the sampler also had a
@@ -147,7 +150,7 @@ _PINNED_GATE_MINIBATCHES = {
 def test_windows_across_size_gates_pinned(key):
     fn, start = key
     windows = (getattr(prng, fn)(s, start, c) for s in _GATE_SEEDS for c in _GATE_COUNTS)
-    assert _digest(windows) == _PINNED_GATE_WINDOWS[key]
+    assert_pinned(_digest(windows), _PINNED_GATE_WINDOWS[key])
 
 
 @pytest.mark.parametrize("key", list(_PINNED_GATE_MINIBATCHES))
@@ -166,7 +169,8 @@ def _z_passes(sizes):
 def test_z_pass_across_the_one_piece_gate_pinned():
     # the gate when STREAM_CHUNK was 16,384; recorded before the gate existed
     passes = _z_passes((1, 100, 16384, 16385))
-    assert _digest(passes) == "564196abd5369acc9860e28dbee121e6b328e17d98208ee3c41698a7f10fac25"
+    assert_pinned(_digest(passes),
+                  "564196abd5369acc9860e28dbee121e6b328e17d98208ee3c41698a7f10fac25")
 
 
 def test_z_pass_across_todays_piece_gate_pinned():
@@ -174,7 +178,17 @@ def test_z_pass_across_todays_piece_gate_pinned():
     c = estimators.STREAM_CHUNK
     passes = _z_passes((c - 1, c, c + 1, 3 * c + 5))
     assert c == 8192
-    assert _digest(passes) == "9da63fb606fe6cc22f009a8dc139b18a258b97bbb4340e8508325e822bc1c183"
+    assert_pinned(_digest(passes),
+                  "9da63fb606fe6cc22f009a8dc139b18a258b97bbb4340e8508325e822bc1c183")
+
+
+def test_a_pin_that_cannot_hold_on_this_cpu_says_why(monkeypatch):
+    assert_pinned("same", "same")
+    with pytest.raises(AssertionError, match="got new, pinned old$"):
+        assert_pinned("new", "old")
+    monkeypatch.setattr(helpers, "PINNED_NORMALS_FINGERPRINT", "0" * 64)
+    with pytest.raises(AssertionError, match="pinned on an AVX-512 numpy dispatch"):
+        assert_pinned("new", "old")
 
 
 def test_no_resident_buffers_beyond_the_counter_table():

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from zovr import (
     Budget,
-    CountingObjective,
     MezoConfig,
     MezoSvrgConfig,
     LrScheduleConfig,
@@ -29,6 +28,8 @@ from zovr.trajectory import (
     save,
     theta_digest,
 )
+
+from helpers import CountingObjective
 
 
 def _recorded_run(optimizer="mezo-svrg", steps=40, master_seed=5, schedule=None,
