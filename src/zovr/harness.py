@@ -14,19 +14,20 @@ except for the elapsed_seconds column.
 Presets bundle the experiment groups at matched query budgets: the
 least-squares convergence comparison, the batch-size robustness study,
 the anchor-frequency and large-batch-anchor ablations, the perturbation
-scale sweep, and the MLP classification sanity run.
+scale sweep, and the MLP classification sanity run. Each is one row of
+the `_PRESETS` table: its default budget, problem, runs and report.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import get_type_hints
 
 import numpy as np
 
 from . import objectives, trajectory
-from .memory import SlotMeter
 from .optimizers import (
     RUN_KINDS,
     Budget,
@@ -79,7 +80,6 @@ class ExecutionResult:
     theta0: np.ndarray
     final_loss: float        # exact full-dataset mean loss at the final theta
     csv_path: str | None = None
-    traj_path: str | None = None
 
 
 def build_objective(problem: str, params: dict):
@@ -107,14 +107,13 @@ def execute(spec: RunSpec, out: str | None = None,
     obj = build_objective(spec.problem, spec.problem_params)
     config = build_optimizer_config(spec.optimizer, spec.optimizer_params)
     theta0 = obj.initial_theta()
-    meter = SlotMeter()
     traj = None
     if traj_out:
         traj = trajectory.TrajectoryLog.for_run(
             spec.master_seed, theta0, spec.optimizer, trajectory_params(config))
     budget = Budget(max_steps=spec.max_steps, max_queries=spec.max_queries)
     result = run(obj, theta0, spec.optimizer, config, budget, spec.master_seed,
-                 trajectory=traj, meter=meter, eval_every=spec.eval_every)
+                 trajectory=traj, eval_every=spec.eval_every)
     final_loss = float(obj.batch_loss(result.theta, np.arange(obj.n)))
     execution = ExecutionResult(spec, result, obj, theta0, final_loss)
     if out:
@@ -124,7 +123,6 @@ def execute(spec: RunSpec, out: str | None = None,
         trajectory.save(traj, traj_out)
         np.save(traj_out + ".theta0.npy", theta0)
         np.save(traj_out + ".final.npy", result.theta)
-        execution.traj_path = traj_out
     return execution
 
 
@@ -311,10 +309,6 @@ def judge(criterion: str, rows: list[list[dict]], labels: list[str],
     return judge_rows(rows, labels, **options)
 
 
-def _ls_params(seed: int) -> dict:
-    return {"n": 1000, "d": 100, "noise_std": 0.01, "seed": seed}
-
-
 # each optimizer's settings in the paper's least-squares runs
 _BASE_SETTINGS = {
     "mezo": {"b": 32, "eta": 1e-3, "mu": 1e-3},
@@ -322,73 +316,45 @@ _BASE_SETTINGS = {
     "fo-sgd": {"b": 32, "eta": 1e-3},
 }
 
+_LS = {"n": 1000, "d": 100, "noise_std": 0.01}  # the paper's least squares
 
-def _specs(seed: int, query_budget: int, runs, problem: str = "ls",
-           params: dict | None = None) -> list[RunSpec]:
-    """One spec per (name, optimizer, overrides of its base settings) run, all
-    on one problem (by default the paper's least squares) at one query budget."""
-    params = _ls_params(seed) if params is None else params
-    return [RunSpec(name, problem, params, optimizer,
-                    {**_BASE_SETTINGS[optimizer], **overrides}, seed,
-                    max_queries=query_budget)
-            for name, optimizer, overrides in runs]
-
-
-def preset_fig1a(seed: int = 0, query_budget: int = 2_000_000) -> list[RunSpec]:
-    """MeZO vs MeZO-SVRG vs FO-SGD on least squares, paper hyperparameters.
-
-    The first-order baseline runs at the step count MeZO-SVRG reaches
-    inside the query budget (patched in by run_preset).
-    """
-    runs = [(name, name, {}) for name in ("mezo", "mezo-svrg", "fo-sgd")]
-    mezo, svrg, fo = _specs(seed, query_budget, runs)
-    return [mezo, svrg, replace(fo, max_steps=1, max_queries=None)]
-
-
-def preset_batch_robustness(seed: int = 0, query_budget: int = 800_000) -> list[RunSpec]:
-    return _specs(seed, query_budget, [("mezo-b8", "mezo", {"b": 8}),
-                                       ("mezo-b128", "mezo", {"b": 128}),
-                                       ("mezo-svrg-b8", "mezo-svrg", {"b": 8})])
-
-
-def preset_q_ablation(seed: int = 0, query_budget: int = 2_000_000) -> list[RunSpec]:
-    return _specs(seed, query_budget, [(f"q{q}", "mezo-svrg", {"q": q}) for q in (2, 10)])
-
-
-def preset_anchor_approx(seed: int = 0, query_budget: int = 2_000_000) -> list[RunSpec]:
-    half = _ls_params(seed)["n"] // 2
-    return _specs(seed, query_budget, [("anchor-full", "mezo-svrg", {}),
-                                       ("anchor-half", "mezo-svrg", {"anchor_batch": half})])
-
-
-def preset_mu_ablation(seed: int = 0, query_budget: int = 200_000) -> list[RunSpec]:
-    return _specs(seed, query_budget, [(f"mu-{mu:g}", "mezo-svrg", {"mu": mu})
-                                       for mu in (1.0, 0.5, 1e-1, 1e-2, 1e-3, 1e-4)])
-
-
-def preset_mlp(seed: int = 0, query_budget: int = 400_000) -> list[RunSpec]:
-    return _specs(seed, query_budget, [("mezo", "mezo", {"b": 64, "eta": 1e-4}),
-                                       ("mezo-svrg", "mezo-svrg", {"b": 64, "eta2": 1e-5}),
-                                       ("fo-sgd", "fo-sgd", {"b": 64})],
-                  problem="mlp", params={"n": 512, "seed": seed})
-
-
-PRESETS = {
-    "fig1a": preset_fig1a,
-    "batch-robustness": preset_batch_robustness,
-    "q-ablation": preset_q_ablation,
-    "anchor-approx": preset_anchor_approx,
-    "mu-ablation": preset_mu_ablation,
-    "mlp": preset_mlp,
+# preset -> (default query budget, problem, its settings but the seed, runs as
+# (name, optimizer, overrides of _BASE_SETTINGS), (criterion, options) of its
+# report judged on the runs' CSVs by spec name, or None)
+_PRESETS = {
+    "fig1a": (2_000_000, "ls", _LS, [(n, n, {}) for n in ("mezo", "mezo-svrg", "fo-sgd")],
+              ("convergence", {})),
+    "batch-robustness": (800_000, "ls", _LS,
+                         [("mezo-b8", "mezo", {"b": 8}), ("mezo-b128", "mezo", {"b": 128}),
+                          ("mezo-svrg-b8", "mezo-svrg", {"b": 8})],
+                         ("batch-robustness", {})),
+    "q-ablation": (2_000_000, "ls", _LS, [(f"q{q}", "mezo-svrg", {"q": q}) for q in (2, 10)],
+                   ("final-loss", {})),
+    "anchor-approx": (2_000_000, "ls", _LS,
+                      [("anchor-full", "mezo-svrg", {}),
+                       ("anchor-half", "mezo-svrg", {"anchor_batch": _LS["n"] // 2})],
+                      ("final-loss", {"max_rel_diff": 0.2})),
+    "mu-ablation": (200_000, "ls", _LS, [(f"mu-{mu:g}", "mezo-svrg", {"mu": mu})
+                                         for mu in (1.0, 0.5, 1e-1, 1e-2, 1e-3, 1e-4)], None),
+    "mlp": (400_000, "mlp", {"n": 512},
+            [("mezo", "mezo", {"b": 64, "eta": 1e-4}),
+             ("mezo-svrg", "mezo-svrg", {"b": 64, "eta2": 1e-5}), ("fo-sgd", "fo-sgd", {"b": 64})],
+            None),  # judged on exact losses by _preset_report
 }
 
-# preset -> (its criterion, the judge's options), labelling runs by spec name; others: no report
-_PRESET_CRITERIA = {
-    "fig1a": ("convergence", {}),
-    "batch-robustness": ("batch-robustness", {}),
-    "q-ablation": ("final-loss", {}),
-    "anchor-approx": ("final-loss", {"max_rel_diff": 0.2}),
-}
+
+def _preset_specs(name: str, seed: int, query_budget: int | None = None) -> list[RunSpec]:
+    """One spec per run of preset `name`, all on its problem at one query budget."""
+    default_budget, problem, params, runs, _ = _PRESETS[name]
+    budget = default_budget if query_budget is None else query_budget
+    return [RunSpec(run_name, problem, {**params, "seed": seed}, optimizer,
+                    {**_BASE_SETTINGS[optimizer], **overrides}, seed, max_queries=budget)
+            for run_name, optimizer, overrides in runs]
+
+
+# preset -> callable(seed, query_budget=None) returning its specs
+PRESETS = {name: partial(_preset_specs, name) for name in _PRESETS}
+preset_fig1a = PRESETS["fig1a"]  # read by perfbench/workloads.py
 
 
 def run_preset(name: str, seed: int, outdir: str,
@@ -396,20 +362,18 @@ def run_preset(name: str, seed: int, outdir: str,
     """Execute every run of a preset, write CSVs, and evaluate its criterion."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; known: {sorted(PRESETS)}")
-    specs = PRESETS[name](seed) if query_budget is None else PRESETS[name](seed, query_budget)
     os.makedirs(outdir, exist_ok=True)
     executions: list[ExecutionResult] = []
     svrg_steps = None
-    for spec in specs:
-        if name == "fig1a" and spec.optimizer == "fo-sgd" and svrg_steps:
-            spec = replace(spec, max_steps=svrg_steps, max_queries=None)
+    for spec in PRESETS[name](seed, query_budget):
+        if name == "fig1a" and spec.optimizer == "fo-sgd":  # at MeZO-SVRG's step count
+            spec = replace(spec, max_steps=svrg_steps or 1, max_queries=None)
         out = os.path.join(outdir, f"{name}_{spec.name}.csv")
         execution = execute(spec, out=out)
         executions.append(execution)
         if spec.optimizer == "mezo-svrg" and svrg_steps is None:
             svrg_steps = len(execution.result.records)
-    report = _preset_report(name, executions)
-    return executions, report
+    return executions, _preset_report(name, executions)
 
 
 def _preset_report(name: str, executions: list[ExecutionResult]) -> CompareReport | None:
@@ -421,9 +385,9 @@ def _preset_report(name: str, executions: list[ExecutionResult]) -> CompareRepor
         rep.check("mezo-svrg <= mezo", losses[1] <= losses[0])
         rep.check("fo-sgd <= mezo-svrg", losses[2] <= losses[1])
         return rep
-    if name not in _PRESET_CRITERIA:
+    if _PRESETS[name][4] is None:
         return None
-    criterion, options = _PRESET_CRITERIA[name]
+    criterion, options = _PRESETS[name][4]
     return judge(criterion, [read_csv(e.csv_path) for e in executions],
                  [e.spec.name for e in executions], **options)
 

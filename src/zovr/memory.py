@@ -17,11 +17,11 @@ bytes (tracemalloc) for any d, a serial one at most half that; tests check
 both. Full-batch loss queries read the dataset in place; a minibatch query
 gathers its b rows (b x 784 for the MLP), a term proportional to the data
 that the model leaves out.
-`optimizers.run` registers each optimizer's realized footprint (`held_slots`)
-on a SlotMeter once, so its peak, the CSV's ``peak_slots``, is registered,
-not measured: 1d, 2d, 5d and 2d for MeZO, MeZO-SVRG, ZO-SVRG and FO-SGD; the
-in-place MeZO-SVRG keeps its anchor estimate as (seed, scalar), below its 3d
-default. The tests measure whole MeZO, MeZO-SVRG and FO-SGD runs by tracemalloc.
+`optimizers.run` writes each optimizer's realized footprint (`held_slots`)
+into every record as the CSV's ``peak_slots``: registered, not measured, and
+a SlotMeter only observes it. MeZO 1d, MeZO-SVRG 2d (its anchor estimate
+kept as seed and scalar, below the 3d default), ZO-SVRG 5d, FO-SGD 2d. The
+tests measure whole MeZO, MeZO-SVRG and FO-SGD runs by tracemalloc.
 """
 
 from __future__ import annotations

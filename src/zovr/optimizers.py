@@ -411,7 +411,8 @@ def run(obj, theta0: np.ndarray, optimizer: str, config, budget: Budget,
     step; a non-finite or exploding loss ends the run with status
     'diverged'. Any other exception a step raises propagates to the
     caller. `sink`, when given, is called as sink(step, theta, record)
-    after every step.
+    after every step. Every record's `peak_slots` is `held_slots(optimizer,
+    d)`; a `meter`, when given, has that added once and only observes it.
     """
     if optimizer not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {optimizer!r}; known: {OPTIMIZERS}")
@@ -421,8 +422,9 @@ def run(obj, theta0: np.ndarray, optimizer: str, config, budget: Budget,
     if config.b > obj.n:
         raise ValueError(f"batch size b={config.b} exceeds the {obj.n} samples")
     theta = np.array(theta0, dtype=np.float64, copy=True)
-    if meter is not None:  # the whole footprint, from step 0 on
-        meter.add(held_slots(optimizer, theta.shape[0]))
+    slots = held_slots(optimizer, theta.shape[0])  # the whole footprint, from step 0 on
+    if meter is not None:
+        meter.add(slots)
     records: list[RunRecord] = []
     queries = 0
     backward = 0
@@ -487,7 +489,7 @@ def run(obj, theta0: np.ndarray, optimizer: str, config, budget: Budget,
         record = RunRecord(
             step=t, cumulative_queries=queries, train_loss=report.loss_before,
             eval_metric=metric, eta1=eta1_cur, eta2=eta2_cur,
-            kind=report.kind, peak_slots=(meter.peak if meter else 0),
+            kind=report.kind, peak_slots=slots,
             elapsed_seconds=time.perf_counter() - started,
             backward_queries=backward,
         )

@@ -286,6 +286,25 @@ def test_non_finite_loss_raises_and_restores():
     assert np.max(np.abs(theta - 1.0)) < 1e-12
 
 
+def test_probe_whose_second_query_raises_restores_theta():
+    class FailsOnSecondQuery:
+        n, d = 4, 5
+        calls = 0
+
+        def batch_loss(self, theta, indices):
+            self.calls += 1
+            if self.calls == 2:
+                raise RuntimeError("second query")
+            return 1.0
+
+    obj = FailsOnSecondQuery()
+    theta = np.ones(5)
+    with pytest.raises(RuntimeError, match="second query"):
+        spsa_batch_shared(obj, theta, full_batch(4), PerturbationSeed(1), SpsaConfig())
+    assert np.max(np.abs(theta - 1.0)) < 1e-12
+    assert obj.calls == 2
+
+
 def test_minibatch_validation():
     with pytest.raises(ValueError):
         Minibatch(np.array([1, 1, 2]))  # duplicates

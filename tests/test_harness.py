@@ -296,6 +296,32 @@ def test_cli_rejects_accounting_mode_of_another_optimizer(tmp_path, capsys):
     assert not out.exists()
 
 
+# run flags (mezo-svrg on ls unless they say otherwise) that a settings check refuses
+_BAD_SETTINGS = [
+    (["--mu", "0"], "mu must be positive, got 0.0"),
+    (["--mu", "-1"], "mu must be positive, got -1.0"),
+    (["--config", "p0.cfg"], "p must be >= 1, got 0"),
+    (["--kappa", "1"], "kappa must exceed 1, got 1.0"),
+    (["--alpha", "1"], "alpha must exceed 1, got 1.0"),
+    (["--steps", "0"], "budget values must be positive"),
+    (["--query-budget", "0"], "budget values must be positive"),
+    (["--n", "5", "--d", "10"], "need n >= d >= 1, got n=5, d=10"),
+    (["--noise-std", "-1"], "noise_std must be non-negative"),
+    (["--problem", "logistic", "--d", "0"], "need n, d >= 1, got n=256, d=0"),
+]
+
+
+@pytest.mark.parametrize("args, message", _BAD_SETTINGS,
+                         ids=[" ".join(args) for args, _ in _BAD_SETTINGS])
+def test_cli_run_refuses_a_bad_setting(tmp_path, monkeypatch, capsys, args, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p0.cfg").write_text("p=0\n")
+    code = cli.main(["run", "--optimizer", "mezo-svrg", "--out", "never.csv"] + args)
+    assert code == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "never.csv").exists()
+
+
 def test_cli_replay_roundtrip(tmp_path):
     traj = str(tmp_path / "run.zotrj")
     assert cli.main(["run", "--problem", "ls", "--optimizer", "mezo-svrg",

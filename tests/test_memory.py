@@ -16,7 +16,7 @@ from zovr import (
     run,
 )
 from zovr.estimators import PARALLEL_MIN_D, STREAM_CHUNK, _stream_add_scaled
-from zovr.memory import CONSTANT_OVERHEAD
+from zovr.memory import CONSTANT_OVERHEAD, held_slots
 from zovr.objectives import make_mlp2, make_synthetic_digits
 
 
@@ -50,7 +50,7 @@ def test_slot_meter_tracks_peak():
         meter.release(100)
 
 
-def _measured_peak(optimizer, config, steps=6):
+def _registered_peak(optimizer, config, steps=6):
     ls = make_least_squares(48, 24, seed=1)
     meter = SlotMeter()
     result = run(ls, ls.initial_theta(), optimizer, config,
@@ -59,29 +59,41 @@ def _measured_peak(optimizer, config, steps=6):
     return meter.peak, ls.d
 
 
-def test_measured_mezo_is_parameters_only():
-    peak, d = _measured_peak("mezo", MezoConfig(eta=1e-3, b=8))
+@pytest.mark.parametrize("optimizer, config", [
+    ("mezo", MezoConfig(eta=1e-3, b=8)),
+    ("mezo-svrg", MezoSvrgConfig(eta1=1e-3, eta2=1e-4, q=2, b=8)),
+    ("zo-svrg", ZoSvrgConfig(eta=1e-3, b=8, q=3)),
+    ("fo-sgd", FoSgdConfig(eta=1e-3, b=8)),
+])
+def test_run_without_a_meter_writes_held_slots(optimizer, config):
+    ls = make_least_squares(48, 24, seed=1)
+    result = run(ls, ls.initial_theta(), optimizer, config, Budget(max_steps=4), 3)
+    assert [r.peak_slots for r in result.records] == [held_slots(optimizer, ls.d)] * 4
+
+
+def test_registered_mezo_is_parameters_only():
+    peak, d = _registered_peak("mezo", MezoConfig(eta=1e-3, b=8))
     assert peak == d
     assert peak <= account_memory("mezo", None, d)
 
 
-def test_measured_mezo_svrg_stays_under_model():
-    peak, d = _measured_peak("mezo-svrg", MezoSvrgConfig(eta1=1e-3, eta2=1e-4, q=2, b=8))
+def test_registered_mezo_svrg_stays_under_model():
+    peak, d = _registered_peak("mezo-svrg", MezoSvrgConfig(eta1=1e-3, eta2=1e-4, q=2, b=8))
     # the in-place implementation keeps the anchor estimate compressed, so it
-    # measures 2d (parameters + anchor copy), below the 3d store_g model
+    # registers 2d (parameters + anchor copy), below the 3d store_g model
     assert peak == 2 * d
     assert peak <= account_memory("mezo-svrg", "recompute_g", d)
     assert peak <= account_memory("mezo-svrg", "store_g", d)
 
 
-def test_measured_naive_zo_svrg_hits_five_d():
-    peak, d = _measured_peak("zo-svrg", ZoSvrgConfig(eta=1e-3, b=8, q=3))
+def test_registered_naive_zo_svrg_hits_five_d():
+    peak, d = _registered_peak("zo-svrg", ZoSvrgConfig(eta=1e-3, b=8, q=3))
     assert peak == 5 * d
     assert peak <= account_memory("zo-svrg", "naive", d)
 
 
-def test_measured_fo_sgd_two_d():
-    peak, d = _measured_peak("fo-sgd", FoSgdConfig(eta=1e-3, b=8))
+def test_registered_fo_sgd_two_d():
+    peak, d = _registered_peak("fo-sgd", FoSgdConfig(eta=1e-3, b=8))
     assert peak == 2 * d
     assert peak <= account_memory("fo-sgd", None, d)
 

@@ -1,4 +1,6 @@
 import hashlib
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -446,3 +448,93 @@ def test_load_rejects_misplaced_lr_event(tmp_path, capsys, step, etas, message):
                      "--step", "1", "--out", str(tmp_path / "ckpt.npy")])
     assert code == 1
     assert message in capsys.readouterr().err
+
+
+def _saved_svrg_log(path):
+    """A saved two-step MeZO-SVRG log on a 4-dimensional zero theta0; returns its body.
+
+    The body is the file without its trailing CRC-32.
+    """
+    theta0 = np.zeros(4)
+    traj = TrajectoryLog.for_run(2, theta0, "mezo-svrg",
+                                 {"eta1": "0.001", "eta2": "0.0001", "mu": "0.001"})
+    traj.record_step(0, "fullbatch", (0.5,))
+    traj.record_step(1, "minibatch", (0.5, -0.25))
+    save(traj, path)
+    np.save(path + ".theta0.npy", theta0)
+    with open(path, "rb") as fh:
+        return fh.read()[:-4]
+
+
+def _first_record_at(body):
+    """Offset of the first record in a saved log's body: the header's length."""
+    tag_len = body[25]  # after the magic, version, master seed and d
+    cfg_at = 26 + tag_len
+    cfg_len = struct.unpack("<I", body[cfg_at:cfg_at + 4])[0]
+    return cfg_at + 4 + cfg_len + 32 + 8
+
+
+def _with_crc(body):
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _first_kind_set_to(body, code):
+    at = _first_record_at(body) + 4  # past the record's step
+    return body[:at] + bytes([code]) + body[at + 1:]
+
+
+# case -> (the saved log's body -> a file that load must refuse, its message);
+# each but the short file carries a recomputed CRC-32, so the check past it fires
+_MALFORMED = {
+    "short": (lambda body: b"ZOTRJ" + bytes(7), "trajectory file is truncated"),
+    "cut-record": (lambda body: _with_crc(body[:-3]), "trajectory file is truncated"),
+    "magic": (lambda body: _with_crc(b"ZOTRX" + body[5:]), "bad trajectory magic"),
+    "version-2": (lambda body: _with_crc(body[:5] + struct.pack("<I", 2) + body[9:]),
+                  "unsupported trajectory version 2"),
+    "trailing": (lambda body: _with_crc(body + b"\x00"),
+                 "trailing bytes after trajectory records"),
+    "kind-9": (lambda body: _with_crc(_first_kind_set_to(body, 9)),
+               "unknown record kind code 9"),
+}
+
+
+def _malformed_file(tmp_path, case):
+    path = str(tmp_path / "t.zotrj")
+    craft, message = _MALFORMED[case]
+    blob = craft(_saved_svrg_log(path))
+    with open(path, "wb") as fh:
+        fh.write(blob)
+    return path, message
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_load_refuses_a_malformed_file(tmp_path, case):
+    path, message = _malformed_file(tmp_path, case)
+    with pytest.raises(TrajectoryError, match=f"^{message}$"):
+        load(path)
+
+
+@pytest.mark.parametrize("case", ["version-2", "kind-9"])
+def test_cli_replay_refuses_a_malformed_file(tmp_path, capsys, case):
+    path, message = _malformed_file(tmp_path, case)
+    code = cli.main(["replay", "--traj", path, "--theta0", path + ".theta0.npy",
+                     "--step", "1", "--out", str(tmp_path / "ckpt.npy")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "ckpt.npy").exists()
+
+
+def test_replay_refuses_theta0_of_another_dimension(tmp_path):
+    path = str(tmp_path / "t.zotrj")
+    _saved_svrg_log(path)
+    log = load(path)
+    with pytest.raises(TrajectoryError, match="^theta0 has dimension 5, log has 4$"):
+        replay(log, np.zeros(5), 1)
+
+
+def test_replay_refuses_a_zo_svrg_header(tmp_path):
+    theta0 = np.zeros(4)
+    path = str(tmp_path / "t.zotrj")
+    save(TrajectoryLog.for_run(2, theta0, "zo-svrg", {"eta": "0.001", "mu": "0.001"}), path)
+    with pytest.raises(TrajectoryError, match="^cannot replay optimizer 'zo-svrg'$"):
+        replay(load(path), theta0, 0)
