@@ -95,6 +95,11 @@ def _spec_from_settings(settings: dict[str, str]) -> harness.RunSpec:
 _PRESET_ARGS = ("command", "preset", "seed", "out", "query_budget")
 
 
+# A diverging run reports itself in its status and reason; numpy's overflow
+# warnings would only name a source line. The state is set here, once per
+# command, not in run(): on numpy 2.4 every ufunc call inside a non-default
+# errstate costs about 2.5% more, and the library leaves its caller's state alone.
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_run(args) -> int:
     if args.preset:
         ignored = [f"--{k.replace('_', '-')}" for k, v in vars(args).items()

@@ -16,12 +16,16 @@ are provided:
   2*b queries and a dense d-vector. This is the memory-naive path kept
   for the reference ZO-SVRG optimizer.
 
-All parameter mutation is streamed in pieces of one size, so no second
-d-length buffer is allocated. From `PARALLEL_MIN_D` parameters on, and
-with two usable CPUs, each streaming pass runs in two lanes: the caller
-and one pooled worker thread share its pieces. Every element still gets
-the same z value and the same multiply and add, so results do not depend
-on the lane count or on which lane streamed which piece.
+All parameter mutation goes through one sweep, `stream_passes`, which
+applies an ordered list of (seed, alpha) passes in pieces of one size,
+so no second d-length buffer is allocated. A live probe hands it one
+pass at a time, because a loss query sits between its passes; replay
+hands it each step's whole list, every pass of a piece before the next
+piece. From `PARALLEL_MIN_D` parameters on, and with two usable CPUs, a
+sweep runs in two lanes: the caller and one pooled worker thread share
+its pieces. Every element still gets each pass's z value, multiply and
+add in list order, so results do not depend on the lane count, on which
+lane streamed which piece, or on how the passes were grouped into sweeps.
 """
 
 from __future__ import annotations
@@ -41,9 +45,12 @@ from . import prng
 # constant C, and two lanes' pieces in flight hold all of it.
 STREAM_CHUNK = 8192
 
-# Smallest d streamed in two lanes: in a d sweep of _stream_add_scaled on a
+# Smallest d streamed in two lanes: in a d sweep of one-pass streaming on a
 # 2-CPU machine two lanes won here, at half this d they won and lost by turns.
 PARALLEL_MIN_D = 8 * STREAM_CHUNK
+
+# The probe walk in steps of mu: to theta + mu*z, on to theta - mu*z, back.
+PROBE_WALK = (1.0, -2.0, 1.0)
 
 # (pid, one-thread pool or None on a single usable CPU); see _second_lane
 _lane_pool: tuple[int, ThreadPoolExecutor | None] = (-1, None)
@@ -191,18 +198,20 @@ def _second_lane() -> ThreadPoolExecutor | None:
     return _lane_pool[1]
 
 
-def _stream_pieces(theta: np.ndarray, seed: PerturbationSeed, alpha: float,
-                   starts) -> None:
-    # theta[a:a+STREAM_CHUNK] += alpha * z(seed)[a:a+STREAM_CHUNK] for each a
-    # taken from `starts`; the two lanes draw from one iterator, whose next()
-    # runs under the interpreter lock, so each piece is streamed once
+def _stream_pieces(theta: np.ndarray, passes, starts) -> None:
+    # for each piece a taken from `starts`, every (seed, alpha) of `passes` in
+    # turn does theta[a:a+STREAM_CHUNK] += alpha * z(seed)[a:a+STREAM_CHUNK];
+    # the two lanes draw from one iterator, whose next() runs under the
+    # interpreter lock, so each piece is streamed once
     d = theta.shape[0]
     for a in starts:
         b = min(a + STREAM_CHUNK, d)
-        z = prng.normals(seed.seed, seed.offset + a, b - a)
-        z *= alpha
-        theta[a:b] += z
-        del z  # free this piece before the next one is generated
+        piece = theta[a:b]
+        for seed, alpha in passes:
+            z = prng.normals(seed.seed, seed.offset + a, b - a)
+            z *= alpha
+            piece += z
+            del z  # free this window before the next one is generated
 
 
 def _worker_lane(started: threading.Event, *lane) -> None:
@@ -210,9 +219,8 @@ def _worker_lane(started: threading.Event, *lane) -> None:
     _stream_pieces(*lane)
 
 
-def _stream_two_lanes(theta: np.ndarray, seed: PerturbationSeed, alpha: float,
-                      pool: ThreadPoolExecutor) -> None:
-    """theta += alpha * z(seed), streamed by the caller and `pool`'s thread.
+def _stream_two_lanes(theta: np.ndarray, passes, pool: ThreadPoolExecutor) -> None:
+    """`stream_passes`, streamed by the caller and `pool`'s thread.
 
     The lanes share one queue of STREAM_CHUNK pieces, so a lane that waits
     for the interpreter lock or for a busy CPU leaves its pieces to the
@@ -222,51 +230,68 @@ def _stream_two_lanes(theta: np.ndarray, seed: PerturbationSeed, alpha: float,
     """
     starts = iter(range(0, theta.shape[0], STREAM_CHUNK))
     started = threading.Event()
-    worker = pool.submit(_worker_lane, started, theta, seed, alpha, starts)
+    worker = pool.submit(_worker_lane, started, theta, passes, starts)
     try:
         started.wait()
-        _stream_pieces(theta, seed, alpha, starts)
+        _stream_pieces(theta, passes, starts)
     finally:
         wait((worker,))
     worker.result()
 
 
-def _stream_add_scaled(theta: np.ndarray, seed: PerturbationSeed, alpha: float) -> None:
-    # theta += alpha * z(seed): one piece inline (a small-d pass takes microseconds,
-    # an extra call shows), large d in two lanes, else piece by piece in order
+def stream_passes(theta: np.ndarray, passes) -> None:
+    """theta += alpha * z(seed) for each (seed, alpha) of `passes`, in order.
+
+    One sweep: each STREAM_CHUNK piece of theta takes every pass before
+    the next piece starts, so a piece stays in cache across the passes and
+    a many-pass sweep costs one lane dispatch. Every element still gets
+    each pass's z value, multiply and add in list order, so the result
+    equals the passes applied one after another, bit for bit. One piece
+    runs inline (a small-d pass takes microseconds, an extra call shows),
+    large d in two lanes, else piece by piece in order.
+    """
     d = theta.shape[0]
     if d <= STREAM_CHUNK:  # one piece: no slicing of theta
-        z = prng.normals(seed.seed, seed.offset, d)
-        z *= alpha
-        theta += z
+        for seed, alpha in passes:
+            z = prng.normals(seed.seed, seed.offset, d)
+            z *= alpha
+            theta += z
+            del z
         return
     if d >= PARALLEL_MIN_D:
         pool = _second_lane()
         if pool is not None:
-            _stream_two_lanes(theta, seed, alpha, pool)
+            _stream_two_lanes(theta, passes, pool)
             return
-    _stream_pieces(theta, seed, alpha, range(0, d, STREAM_CHUNK))
+    _stream_pieces(theta, passes, range(0, d, STREAM_CHUNK))
+
+
+def _stream_add_scaled(theta: np.ndarray, seed: PerturbationSeed, alpha: float) -> None:
+    # theta += alpha * z(seed): the sweep of one pass
+    stream_passes(theta, ((seed, alpha),))
 
 
 def _central_difference(theta, seed, mu, evaluate):
     """One two-point probe: returns (coeff, proxy) with theta restored.
 
-    `evaluate` is called at theta+mu*z and theta-mu*z. If it raises, the
-    net perturbation applied so far is undone before re-raising.
+    `evaluate` is called at theta+mu*z and theta-mu*z, the first two legs
+    of PROBE_WALK. If it raises, the net perturbation applied so far is
+    undone before re-raising.
     """
-    _stream_add_scaled(theta, seed, mu)
+    up, across, back = PROBE_WALK
+    _stream_add_scaled(theta, seed, up * mu)
     try:
         f_plus = float(evaluate())
     except BaseException:
-        _stream_add_scaled(theta, seed, -mu)
+        _stream_add_scaled(theta, seed, -up * mu)
         raise
-    _stream_add_scaled(theta, seed, -2.0 * mu)
+    _stream_add_scaled(theta, seed, across * mu)
     try:
         f_minus = float(evaluate())
     except BaseException:
-        _stream_add_scaled(theta, seed, mu)
+        _stream_add_scaled(theta, seed, back * mu)
         raise
-    _stream_add_scaled(theta, seed, mu)
+    _stream_add_scaled(theta, seed, back * mu)
     if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
         raise NonFiniteLossError(
             f"non-finite loss in SPSA probe: f+={f_plus!r}, f-={f_minus!r}"
@@ -274,19 +299,28 @@ def _central_difference(theta, seed, mu, evaluate):
     return (f_plus - f_minus) / (2.0 * mu), 0.5 * (f_plus + f_minus)
 
 
+def probe_passes(passes: list, seed: PerturbationSeed, mu: float, p: int, d: int) -> list:
+    """Append the passes of p probe walks to `passes`, and return it.
+
+    Draw k walks the window k*d along `seed`'s stream by mu * PROBE_WALK,
+    the legs `_central_difference` takes around its two queries.
+    """
+    for k in range(p):
+        s = seed.shifted(k * d)
+        for leg in PROBE_WALK:
+            passes.append((s, leg * mu))
+    return passes
+
+
 def apply_probe_sequence(theta: np.ndarray, seed: PerturbationSeed, mu: float,
                          p: int = 1) -> None:
-    """Re-apply the probe wobble of an estimator call without evaluating.
+    """Re-apply the probe walks of an estimator call without evaluating.
 
-    Each draw runs the estimator's own (+mu, -2mu, +mu) walk with an
-    evaluator that queries nothing; the net effect is zero only up to
-    floating-point rounding. Trajectory replay calls this to walk theta
-    through the identical arithmetic sequence the live run executed,
-    which is what makes replay bit-exact.
+    The p draws' (+mu, -2mu, +mu) legs run in one sweep; the net effect
+    is zero only up to floating-point rounding, and each element takes
+    the very operations the live probes applied.
     """
-    d = theta.shape[0]
-    for k in range(p):
-        _central_difference(theta, seed.shifted(k * d), mu, lambda: 0.0)
+    stream_passes(theta, probe_passes([], seed, mu, p, theta.shape[0]))
 
 
 def _estimate(theta: np.ndarray, seed: PerturbationSeed, cfg: SpsaConfig,
@@ -340,10 +374,16 @@ def materialize(est: GradientEstimate) -> np.ndarray:
     return out
 
 
+def estimate_passes(passes: list, est: GradientEstimate, scale: float) -> list:
+    """Append the passes of theta += scale * (materialized estimate) to `passes`."""
+    inv_p = 1.0 / est.p
+    for k, c in enumerate(est.coeffs):
+        passes.append((est.seed.shifted(k * est.d), scale * c * inv_p))
+    return passes
+
+
 def axpy_estimate_in_place(theta: np.ndarray, est: GradientEstimate, scale: float) -> None:
     """theta += scale * (materialized estimate), streamed, no d-length temp."""
     if theta.shape[0] != est.d:
         raise ValueError(f"dimension mismatch: theta has {theta.shape[0]}, estimate {est.d}")
-    inv_p = 1.0 / est.p
-    for k, c in enumerate(est.coeffs):
-        _stream_add_scaled(theta, est.seed.shifted(k * est.d), scale * c * inv_p)
+    stream_passes(theta, estimate_passes([], est, scale))

@@ -21,13 +21,18 @@ IDX_LABELS_MAGIC = 0x00000801
 
 
 def _rows(indices, data, targets):
-    """``data[indices], targets[indices]``, read in place for a full batch.
+    """``data[indices], targets[indices]``, read in place for one row or a full batch.
 
-    When `indices` is exactly 0..n-1 and an array is C-contiguous, the
+    One in-range index i gives the views ``data[i:i + 1]`` and
+    ``targets[i:i + 1]``, so a one-sample query copies no row. When
+    `indices` is exactly 0..n-1 and an array is C-contiguous, the
     gathered copy would equal the array in value and in layout, so the
     array itself is returned and a full-batch query copies no data.
     """
     idx = np.asarray(indices)
+    if idx.size == 1 and idx.ndim == 1 and idx.dtype.kind in "iu" and 0 <= idx[0] < data.shape[0]:
+        i = int(idx[0])
+        return data[i:i + 1], targets[i:i + 1]
     if not (idx.ndim == 1 and 0 < idx.size == data.shape[0] and idx.dtype.kind in "iu"
             and idx[0] == 0 and np.all(np.diff(idx) == 1)):
         return data[idx], targets[idx]

@@ -11,11 +11,13 @@ never needs loss values.
 
 Replay reconstructs theta at any step with zero objective queries by
 re-deriving each step's perturbation seed from the master seed and
-re-applying the live run's exact in-place arithmetic: the probe wobble
-(+mu, -2mu, +mu) followed by the update axpys. The axpys come from
-`optimizers.update_plan`, the same list the live step applies, so the
-floating-point operation sequence on theta is identical and replayed
-checkpoints match the live run bit for bit.
+re-applying the live run's exact in-place arithmetic: the probe walk
+(+mu, -2mu, +mu per draw) followed by the update axpys. The axpys come
+from `optimizers.update_plan`, the same list the live step applies. A
+step's passes go to `estimators.stream_passes` as one list, which
+streams them piece by piece in one lane dispatch; each element of theta
+still takes the live run's operations in the live run's order, so
+replayed checkpoints match the live run bit for bit.
 
 File layout (little endian, CRC-32 at the end):
 
@@ -35,7 +37,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import apply_probe_sequence, axpy_estimate_in_place
+# replay calls neither name; perfbench's tracer wraps both in this module's namespace
+from .estimators import apply_probe_sequence, axpy_estimate_in_place  # noqa: F401
+from .estimators import estimate_passes, probe_passes, stream_passes
 from .optimizers import (
     KIND_FULLBATCH,
     KIND_MINIBATCH,
@@ -243,6 +247,7 @@ def replay(log: TrajectoryLog, theta0: np.ndarray, upto: int) -> np.ndarray:
     theta = np.array(theta0, dtype=np.float64, copy=True)
     seeds = StepSeeds(log.master_seed)
     anchor_est = None
+    passes: list = []  # one step's sweep, refilled in place
     applied = 0
     for rec in log.records:
         if rec.kind == REC_LR_EVENT:
@@ -252,12 +257,14 @@ def replay(log: TrajectoryLog, theta0: np.ndarray, upto: int) -> np.ndarray:
             break
         kind = _code_to_kind(rec.kind)
         seed = seeds.perturb_seed(rec.step, kind)
-        apply_probe_sequence(theta, seed, mu, p)
         # record_step let a minibatch record into a MeZO-SVRG log only after an anchor
         anchor = anchor_est if kind == KIND_MINIBATCH else None
         plan = update_plan(seed, rec.coeffs, log.d, anchor, eta1 if anchor is None else eta2)
+        passes.clear()
+        probe_passes(passes, seed, mu, p, log.d)
         for est, scale in plan:
-            axpy_estimate_in_place(theta, est, scale)
+            estimate_passes(passes, est, scale)
+        stream_passes(theta, passes)
         if kind == KIND_FULLBATCH:
             anchor_est = plan[0][0]  # the control variate of the next minibatch steps
         applied += 1

@@ -282,6 +282,27 @@ def test_cli_prints_registered_peak_of_a_run_diverged_at_step_0(capsys, optimize
     assert f"; registered peak: {held * 100} slots\n" in out
 
 
+def _cli_in_fresh_interpreter(args, cwd=None):
+    src = os.path.dirname(os.path.dirname(zovr.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "zovr.cli", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_run_whose_probe_overflows_writes_no_warning(tmp_path):
+    # the run reports its divergence in its status and reason; numpy's overflow
+    # warnings, which name a source line, stay off stderr
+    done = _cli_in_fresh_interpreter(["run", "--problem", "ls", "--optimizer", "mezo",
+                                      "--mu", "1e300", "--steps", "3"], cwd=tmp_path)
+    assert done.returncode == 2
+    assert done.stderr == ""
+    assert done.stdout == (
+        "status=diverged steps=0 queries=0 final_loss=7.479135e+01\n"
+        "memory model (base): 66660 slots; registered peak: 100 slots\n"
+        "reason: non-finite loss in SPSA probe: f+=inf, f-=inf\n")
+
+
 def test_cli_rejects_accounting_mode_of_another_optimizer(tmp_path, capsys):
     out = tmp_path / "never.csv"
     code = cli.main(_SMALL_RUN + ["--optimizer", "mezo", "--accounting-mode", "naive",
@@ -350,13 +371,8 @@ def test_cli_replay_in_two_lanes_exits_cleanly(tmp_path, monkeypatch):
                      "--n", "6", "--d", str(d), "--steps", "4", "--batch-size", "2",
                      "--seed", "4", "--traj-out", traj]) == 0
     ckpt = str(tmp_path / "ckpt.npy")
-    src = os.path.dirname(os.path.dirname(zovr.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run(
-        [sys.executable, "-m", "zovr.cli", "replay", "--traj", traj,
-         "--theta0", traj + ".theta0.npy", "--step", "4", "--out", ckpt],
-        env=env, capture_output=True, text=True, timeout=120)
+    done = _cli_in_fresh_interpreter(["replay", "--traj", traj, "--theta0",
+                                      traj + ".theta0.npy", "--step", "4", "--out", ckpt])
     assert done.returncode == 0
     assert done.stderr == ""
     monkeypatch.setattr(estimators, "PARALLEL_MIN_D", d + 1)  # the serial kernel

@@ -1,9 +1,11 @@
-"""The two-lane streaming kernel equals the serial loop bit for bit.
+"""The streaming sweep equals the serial loop bit for bit, in one or two lanes.
 
-From `PARALLEL_MIN_D` on, `_stream_add_scaled` shares its pieces between
-the caller and one pooled worker thread. These tests call the two-lane
-kernel directly on a pool of their own as well, so they exercise it on a
-one-CPU machine too, where the dispatcher stays serial.
+`stream_passes` applies a list of (seed, alpha) passes piece by piece;
+from `PARALLEL_MIN_D` on it shares its pieces between the caller and one
+pooled worker thread. These tests call the two-lane kernel directly on a
+pool of their own as well, or install one as the process's lane pool, so
+they exercise it on a one-CPU machine too, where the dispatcher stays
+serial.
 """
 
 import os
@@ -17,13 +19,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zovr import estimators, prng
+from zovr import estimators, optimizers, prng, trajectory
 from zovr.estimators import (
     PARALLEL_MIN_D,
     STREAM_CHUNK,
     PerturbationSeed,
     _stream_add_scaled,
+    _stream_pieces,
     _stream_two_lanes,
+    stream_passes,
 )
 
 _PIECE = STREAM_CHUNK  # every pass, serial or in two lanes, streams pieces of one size
@@ -60,8 +64,40 @@ def test_two_lanes_equal_serial_loop(lane_pool, d, seed, offset, alpha):
     dispatched = theta0.copy()
     _stream_add_scaled(dispatched, ps, alpha)
     two = theta0.copy()
-    _stream_two_lanes(two, ps, alpha, lane_pool)
+    _stream_two_lanes(two, ((ps, alpha),), lane_pool)
     assert np.array_equal(_bits(dispatched), _bits(expected))
+    assert np.array_equal(_bits(two), _bits(expected))
+
+
+_SWEEP_D = st.one_of(
+    st.integers(1, STREAM_CHUNK),
+    st.integers(PARALLEL_MIN_D - 3, 3 * PARALLEL_MIN_D),
+    # a ragged tail after whole pieces, on either side of the two-lane gate
+    st.builds(lambda k, r: k * STREAM_CHUNK + r, st.integers(1, 23),
+              st.integers(1, STREAM_CHUNK - 1)),
+)
+# a few small seeds, so that lists repeat a window as a probe walk does
+_PASS = st.tuples(st.one_of(st.integers(0, 3), st.integers(0, 2**64 - 1)),
+                  st.integers(0, 2**40),
+                  st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=_SWEEP_D, raw=st.lists(_PASS, min_size=1, max_size=6))
+def test_sweep_equals_its_passes_one_by_one(lane_pool, d, raw):
+    passes = [(PerturbationSeed(seed, offset), alpha) for seed, offset, alpha in raw]
+    theta0 = np.linspace(-1.0, 1.0, d)
+    expected = theta0.copy()
+    for seed, alpha in passes:
+        _serial_stream(expected, seed, alpha)
+    dispatched = theta0.copy()
+    stream_passes(dispatched, passes)
+    serial = theta0.copy()
+    _stream_pieces(serial, passes, range(0, d, STREAM_CHUNK))
+    two = theta0.copy()
+    _stream_two_lanes(two, passes, lane_pool)
+    assert np.array_equal(_bits(dispatched), _bits(expected))
+    assert np.array_equal(_bits(serial), _bits(expected))
     assert np.array_equal(_bits(two), _bits(expected))
 
 
@@ -99,7 +135,7 @@ def test_lane_error_raises_after_both_lanes_stop(monkeypatch, lane_pool, failing
     monkeypatch.setattr(prng, "normals", flaky)
     theta = np.zeros(d)
     with pytest.raises(RuntimeError, match=f"{failing} lane failed"):
-        _stream_two_lanes(theta, seed, 0.5, lane_pool)
+        _stream_two_lanes(theta, ((seed, 0.5),), lane_pool)
     assert inside == []
     # the other lane streamed every remaining piece before the error surfaced
     expected = np.zeros(d)
@@ -110,6 +146,118 @@ def test_lane_error_raises_after_both_lanes_stop(monkeypatch, lane_pool, failing
     assert np.array_equal(theta, expected)
     time.sleep(0.02)
     assert np.array_equal(theta, expected)  # and nothing writes after the raise
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_lane_error_in_a_sweep_raises_after_both_lanes_stop(monkeypatch, lane_pool, failing):
+    d = 6 * _PIECE + 5
+    first, broken = PerturbationSeed(31, 7), PerturbationSeed(32, 3)
+    passes = [(first, 0.5), (broken, -0.25), (first, 0.125)]
+    caller = threading.current_thread()
+    real = prng.normals
+    lock = threading.Lock()
+    inside = []     # lanes currently inside prng.normals
+    failed_at = []  # piece start of the pass that raised, its sweep's second
+
+    def flaky(s, start, count):
+        mine = threading.current_thread() is caller
+        with lock:
+            inside.append(mine)
+        try:
+            time.sleep(0.005)  # each piece is slow, so the other lane takes some
+            if (failing == "caller") == mine and s == broken.seed and not failed_at:
+                failed_at.append(start - broken.offset)
+                raise RuntimeError(f"{failing} lane failed")
+            return real(s, start, count)
+        finally:
+            with lock:
+                inside.remove(mine)
+
+    monkeypatch.setattr(prng, "normals", flaky)
+    theta = np.zeros(d)
+    with pytest.raises(RuntimeError, match=f"{failing} lane failed"):
+        _stream_two_lanes(theta, passes, lane_pool)
+    assert inside == []
+    # the other lane swept every remaining piece before the error surfaced;
+    # the failed piece kept the pass it took before the raise
+    monkeypatch.setattr(prng, "normals", real)
+    expected = np.zeros(d)
+    for seed, alpha in passes:
+        _serial_stream(expected, seed, alpha)
+    a = failed_at[0]
+    b = min(a + _PIECE, d)
+    expected[a:b] = 0.5 * real(first.seed, first.offset + a, b - a)
+    assert np.array_equal(theta, expected)
+    time.sleep(0.02)
+    assert np.array_equal(theta, expected)  # and nothing writes after the raise
+
+
+class _CountingPool:
+    """A one-thread pool that counts the lane dispatches made to it."""
+
+    def __init__(self, pool):
+        self.pool = pool
+        self.submits = 0
+
+    def submit(self, *args):
+        self.submits += 1
+        return self.pool.submit(*args)
+
+
+_WIDE_D = PARALLEL_MIN_D + 11
+_WIDE_STEPS = 4
+
+
+def _wide_log(optimizer):
+    # a MeZO or MeZO-SVRG (q=2) log with made-up coefficients, replayed in two lanes
+    theta0 = prng.normals(prng.fold(3, 1), 0, _WIDE_D)
+    settings = {"mezo": {"eta": "0.01"},
+                "mezo-svrg": {"eta1": "0.01", "eta2": "0.001", "q": "2"}}[optimizer]
+    log = trajectory.TrajectoryLog.for_run(9, theta0, optimizer,
+                                           dict(settings, mu="0.001", p="1"))
+    coeffs = iter(prng.normals(prng.fold(3, 2), 0, 2 * _WIDE_STEPS).tolist())
+    kinds = []
+    for t in range(_WIDE_STEPS):
+        anchor = optimizer == "mezo-svrg" and t % 2 == 0
+        kind = optimizers.KIND_FULLBATCH if anchor else optimizers.KIND_MINIBATCH
+        count = 2 if optimizer == "mezo-svrg" and not anchor else 1
+        log.record_step(t, kind, tuple(next(coeffs) for _ in range(count)))
+        kinds.append(kind)
+    return log, theta0, kinds
+
+
+@pytest.mark.parametrize("optimizer", ["mezo", "mezo-svrg"])
+def test_replay_dispatches_one_sweep_per_step(monkeypatch, lane_pool, optimizer):
+    log, theta0, _ = _wide_log(optimizer)
+    pool = _CountingPool(lane_pool)
+    monkeypatch.setattr(estimators, "_lane_pool", (os.getpid(), pool))
+    trajectory.replay(log, theta0, _WIDE_STEPS)
+    assert pool.submits == _WIDE_STEPS
+
+
+@pytest.mark.parametrize("optimizer", ["mezo", "mezo-svrg"])
+def test_replay_in_two_lanes_generates_every_z_value(monkeypatch, lane_pool, optimizer):
+    # the benchmark counts z values at prng.normals; both lanes must go through it
+    log, theta0, kinds = _wide_log(optimizer)
+    monkeypatch.setattr(estimators, "_lane_pool", (os.getpid(), _CountingPool(lane_pool)))
+    real = prng.normals
+    lock = threading.Lock()
+    values = [0]
+
+    def counted(seed, start, count):
+        with lock:
+            values[0] += count
+        return real(seed, start, count)
+
+    monkeypatch.setattr(prng, "normals", counted)
+    replayed = trajectory.replay(log, theta0, _WIDE_STEPS)
+    monkeypatch.setattr(prng, "normals", real)
+    # probe walk of three passes, then one axpy, or three at a minibatch step of MeZO-SVRG
+    per_step = {optimizers.KIND_FULLBATCH: 4,
+                optimizers.KIND_MINIBATCH: 4 if optimizer == "mezo" else 6}
+    assert values[0] == _WIDE_D * sum(per_step[kind] for kind in kinds)
+    monkeypatch.setattr(estimators, "PARALLEL_MIN_D", _WIDE_D + 1)
+    assert np.array_equal(replayed, trajectory.replay(log, theta0, _WIDE_STEPS))
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
