@@ -108,24 +108,27 @@ def test_dispatch_uses_two_lanes_with_two_cpus():
     assert estimators._second_lane() is pool  # one pool per process
 
 
-@pytest.mark.parametrize("failing", ["worker", "caller"])
-def test_lane_error_raises_after_both_lanes_stop(monkeypatch, lane_pool, failing):
-    d = 6 * _PIECE + 5
-    seed = PerturbationSeed(31, 7)
+def _fail_once_in(monkeypatch, failing, broken):
+    """Make the `failing` lane's first prng.normals call on `broken`'s stream raise.
+
+    Every call is slow, so the other lane takes some pieces. Returns the
+    lanes currently inside prng.normals, and the window position of the
+    call that raised once it has.
+    """
     caller = threading.current_thread()
     real = prng.normals
     lock = threading.Lock()
-    inside = []     # lanes currently inside prng.normals
-    failed_at = []  # stream position of the piece that raised
+    inside = []
+    failed_at = []
 
     def flaky(s, start, count):
         mine = threading.current_thread() is caller
         with lock:
             inside.append(mine)
         try:
-            time.sleep(0.005)  # each piece is slow, so the other lane takes some
-            if (failing == "caller") == mine and not failed_at:
-                failed_at.append(start - seed.offset)
+            time.sleep(0.005)
+            if (failing == "caller") == mine and s == broken.seed and not failed_at:
+                failed_at.append(start - broken.offset)
                 raise RuntimeError(f"{failing} lane failed")
             return real(s, start, count)
         finally:
@@ -133,6 +136,15 @@ def test_lane_error_raises_after_both_lanes_stop(monkeypatch, lane_pool, failing
                 inside.remove(mine)
 
     monkeypatch.setattr(prng, "normals", flaky)
+    return inside, failed_at
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_lane_error_raises_after_both_lanes_stop(monkeypatch, lane_pool, failing):
+    d = 6 * _PIECE + 5
+    seed = PerturbationSeed(31, 7)
+    real = prng.normals
+    inside, failed_at = _fail_once_in(monkeypatch, failing, seed)
     theta = np.zeros(d)
     with pytest.raises(RuntimeError, match=f"{failing} lane failed"):
         _stream_two_lanes(theta, ((seed, 0.5),), lane_pool)
@@ -153,27 +165,8 @@ def test_lane_error_in_a_sweep_raises_after_both_lanes_stop(monkeypatch, lane_po
     d = 6 * _PIECE + 5
     first, broken = PerturbationSeed(31, 7), PerturbationSeed(32, 3)
     passes = [(first, 0.5), (broken, -0.25), (first, 0.125)]
-    caller = threading.current_thread()
     real = prng.normals
-    lock = threading.Lock()
-    inside = []     # lanes currently inside prng.normals
-    failed_at = []  # piece start of the pass that raised, its sweep's second
-
-    def flaky(s, start, count):
-        mine = threading.current_thread() is caller
-        with lock:
-            inside.append(mine)
-        try:
-            time.sleep(0.005)  # each piece is slow, so the other lane takes some
-            if (failing == "caller") == mine and s == broken.seed and not failed_at:
-                failed_at.append(start - broken.offset)
-                raise RuntimeError(f"{failing} lane failed")
-            return real(s, start, count)
-        finally:
-            with lock:
-                inside.remove(mine)
-
-    monkeypatch.setattr(prng, "normals", flaky)
+    inside, failed_at = _fail_once_in(monkeypatch, failing, broken)
     theta = np.zeros(d)
     with pytest.raises(RuntimeError, match=f"{failing} lane failed"):
         _stream_two_lanes(theta, passes, lane_pool)
