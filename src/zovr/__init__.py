@@ -41,6 +41,7 @@ from .optimizers import (
     RunRecord,
     RunResult,
     StepReport,
+    StepSeeds,
     SvrgAnchor,
     ZoSvrgConfig,
     fo_sgd_step,

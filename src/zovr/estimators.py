@@ -323,30 +323,26 @@ def apply_probe_sequence(theta: np.ndarray, seed: PerturbationSeed, mu: float,
     stream_passes(theta, probe_passes([], seed, mu, p, theta.shape[0]))
 
 
-def _estimate(theta: np.ndarray, seed: PerturbationSeed, cfg: SpsaConfig,
-              queries_per_draw: int, evaluate) -> GradientEstimate:
-    # the p draws read disjoint windows of seed's stream; draw 0 gives the proxy
-    d = theta.shape[0]
-    coeffs = []
-    for k in range(cfg.p):
-        c, pr = _central_difference(theta, seed.shifted(k * d), cfg.mu, evaluate)
-        coeffs.append(c)
-        if k == 0:
-            proxy = pr
-    return GradientEstimate(seed, tuple(coeffs), d, queries_per_draw * cfg.p, proxy)
-
-
 def spsa_batch_shared(obj, theta: np.ndarray, batch: Minibatch, seed: PerturbationSeed,
                       cfg: SpsaConfig) -> GradientEstimate:
     """Shared-perturbation minibatch estimate: every sample moves along one z.
 
     coeff = [mean_i f_i(theta+mu*z) - mean_i f_i(theta-mu*z)] / (2*mu),
-    costing 2*b*p loss queries and one scalar per draw.
+    costing 2*b*p loss queries and one scalar per draw. The p draws read
+    disjoint windows of seed's stream; draw 0 gives the loss proxy.
     """
-    if batch.indices[-1] >= obj.n:
-        raise ValueError(f"batch index {batch.indices[-1]} out of range [0, {obj.n})")
-    return _estimate(theta, seed, cfg, 2 * batch.b,
-                     lambda: obj.batch_loss(theta, batch.indices))
+    indices = batch.indices
+    if indices[-1] >= obj.n:
+        raise ValueError(f"batch index {indices[-1]} out of range [0, {obj.n})")
+    d = theta.shape[0]
+    coeffs = []
+    for k in range(cfg.p):
+        c, pr = _central_difference(theta, seed.shifted(k * d), cfg.mu,
+                                    lambda: obj.batch_loss(theta, indices))
+        coeffs.append(c)
+        if k == 0:
+            proxy = pr
+    return GradientEstimate(seed, tuple(coeffs), d, 2 * batch.b * cfg.p, proxy)
 
 
 def spsa_batch_avg(obj, theta: np.ndarray, batch: Minibatch,

@@ -54,8 +54,8 @@ class Objective:
     """Sample-indexed loss oracle over n samples in dimension d.
 
     Subclasses implement ``batch_loss``, and optionally ``batch_grad``
-    (an analytic gradient) and ``metric``. ``f_star`` holds the optimal
-    mean loss when a closed form is available, else None.
+    (an analytic gradient) and ``metric``: a missing metric reads None.
+    ``f_star`` is the optimal mean loss when a closed form is known, else None.
     """
 
     n: int
@@ -69,8 +69,8 @@ class Objective:
     def batch_grad(self, theta: np.ndarray, indices: np.ndarray) -> np.ndarray:
         raise NotImplementedError("objective provides no analytic gradient")
 
-    def metric(self, theta: np.ndarray) -> float:
-        raise NotImplementedError("objective provides no evaluation metric")
+    def metric(self, theta: np.ndarray) -> float | None:
+        return None
 
     def initial_theta(self) -> np.ndarray:
         return np.zeros(self.d)

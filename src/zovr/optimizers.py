@@ -24,6 +24,7 @@ apply its list, so the two cannot drift apart.
 
 The reference ZO-SVRG keeps the memory-naive per-sample averaged
 estimators and dense blending; it exists as the 5x-footprint baseline.
+`zo_svrg_step` itself refreshes its dense anchor from all n samples.
 
 Per-step randomness is derived from one master seed (`StepSeeds`):
 perturbation seeds are fold(fold(master, tag), step) with tag 1 for
@@ -341,19 +342,28 @@ def mezo_svrg_step(obj, theta: np.ndarray, anchor: SvrgAnchor | None,
     return report, anchor
 
 
-def zo_svrg_step(obj, theta: np.ndarray, anchor: SvrgAnchor, batch: Minibatch,
-                 per_sample_seeds: list[PerturbationSeed], eta: float,
-                 cfg: SpsaConfig) -> StepReport:
-    """Reference ZO-SVRG blend with per-sample averaged estimators (dense).
+def zo_svrg_step(obj, theta: np.ndarray, anchor: SvrgAnchor | None, batch: Minibatch,
+                 seeds: StepSeeds, cfg: ZoSvrgConfig, t: int,
+                 eta: float) -> tuple[StepReport, SvrgAnchor]:
+    """One reference ZO-SVRG step with per-sample averaged estimators (dense).
 
     theta <- theta - eta * [est_I(theta) - est_I(theta_bar) + g], with the
-    same per-sample seeds at theta and theta_bar. Deliberately memory-
-    naive: two transient d-vectors on top of the dense anchor state.
+    same per-sample seeds at theta and theta_bar. On t % q == 0 the step
+    first anchors g <- est_full(theta), theta_bar <- theta (2n queries per
+    draw) and is a fullbatch step. Returns (report, anchor). Deliberately
+    memory-naive: two transient d-vectors on top of the dense anchor state.
     """
+    kind, queries = KIND_MINIBATCH, 4 * batch.b * cfg.spsa.p
+    if t % cfg.q == 0:
+        per_sample = _per_sample_seeds(seeds.perturb_seed(t, KIND_FULLBATCH), obj.n)
+        dense = spsa_batch_avg(obj, theta, full_batch(obj.n), per_sample, cfg.spsa)
+        anchor = _set_anchor(anchor, theta, dense, t)
+        kind, queries = KIND_FULLBATCH, queries + 2 * obj.n * cfg.spsa.p
     if anchor is None or not isinstance(anchor.estimate, np.ndarray):
         raise RuntimeError("reference ZO-SVRG needs a dense anchor estimate")
-    at_theta = spsa_batch_avg(obj, theta, batch, per_sample_seeds, cfg)
-    at_anchor = spsa_batch_avg(obj, anchor.theta_bar, batch, per_sample_seeds, cfg)
+    per_sample = _per_sample_seeds(seeds.perturb_seed(t, KIND_MINIBATCH), batch.b)
+    at_theta = spsa_batch_avg(obj, theta, batch, per_sample, cfg.spsa)
+    at_anchor = spsa_batch_avg(obj, anchor.theta_bar, batch, per_sample, cfg.spsa)
     # loss is logged for free from the probe evaluations' midpoint; here the
     # per-sample estimators do not expose one, so log an uncounted evaluation
     loss_logged = obj.batch_loss(theta, batch.indices)
@@ -361,7 +371,7 @@ def zo_svrg_step(obj, theta: np.ndarray, anchor: SvrgAnchor, batch: Minibatch,
     at_theta += anchor.estimate
     at_theta *= eta
     theta -= at_theta
-    return StepReport(KIND_MINIBATCH, float(loss_logged), 4 * batch.b * cfg.p)
+    return StepReport(kind, float(loss_logged), queries), anchor
 
 
 def fo_sgd_step(obj, theta: np.ndarray, batch: Minibatch, eta: float) -> StepReport:
@@ -460,14 +470,8 @@ def run(obj, theta0: np.ndarray, optimizer: str, config, budget: Budget,
                 report, anchor = mezo_svrg_step(
                     obj, theta, anchor, batch, seed, config, t, eta1_cur, eta2_cur)
             elif optimizer == "zo-svrg":
-                refreshed = t % config.q == 0
-                if refreshed:
-                    anchor = _refresh_dense_anchor(obj, theta, anchor, t, seeds, config)
-                report = zo_svrg_step(obj, theta, anchor, batch,
-                                      _per_sample_seeds(seed, batch.b), eta1_cur, config.spsa)
-                if refreshed:
-                    report.queries += 2 * obj.n * config.spsa.p
-                    report.kind = KIND_FULLBATCH
+                report, anchor = zo_svrg_step(
+                    obj, theta, anchor, batch, seeds, config, t, eta1_cur)
             else:  # fo-sgd
                 report = fo_sgd_step(obj, theta, batch, eta1_cur)
             if trajectory is not None:
@@ -480,12 +484,7 @@ def run(obj, theta0: np.ndarray, optimizer: str, config, budget: Budget,
         backward += report.backward_queries
         if initial_loss is None:
             initial_loss = abs(report.loss_before)
-        metric = None
-        if eval_every and (t % eval_every == 0):
-            try:
-                metric = obj.metric(theta)
-            except NotImplementedError:
-                metric = None
+        metric = obj.metric(theta) if eval_every and t % eval_every == 0 else None
         record = RunRecord(
             step=t, cumulative_queries=queries, train_loss=report.loss_before,
             eval_metric=metric, eta1=eta1_cur, eta2=eta2_cur,
@@ -531,9 +530,3 @@ def _set_anchor(anchor: SvrgAnchor | None, theta: np.ndarray, estimate,
     anchor.estimate = estimate
     anchor.step_created = t
     return anchor
-
-
-def _refresh_dense_anchor(obj, theta, anchor, t, seeds, config):
-    per_sample = _per_sample_seeds(seeds.perturb_seed(t, KIND_FULLBATCH), obj.n)
-    dense = spsa_batch_avg(obj, theta, full_batch(obj.n), per_sample, config.spsa)
-    return _set_anchor(anchor, theta, dense, t)

@@ -298,7 +298,7 @@ def test_cli_run_whose_probe_overflows_writes_no_warning(tmp_path):
     assert done.returncode == 2
     assert done.stderr == ""
     assert done.stdout == (
-        "status=diverged steps=0 queries=0 final_loss=7.479135e+01\n"
+        "status=diverged steps=0 queries=0\n"
         "memory model (base): 66660 slots; registered peak: 100 slots\n"
         "reason: non-finite loss in SPSA probe: f+=inf, f-=inf\n")
 
@@ -341,6 +341,25 @@ def test_cli_run_refuses_a_bad_setting(tmp_path, monkeypatch, capsys, args, mess
     assert code == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not (tmp_path / "never.csv").exists()
+
+
+# command lines the parser refuses; argparse's own error() would exit 2, the
+# code of a diverged run
+_BAD_FLAGS = [
+    (["run", "--mu", "abc"], "zovr run: argument --mu: invalid float value: 'abc'"),
+    (["run", "--bogus", "1"], "zovr: unrecognized arguments: --bogus 1"),
+    (["replay"], "zovr replay: the following arguments are required: "
+                 "--traj, --theta0, --step, --out"),
+]
+
+
+@pytest.mark.parametrize("args, message", _BAD_FLAGS,
+                         ids=[" ".join(args) for args, _ in _BAD_FLAGS])
+def test_cli_parser_error_exits_1(tmp_path, monkeypatch, capsys, args, message):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(args) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not os.listdir(tmp_path)
 
 
 def test_cli_replay_roundtrip(tmp_path):
@@ -647,8 +666,9 @@ def test_cli_compare_takes_the_batch_robustness_preset_csvs(tmp_path, capsys):
 
 
 def test_cli_criterion_choices_are_the_criteria(capsys):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exited:
         cli.main(["compare", "--help"])
+    assert exited.value.code == 0
     assert "--criterion {" + ",".join(harness.CRITERIA) + "}" in capsys.readouterr().out
 
 

@@ -10,6 +10,7 @@ from zovr import (
     MezoSvrgConfig,
     PerturbationSeed,
     SpsaConfig,
+    StepSeeds,
     SvrgAnchor,
     ZoSvrgConfig,
     fo_sgd_step,
@@ -65,19 +66,26 @@ def test_mezo_paper_ls_config_stays_finite():
     assert all(np.isfinite(r.train_loss) for r in result.records)
 
 
+def _zo_svrg_minibatch_seeds(seeds: StepSeeds, t: int, b: int) -> list[PerturbationSeed]:
+    # the per-sample seeds zo_svrg_step folds from minibatch step t's perturbation seed
+    step_seed = seeds.perturb_seed(t, KIND_MINIBATCH).seed
+    return [PerturbationSeed(fold(step_seed, i)) for i in range(b)]
+
+
 def test_zo_svrg_blend_at_anchor_point_is_anchor_estimate():
     ls = make_least_squares(8, 5, seed=2)
     theta = normals(fold(2, 1), 0, 5)
-    seeds = [PerturbationSeed(fold(2, 10 + i)) for i in range(8)]
-    cfg = SpsaConfig(mu=1e-3)
+    step_seeds = StepSeeds(2)
+    seeds = _zo_svrg_minibatch_seeds(step_seeds, 1, 8)
+    cfg = ZoSvrgConfig(q=2, spsa=SpsaConfig(mu=1e-3))
     work = theta.copy()
-    dense = spsa_batch_avg(ls, work, full_batch(8), seeds, cfg)
+    dense = spsa_batch_avg(ls, work, full_batch(8), seeds, cfg.spsa)
     anchor = SvrgAnchor(theta.copy(), dense, 0)
     # with theta == theta_bar and shared per-sample seeds, the two minibatch
     # terms cancel and the update direction is exactly the anchored estimate
     work2 = theta.copy()
     eta = 0.05
-    zo_svrg_step(ls, work2, anchor, full_batch(8), seeds, eta, cfg)
+    zo_svrg_step(ls, work2, anchor, full_batch(8), step_seeds, cfg, 1, eta)
     moved = (theta - work2) / eta
     assert np.allclose(moved, dense, rtol=1e-9, atol=1e-12)
 
@@ -86,15 +94,16 @@ def test_zo_svrg_full_cancellation_with_identical_seeds():
     ls = make_least_squares(6, 4, seed=3)
     theta_bar = normals(fold(3, 1), 0, 4)
     theta = theta_bar + 0.5
-    seeds = [PerturbationSeed(fold(3, 20 + i)) for i in range(6)]
-    cfg = SpsaConfig(mu=1e-3)
+    step_seeds = StepSeeds(3)
+    seeds = _zo_svrg_minibatch_seeds(step_seeds, 1, 6)
+    cfg = ZoSvrgConfig(q=2, spsa=SpsaConfig(mu=1e-3))
     work = theta_bar.copy()
-    dense_at_bar = spsa_batch_avg(ls, work, full_batch(6), seeds, cfg)
+    dense_at_bar = spsa_batch_avg(ls, work, full_batch(6), seeds, cfg.spsa)
     anchor = SvrgAnchor(theta_bar.copy(), dense_at_bar, 0)
     work = theta.copy()
-    zo_svrg_step(ls, work, anchor, full_batch(6), seeds, 1.0, cfg)
+    zo_svrg_step(ls, work, anchor, full_batch(6), step_seeds, cfg, 1, 1.0)
     # b=n with identical seeds: blended = est(theta) - est(bar) + est(bar)
-    expected = spsa_batch_avg(ls, theta.copy(), full_batch(6), seeds, cfg)
+    expected = spsa_batch_avg(ls, theta.copy(), full_batch(6), seeds, cfg.spsa)
     assert np.allclose(theta - work, expected, rtol=1e-8, atol=1e-11)
 
 
@@ -103,19 +112,48 @@ def test_zo_svrg_ls_blend_composition():
     theta_bar = normals(fold(4, 1), 0, 5)
     theta = theta_bar + 0.2
     anchor_seeds = [PerturbationSeed(fold(4, 30 + i)) for i in range(8)]
-    cfg = SpsaConfig(mu=1e-3)
-    g = spsa_batch_avg(ls, theta_bar.copy(), full_batch(8), anchor_seeds, cfg)
+    cfg = ZoSvrgConfig(q=2, spsa=SpsaConfig(mu=1e-3))
+    g = spsa_batch_avg(ls, theta_bar.copy(), full_batch(8), anchor_seeds, cfg.spsa)
     anchor = SvrgAnchor(theta_bar.copy(), g, 0)
     batch = sample_minibatch(8, 4, fold(4, 2))
-    seeds = [PerturbationSeed(fold(4, 40 + i)) for i in range(4)]
+    step_seeds = StepSeeds(4)
+    seeds = _zo_svrg_minibatch_seeds(step_seeds, 1, 4)
     work = theta.copy()
-    zo_svrg_step(ls, work, anchor, batch, seeds, 1.0, cfg)
+    zo_svrg_step(ls, work, anchor, batch, step_seeds, cfg, 1, 1.0)
     expected = (
-        spsa_batch_avg(ls, theta.copy(), batch, seeds, cfg)
-        - spsa_batch_avg(ls, theta_bar.copy(), batch, seeds, cfg)
+        spsa_batch_avg(ls, theta.copy(), batch, seeds, cfg.spsa)
+        - spsa_batch_avg(ls, theta_bar.copy(), batch, seeds, cfg.spsa)
         + g
     )
     assert np.allclose(theta - work, expected, rtol=1e-8, atol=1e-11)
+
+
+def test_zo_svrg_step_anchors_itself_every_q_steps():
+    # at t % q == 0 the step anchors the full-batch average at theta, along the
+    # per-sample seeds of the anchor stream, then blends; the blend's two
+    # minibatch terms cancel there, so theta moves along the new anchor estimate
+    ls = make_least_squares(8, 5, seed=5)
+    theta = normals(fold(5, 1), 0, 5)
+    step_seeds = StepSeeds(5)
+    anchor_seed = step_seeds.perturb_seed(3, KIND_FULLBATCH).seed
+    cfg = ZoSvrgConfig(q=3, b=4, spsa=SpsaConfig(mu=1e-3, p=2))
+    expected_g = spsa_batch_avg(ls, theta.copy(), full_batch(8),
+                                [PerturbationSeed(fold(anchor_seed, i)) for i in range(8)],
+                                cfg.spsa)
+    work = theta.copy()
+    report, anchor = zo_svrg_step(ls, work, None, sample_minibatch(8, 4, 1), step_seeds,
+                                  cfg, 3, 0.05)
+    assert report.kind == KIND_FULLBATCH
+    assert report.queries == 2 * 8 * 2 + 4 * 4 * 2
+    assert anchor.step_created == 3
+    # the anchor's probes restore theta up to rounding before it is copied
+    assert np.allclose(anchor.theta_bar, theta, rtol=1e-12, atol=0.0)
+    assert np.array_equal(anchor.estimate, expected_g)
+    assert np.allclose((theta - work) / 0.05, expected_g, rtol=1e-9, atol=1e-12)
+    report, same = zo_svrg_step(ls, work, anchor, sample_minibatch(8, 4, 2), step_seeds,
+                                cfg, 4, 0.05)
+    assert same is anchor and anchor.step_created == 3
+    assert report.kind == KIND_MINIBATCH and report.queries == 4 * 4 * 2
 
 
 def test_mezo_svrg_anchor_branch_refreshes_even_with_zero_eta():
@@ -267,16 +305,23 @@ def test_run_query_budget_single_step():
     assert result.total_queries == 32
 
 
-def test_run_mezo_svrg_query_formula():
-    # q=2, T=4, n=8, b=2, anchor=n: two anchor steps at 2n plus two minibatch
-    # steps at 4b = 2*(2*8) + 2*(4*2) = 48
+@pytest.mark.parametrize("optimizer, config, reported, uncounted", [
+    # n=8, T=7, b=4, q=3: anchors at t = 0, 3, 6 cost 2n each
+    ("mezo", MezoConfig(b=4), 7 * 2 * 4, 0),
+    ("mezo-svrg", MezoSvrgConfig(q=3, b=4), 3 * 2 * 8 + 4 * 4 * 4, 0),
+    # ZO-SVRG anchors and blends on its anchor steps; it and FO-SGD log each
+    # step's b-sample batch loss without counting it
+    ("zo-svrg", ZoSvrgConfig(q=3, b=4), 3 * 2 * 8 + 7 * 4 * 4, 7 * 4),
+    ("fo-sgd", FoSgdConfig(b=4), 7 * 4, 7 * 4),
+], ids=["mezo", "mezo-svrg", "zo-svrg", "fo-sgd"])
+def test_run_reports_the_queries_it_makes(optimizer, config, reported, uncounted):
     ls = make_least_squares(8, 3, seed=14)
     counting = CountingObjective(ls)
-    config = MezoSvrgConfig(eta1=1e-3, eta2=1e-4, q=2, b=2)
-    result = run(counting, ls.initial_theta(), "mezo-svrg", config,
-                 Budget(max_steps=4), 2)
-    assert result.total_queries == 48
-    assert counting.forward_queries == 48
+    result = run(counting, ls.initial_theta(), optimizer, config, Budget(max_steps=7), 2)
+    assert result.steps == 7
+    assert result.total_queries == reported
+    assert counting.forward_queries - uncounted == result.total_queries
+    assert result.records[-1].backward_queries == counting.backward_queries
 
 
 def test_run_deterministic_given_master_seed():
