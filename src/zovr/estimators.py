@@ -17,15 +17,17 @@ are provided:
   for the reference ZO-SVRG optimizer.
 
 All parameter mutation goes through one sweep, `stream_passes`, which
-applies an ordered list of (seed, alpha) passes in pieces of one size,
-so no second d-length buffer is allocated. A live probe hands it one
-pass at a time, because a loss query sits between its passes; replay
-hands it each step's whole list, every pass of a piece before the next
-piece. From `PARALLEL_MIN_D` parameters on, and with two usable CPUs, a
-sweep runs in two lanes: the caller and one pooled worker thread share
-its pieces. Every element still gets each pass's z value, multiply and
-add in list order, so results do not depend on the lane count, on which
-lane streamed which piece, or on how the passes were grouped into sweeps.
+applies an ordered list of (seed, alpha) passes piece by piece, so no
+second d-length buffer is allocated. A live probe hands it one pass at a
+time, because a loss query sits between its passes; replay hands it each
+step's whole list, every pass of a piece before the next piece. From
+`PARALLEL_MIN_D` parameters on, and with two usable CPUs, a sweep runs in
+two lanes: the caller and one pooled worker thread share its pieces,
+which are `LANE_PIECE` long there and `STREAM_CHUNK` long in a serial
+sweep. Every element still gets each pass's z value, multiply and add in
+list order, so results do not depend on the lane count, on the piece
+size, on which lane streamed which piece, or on how the passes were
+grouped into sweeps.
 """
 
 from __future__ import annotations
@@ -40,13 +42,29 @@ import numpy as np
 
 from . import prng
 
-# The piece size of every streaming pass. A piece holds about four words per
-# value while it is made, so a serial pass holds half of the memory model's
-# constant C, and two lanes' pieces in flight hold all of it.
+# The piece size of a serial sweep. A piece holds about four words per value
+# while it is made, so a serial pass holds a quarter of the memory model's
+# constant C. Longer serial pieces buy nothing: a 4-pass d = 2^20 sweep took
+# 136-154 ms at this size, 143-153 ms at twice it and 176-201 ms at four
+# times it (numpy 2.4.6, 2-CPU Xeon VM). They do cost heap: at twice this
+# size the mlp preset's (d = 25,818) MeZO run peaked at 734 KB, not 648 KB,
+# and its replay at 733 KB, not 471 KB.
 STREAM_CHUNK = 8192
 
-# Smallest d streamed in two lanes: in a d sweep of one-pass streaming on a
-# 2-CPU machine two lanes won here, at half this d they won and lost by turns.
+# The piece size of a two-lane sweep; two lanes' pieces in flight hold all of
+# C. Each prng.normals call makes about twenty numpy calls and each gives the
+# interpreter lock back, so the lanes overlap only while numpy computes:
+# doubling the piece halves the lock handoffs per z value, and took the same
+# 4-pass sweep in two lanes from 96-107 ms to 84-91 ms.
+LANE_PIECE = 2 * STREAM_CHUNK
+
+# Smallest d streamed in two lanes. One-pass sweeps on the same VM, serial
+# against two lanes of LANE_PIECE pieces, medians of 400 in three runs:
+#     d =  32,768:  1.12-1.43 ms against 0.92-1.22 (lanes lost once)
+#     d =  49,152:  1.76-2.17 ms against 1.64-1.87
+#     d =  65,536:  2.78-2.97 ms against 1.90-2.06
+#     d =  98,304:  4.17-4.48 ms against 2.63-2.84
+#     d = 131,072:  4.47-5.83 ms against 3.07-3.64
 PARALLEL_MIN_D = 8 * STREAM_CHUNK
 
 # The probe walk in steps of mu: to theta + mu*z, on to theta - mu*z, back.
@@ -198,14 +216,14 @@ def _second_lane() -> ThreadPoolExecutor | None:
     return _lane_pool[1]
 
 
-def _stream_pieces(theta: np.ndarray, passes, starts) -> None:
+def _stream_pieces(theta: np.ndarray, passes, starts, size: int) -> None:
     # for each piece a taken from `starts`, every (seed, alpha) of `passes` in
-    # turn does theta[a:a+STREAM_CHUNK] += alpha * z(seed)[a:a+STREAM_CHUNK];
-    # the two lanes draw from one iterator, whose next() runs under the
-    # interpreter lock, so each piece is streamed once
+    # turn does theta[a:a+size] += alpha * z(seed)[a:a+size]; the two lanes
+    # draw from one iterator, whose next() runs under the interpreter lock,
+    # so each piece is streamed once
     d = theta.shape[0]
     for a in starts:
-        b = min(a + STREAM_CHUNK, d)
+        b = min(a + size, d)
         piece = theta[a:b]
         for seed, alpha in passes:
             z = prng.normals(seed.seed, seed.offset + a, b - a)
@@ -222,18 +240,18 @@ def _worker_lane(started: threading.Event, *lane) -> None:
 def _stream_two_lanes(theta: np.ndarray, passes, pool: ThreadPoolExecutor) -> None:
     """`stream_passes`, streamed by the caller and `pool`'s thread.
 
-    The lanes share one queue of STREAM_CHUNK pieces, so a lane that waits
+    The lanes share one queue of LANE_PIECE pieces, so a lane that waits
     for the interpreter lock or for a busy CPU leaves its pieces to the
     other. The caller starts only once the worker runs; otherwise it takes
     the lock back between its short ufuncs and the worker waits. Both
     lanes have stopped when this returns or raises.
     """
-    starts = iter(range(0, theta.shape[0], STREAM_CHUNK))
+    starts = iter(range(0, theta.shape[0], LANE_PIECE))
     started = threading.Event()
-    worker = pool.submit(_worker_lane, started, theta, passes, starts)
+    worker = pool.submit(_worker_lane, started, theta, passes, starts, LANE_PIECE)
     try:
         started.wait()
-        _stream_pieces(theta, passes, starts)
+        _stream_pieces(theta, passes, starts, LANE_PIECE)
     finally:
         wait((worker,))
     worker.result()
@@ -242,13 +260,13 @@ def _stream_two_lanes(theta: np.ndarray, passes, pool: ThreadPoolExecutor) -> No
 def stream_passes(theta: np.ndarray, passes) -> None:
     """theta += alpha * z(seed) for each (seed, alpha) of `passes`, in order.
 
-    One sweep: each STREAM_CHUNK piece of theta takes every pass before
-    the next piece starts, so a piece stays in cache across the passes and
-    a many-pass sweep costs one lane dispatch. Every element still gets
-    each pass's z value, multiply and add in list order, so the result
-    equals the passes applied one after another, bit for bit. One piece
-    runs inline (a small-d pass takes microseconds, an extra call shows),
-    large d in two lanes, else piece by piece in order.
+    One sweep: each piece of theta takes every pass before the next piece
+    starts, so a piece stays in cache across the passes and a many-pass
+    sweep costs one lane dispatch. Every element still gets each pass's z
+    value, multiply and add in list order, so the result equals the passes
+    applied one after another, bit for bit. One piece runs inline (a
+    small-d pass takes microseconds, an extra call shows), large d in two
+    lanes of LANE_PIECE pieces, else STREAM_CHUNK pieces in order.
     """
     d = theta.shape[0]
     if d <= STREAM_CHUNK:  # one piece: no slicing of theta
@@ -263,7 +281,7 @@ def stream_passes(theta: np.ndarray, passes) -> None:
         if pool is not None:
             _stream_two_lanes(theta, passes, pool)
             return
-    _stream_pieces(theta, passes, range(0, d, STREAM_CHUNK))
+    _stream_pieces(theta, passes, range(0, d, STREAM_CHUNK), STREAM_CHUNK)
 
 
 def _stream_add_scaled(theta: np.ndarray, seed: PerturbationSeed, alpha: float) -> None:

@@ -11,10 +11,11 @@ footprints of each optimizer family:
                                    estimates + anchor copy + parameters)
     fo-sgd                2 x d   (parameters + dense gradient)
 
-plus a constant overhead C: two lanes' ``STREAM_CHUNK`` pieces in flight
+plus a constant overhead C: two lanes' ``LANE_PIECE`` pieces in flight
 and bookkeeping. One ``theta += alpha * z`` pass allocates at most 8*C
-bytes (tracemalloc) for any d, a serial one at most half that; tests check
-both. Full-batch loss queries read the dataset in place; a minibatch query
+bytes (tracemalloc) for any d; a serial one streams ``STREAM_CHUNK``
+pieces, half as long, and holds about a quarter of that. Tests check both.
+Full-batch loss queries read the dataset in place; a minibatch query
 gathers its b rows (b x 784 for the MLP), a term proportional to the data
 that the model leaves out.
 `optimizers.run` writes each optimizer's realized footprint (`held_slots`)
@@ -26,10 +27,11 @@ tests measure whole MeZO, MeZO-SVRG and FO-SGD runs by tracemalloc.
 
 from __future__ import annotations
 
-from .estimators import STREAM_CHUNK
+from .estimators import LANE_PIECE
 
-# Documented constant overhead: two lanes' pieces in flight plus bookkeeping.
-CONSTANT_OVERHEAD = 8 * STREAM_CHUNK + 1024
+# Documented constant overhead: two lanes' pieces in flight, about four words
+# per value each, plus bookkeeping.
+CONSTANT_OVERHEAD = 2 * 4 * LANE_PIECE + 1024
 
 # Extra d-multiples on top of the parameter slots themselves. An optimizer's
 # first listed mode is its default (`accounting_mode`).

@@ -299,7 +299,7 @@ def test_cli_run_whose_probe_overflows_writes_no_warning(tmp_path):
     assert done.stderr == ""
     assert done.stdout == (
         "status=diverged steps=0 queries=0\n"
-        "memory model (base): 66660 slots; registered peak: 100 slots\n"
+        "memory model (base): 132196 slots; registered peak: 100 slots\n"
         "reason: non-finite loss in SPSA probe: f+=inf, f-=inf\n")
 
 

@@ -184,6 +184,8 @@ def test_z_pass_across_todays_piece_gate_pinned():
 
 def test_a_pin_that_cannot_hold_on_this_cpu_says_why(monkeypatch):
     assert_pinned("same", "same")
+    # where the pins were taken on this CPU's dispatch, a mismatch is plain
+    monkeypatch.setattr(helpers, "PINNED_NORMALS_FINGERPRINT", helpers.normals_fingerprint())
     with pytest.raises(AssertionError, match="got new, pinned old$"):
         assert_pinned("new", "old")
     monkeypatch.setattr(helpers, "PINNED_NORMALS_FINGERPRINT", "0" * 64)

@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from zovr import estimators, optimizers, prng, trajectory
 from zovr.estimators import (
+    LANE_PIECE,
     PARALLEL_MIN_D,
     STREAM_CHUNK,
     PerturbationSeed,
@@ -30,7 +31,7 @@ from zovr.estimators import (
     stream_passes,
 )
 
-_PIECE = STREAM_CHUNK  # every pass, serial or in two lanes, streams pieces of one size
+_PIECE = LANE_PIECE  # the piece of a two-lane sweep; a serial sweep streams STREAM_CHUNK
 
 
 def _serial_stream(theta, seed, alpha):
@@ -75,6 +76,9 @@ _SWEEP_D = st.one_of(
     # a ragged tail after whole pieces, on either side of the two-lane gate
     st.builds(lambda k, r: k * STREAM_CHUNK + r, st.integers(1, 23),
               st.integers(1, STREAM_CHUNK - 1)),
+    # and after whole two-lane pieces above the gate
+    st.builds(lambda k, r: k * LANE_PIECE + r, st.integers(PARALLEL_MIN_D // LANE_PIECE, 12),
+              st.integers(1, LANE_PIECE - 1)),
 )
 # a few small seeds, so that lists repeat a window as a probe walk does
 _PASS = st.tuples(st.one_of(st.integers(0, 3), st.integers(0, 2**64 - 1)),
@@ -93,12 +97,35 @@ def test_sweep_equals_its_passes_one_by_one(lane_pool, d, raw):
     dispatched = theta0.copy()
     stream_passes(dispatched, passes)
     serial = theta0.copy()
-    _stream_pieces(serial, passes, range(0, d, STREAM_CHUNK))
+    _stream_pieces(serial, passes, range(0, d, STREAM_CHUNK), STREAM_CHUNK)
     two = theta0.copy()
     _stream_two_lanes(two, passes, lane_pool)
     assert np.array_equal(_bits(dispatched), _bits(expected))
     assert np.array_equal(_bits(serial), _bits(expected))
     assert np.array_equal(_bits(two), _bits(expected))
+
+
+def test_two_lanes_ask_for_lane_pieces_and_a_serial_sweep_for_chunks(monkeypatch, lane_pool):
+    d = PARALLEL_MIN_D + 11
+    passes = [(PerturbationSeed(3, 1), 0.5), (PerturbationSeed(4, 2), -0.25)]
+    real = prng.normals
+    lock = threading.Lock()
+    lengths = []
+
+    def recorded(seed, start, count):
+        with lock:
+            lengths.append(count)
+        return real(seed, start, count)
+
+    monkeypatch.setattr(prng, "normals", recorded)
+    monkeypatch.setattr(estimators, "_lane_pool", (os.getpid(), lane_pool))
+    assert LANE_PIECE > STREAM_CHUNK  # fewer interpreter-lock handoffs per z value
+    stream_passes(np.zeros(d), passes)
+    assert sorted(lengths) == [11] * 2 + [LANE_PIECE] * (2 * (d // LANE_PIECE))
+    lengths.clear()
+    monkeypatch.setattr(estimators, "PARALLEL_MIN_D", d + 1)
+    stream_passes(np.zeros(d), passes)
+    assert lengths == [STREAM_CHUNK] * (2 * (d // STREAM_CHUNK)) + [11] * 2
 
 
 def test_dispatch_uses_two_lanes_with_two_cpus():
