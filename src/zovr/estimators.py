@@ -42,20 +42,20 @@ import numpy as np
 
 from . import prng
 
-# The piece size of a serial sweep. A piece holds about four words per value
-# while it is made, so a serial pass holds a quarter of the memory model's
-# constant C. Longer serial pieces buy nothing: a 4-pass d = 2^20 sweep took
-# 136-154 ms at this size, 143-153 ms at twice it and 176-201 ms at four
-# times it (numpy 2.4.6, 2-CPU Xeon VM). They do cost heap: at twice this
-# size the mlp preset's (d = 25,818) MeZO run peaked at 734 KB, not 648 KB,
-# and its replay at 733 KB, not 471 KB.
+# The piece size of a serial sweep. A piece holds at most three words per
+# value while it is made, so a serial pass holds a quarter of the memory
+# model's constant C. Longer serial pieces buy nothing: a 4-pass d = 2^20
+# sweep took 136-154 ms at this size, 143-153 ms at twice it and 176-201 ms
+# at four times it (numpy 2.4.6, 2-CPU Xeon VM). They do cost heap: at twice
+# this size the mlp preset's (d = 25,818) replay peaked at 602 KB, not
+# 405 KB.
 STREAM_CHUNK = 8192
 
 # The piece size of a two-lane sweep; two lanes' pieces in flight hold all of
-# C. Each prng.normals call makes about twenty numpy calls and each gives the
-# interpreter lock back, so the lanes overlap only while numpy computes:
-# doubling the piece halves the lock handoffs per z value, and took the same
-# 4-pass sweep in two lanes from 96-107 ms to 84-91 ms.
+# C. Each prng.normals call on such a piece makes about thirty numpy calls and
+# each gives the interpreter lock back, so the lanes overlap only while numpy
+# computes: doubling the piece halves the lock handoffs per z value, and took
+# the same 4-pass sweep in two lanes from 96-107 ms to 84-91 ms.
 LANE_PIECE = 2 * STREAM_CHUNK
 
 # Smallest d streamed in two lanes. One-pass sweeps on the same VM, serial

@@ -20,6 +20,7 @@ the `_PRESETS` table: its default budget, problem, runs and report.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -78,7 +79,9 @@ class ExecutionResult:
     result: RunResult
     objective: object
     theta0: np.ndarray
-    final_loss: float        # exact full-dataset mean loss at the final theta
+    final_loss: float        # exact full-dataset mean loss at the final theta; NaN
+                             # for a run that recorded no step, which fails every
+                             # comparison of the mlp preset's report
     csv_path: str | None = None
 
 
@@ -114,7 +117,9 @@ def execute(spec: RunSpec, out: str | None = None,
     budget = Budget(max_steps=spec.max_steps, max_queries=spec.max_queries)
     result = run(obj, theta0, spec.optimizer, config, budget, spec.master_seed,
                  trajectory=traj, eval_every=spec.eval_every)
-    final_loss = float(obj.batch_loss(result.theta, np.arange(obj.n)))
+    # a run that recorded no step has no final loss worth n queries
+    final_loss = (float(obj.batch_loss(result.theta, np.arange(obj.n))) if result.steps
+                  else math.nan)
     execution = ExecutionResult(spec, result, obj, theta0, final_loss)
     if out:
         write_csv(out, result.records, getattr(obj, "f_star", None))

@@ -11,10 +11,11 @@ footprints of each optimizer family:
                                    estimates + anchor copy + parameters)
     fo-sgd                2 x d   (parameters + dense gradient)
 
-plus a constant overhead C: two lanes' ``LANE_PIECE`` pieces in flight
-and bookkeeping. One ``theta += alpha * z`` pass allocates at most 8*C
-bytes (tracemalloc) for any d; a serial one streams ``STREAM_CHUNK``
-pieces, half as long, and holds about a quarter of that. Tests check both.
+plus a constant overhead C: two lanes' ``LANE_PIECE`` pieces in flight,
+three words per value while ``prng.normals`` makes them, and bookkeeping.
+One ``theta += alpha * z`` pass allocates at most 8*C bytes (tracemalloc)
+for any d; a serial one streams ``STREAM_CHUNK`` pieces, half as long, and
+holds about a quarter of that. Tests check both.
 Full-batch loss queries read the dataset in place; a minibatch query
 gathers its b rows (b x 784 for the MLP), a term proportional to the data
 that the model leaves out.
@@ -29,9 +30,11 @@ from __future__ import annotations
 
 from .estimators import LANE_PIECE
 
-# Documented constant overhead: two lanes' pieces in flight, about four words
-# per value each, plus bookkeeping.
-CONSTANT_OVERHEAD = 2 * 4 * LANE_PIECE + 1024
+# Documented constant overhead: two lanes' pieces in flight, at most three
+# words per value each, plus bookkeeping. A whole MeZO-SVRG run on an MLP with
+# d = 235,146 peaked 1,079-1,113 slots above 2d plus the pieces in 20 fresh
+# processes, so 2,048 slots of bookkeeping leave it 935-969.
+CONSTANT_OVERHEAD = 2 * 3 * LANE_PIECE + 2048
 
 # Extra d-multiples on top of the parameter slots themselves. An optimizer's
 # first listed mode is its default (`accounting_mode`).

@@ -73,9 +73,12 @@ def fold(seed: int, value: int) -> int:
     return mix64((seed ^ mix64(((value + 1) * GOLDEN) & _MASK)) + GOLDEN)
 
 
-def _mix64_in_place(x: np.ndarray) -> None:
-    """SplitMix64 finalizer over a uint64 array, in place, one temporary."""
-    t = np.right_shift(x, _U_30)
+def _mix64_in_place(x: np.ndarray, t: np.ndarray | None = None) -> None:
+    """SplitMix64 finalizer over a uint64 array, in place.
+
+    `t` is scratch of x's shape; without it one temporary is made.
+    """
+    t = np.right_shift(x, _U_30, out=t)
     np.bitwise_xor(x, t, out=x)
     np.multiply(x, _U_MIX1, out=x)
     np.right_shift(x, _U_27, out=t)
@@ -117,6 +120,31 @@ def uniforms(seed: int, start: int, count: int) -> np.ndarray:
     return np.multiply(w.view(_I64), _TWO_M53, out=w.view(_F64))
 
 
+def _box_muller_in_three_words(w: np.ndarray) -> np.ndarray:
+    # normals' long-window path over its (2, count) counter rows: holds the
+    # rows and the output, which is the mixing scratch until it takes u1
+    out = np.empty(w.shape[1], _F64)
+    scratch = out.view(_U64)
+    _mix64_in_place(w[1], scratch)
+    _mix64_in_place(w[0], scratch)
+    np.right_shift(w, _U_11, out=w)
+    # Explicit casts into rows that do not overlap their source: a ufunc that
+    # casts its input, or writes over it, makes numpy buffer or copy it. u1
+    # goes to out, then u2 to the even row, which u1 no longer needs.
+    bits = w.view(_I64)
+    u2 = w[0].view(_F64)
+    np.copyto(out, bits[0], casting="unsafe")
+    np.multiply(out, _TWO_M53, out=out)
+    np.add(out, _TWO_M53, out=out)
+    np.copyto(u2, bits[1], casting="unsafe")
+    np.multiply(u2, _TWO_PI_M53, out=u2)
+    np.log(out, out=out)
+    np.multiply(out, _MINUS_2, out=out)
+    np.sqrt(out, out=out)
+    np.cos(u2, out=u2)
+    return np.multiply(out, u2, out=out)
+
+
 def normals(seed: int, start: int, count: int) -> np.ndarray:
     """Standard normal doubles at normal-stream positions [start, start+count).
 
@@ -124,13 +152,25 @@ def normals(seed: int, start: int, count: int) -> np.ndarray:
     of the same seed never share entropy. Box-Muller takes
     u1 = ((w_even >> 11) + 1) / 2**53 in (0, 1] and
     u2 = (w_odd >> 11) / 2**53 in [0, 1). The even and odd words are the
-    two contiguous rows of one buffer, and the float stages run in place.
+    two contiguous rows of one buffer.
+
+    A window longer than the counter table's reach (256 values) holds at
+    most three words per value: the two rows and the output. A shorter one
+    mixes and scales both rows jointly and in place, in fewer numpy calls.
+    Both paths make each value by the same operations in the same order, so
+    they agree bit for bit.
     """
     w = np.empty((2, count), _U64)
     even = w[0]
     # counter of word 2(start+j) is 2(start+j)+1; its odd partner's is one more
     _counters(even, seed + (2 * start + 1) * GOLDEN, 2)
     np.add(even, _U_GOLDEN, out=w[1])
+    # Short windows keep the joint path for speed: with the three-word path at
+    # every size, normals(100) took 16.6 us, not 12.3, and the least-squares
+    # d = 100 benchmark ran 16-24% fewer steps per second in 10 of 10 paired
+    # runs (numpy 2.4.6, 2-CPU Xeon VM).
+    if 2 * count > _TABLE_WORDS:  # _counters' arange is freed by now
+        return _box_muller_in_three_words(w)
     _mix64_in_place(w)
     np.right_shift(w, _U_11, out=w)
     # 53-bit integers convert exactly through int64; the floats reuse w.

@@ -1,6 +1,7 @@
 """Test doubles and checks shared by several test modules."""
 
 import hashlib
+import tracemalloc
 
 from zovr import Objective, prng
 
@@ -44,6 +45,16 @@ class CountingObjective:
 
     def initial_theta(self):
         return self.inner.initial_theta()
+
+
+def traced_peak(fn):
+    """Call fn() under tracemalloc; return (the peak bytes it held, its result)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 # SHA-256 of normals(fold(0, 1), 0, 2**20) where the digest pins were taken.

@@ -1,10 +1,12 @@
 import argparse
 import hashlib
+import math
 import os
 import struct
 import subprocess
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from zovr import (
     cli,
     estimators,
     harness,
+    objectives,
     trajectory,
 )
 from zovr.memory import CONSTANT_OVERHEAD
@@ -34,7 +37,7 @@ from zovr.harness import (
     trailing_std,
 )
 
-from helpers import assert_pinned
+from helpers import CountingObjective, assert_pinned
 
 
 def _ls_spec(**overrides):
@@ -299,8 +302,41 @@ def test_cli_run_whose_probe_overflows_writes_no_warning(tmp_path):
     assert done.stderr == ""
     assert done.stdout == (
         "status=diverged steps=0 queries=0\n"
-        "memory model (base): 132196 slots; registered peak: 100 slots\n"
+        "memory model (base): 100452 slots; registered peak: 100 slots\n"
         "reason: non-finite loss in SPSA probe: f+=inf, f-=inf\n")
+
+
+def test_a_run_diverged_in_its_first_probe_makes_only_that_probes_queries(
+        monkeypatch, capsys):
+    # a run that recorded no step spends no n-sample query on a final loss
+    built, executions = [], []
+    make, execute_spec = objectives.make_least_squares, harness.execute
+
+    def counting_least_squares(**params):
+        built.append(CountingObjective(make(**params)))
+        return built[-1]
+
+    def kept_execution(*args, **kwargs):
+        executions.append(execute_spec(*args, **kwargs))
+        return executions[-1]
+
+    monkeypatch.setattr(objectives, "make_least_squares", counting_least_squares)
+    monkeypatch.setattr(harness, "execute", kept_execution)
+    code = cli.main(["run", "--problem", "ls", "--optimizer", "mezo",
+                     "--mu", "1e300", "--steps", "3"])
+    assert code == 2
+    assert capsys.readouterr().out.startswith("status=diverged steps=0 queries=0\n")
+    # the probe's two b-sample queries, at theta + mu*z and theta - mu*z
+    assert built[0].forward_queries == 2 * MezoConfig().b
+    assert math.isnan(executions[0].final_loss)
+
+
+def test_mlp_report_fails_on_a_run_that_recorded_no_step():
+    # the NaN final loss of a run diverged at step 0 compares false both ways
+    executions = [SimpleNamespace(final_loss=loss) for loss in (0.9, math.nan, 0.3)]
+    report = harness._preset_report("mlp", executions)
+    assert not report.passed
+    assert "mezo-svrg=nan" in report.render()
 
 
 def test_cli_rejects_accounting_mode_of_another_optimizer(tmp_path, capsys):

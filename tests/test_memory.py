@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -19,10 +17,13 @@ from zovr.estimators import PARALLEL_MIN_D, STREAM_CHUNK, _stream_add_scaled
 from zovr.memory import CONSTANT_OVERHEAD, held_slots
 from zovr.objectives import make_mlp2, make_synthetic_digits
 
+from helpers import traced_peak
+
 
 def test_model_values_and_exact_ratios():
     d = 10**6
     c = CONSTANT_OVERHEAD
+    assert c == 100_352
     assert account_memory("mezo", None, d) == d + c
     assert account_memory("mezo-svrg", "recompute_g", d) == 2 * d + c
     assert account_memory("mezo-svrg", "store_g", d) == 3 * d + c
@@ -98,38 +99,39 @@ def test_registered_fo_sgd_two_d():
     assert peak <= account_memory("fo-sgd", None, d)
 
 
+def _assert_within(peak, model):
+    # a tracemalloc peak in bytes against a model in float64 slots
+    assert peak <= 8 * model, (
+        f"peak {peak / 8:,.0f} slots, model {model:,}, margin {model - peak / 8:,.0f}")
+
+
 def _stream_pass_peak(d):
     theta = np.zeros(d)
     seed = PerturbationSeed(17, 5)
     _stream_add_scaled(theta, seed, 0.5)  # warm numpy's caches and the lane pool
-    tracemalloc.start()
-    try:
-        _stream_add_scaled(theta, seed, -0.5)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced_peak(lambda: _stream_add_scaled(theta, seed, -0.5))[0]
 
 
 def test_stream_kernel_heap_within_constant_overhead():
     # three full chunks and a ragged tail; the constant C is in float64 slots
-    assert _stream_pass_peak(3 * STREAM_CHUNK + 7) <= CONSTANT_OVERHEAD * 8
+    _assert_within(_stream_pass_peak(3 * STREAM_CHUNK + 7), CONSTANT_OVERHEAD)
 
 
 def test_two_lane_stream_heap_within_constant_overhead():
     # both lanes' pieces in flight together still fit in C
-    assert _stream_pass_peak(PARALLEL_MIN_D + 7) <= CONSTANT_OVERHEAD * 8
+    _assert_within(_stream_pass_peak(PARALLEL_MIN_D + 7), CONSTANT_OVERHEAD)
 
 
-# A serial pass holds one STREAM_CHUNK piece in flight, four words per value,
-# plus 512 slots of bookkeeping: 266,240 bytes.
-_SERIAL_PASS_BYTES = 8 * (4 * STREAM_CHUNK + 512)
+# A serial pass holds one STREAM_CHUNK piece in flight, three words per value,
+# plus 512 slots of bookkeeping: 25,088 slots, 200,704 bytes.
+_SERIAL_PASS_SLOTS = 3 * STREAM_CHUNK + 512
 
 
 @pytest.mark.parametrize("d", [STREAM_CHUNK + 1, 3 * STREAM_CHUNK + 7, PARALLEL_MIN_D - 1])
 def test_serial_stream_heap_within_one_piece(d):
     # a serial pass streams pieces half as long as two lanes' do, so it holds
     # about a quarter of C; it keeps a bound of its own rather than C's share
-    assert _stream_pass_peak(d) <= _SERIAL_PASS_BYTES
+    _assert_within(_stream_pass_peak(d), _SERIAL_PASS_SLOTS)
 
 
 def _mlp_run_peak(optimizer, config, n=64, steps=4):
@@ -137,12 +139,8 @@ def _mlp_run_peak(optimizer, config, n=64, steps=4):
     mlp = make_mlp2(make_synthetic_digits(n, seed=2), seed=2, hidden=(256, 128))
     theta0 = mlp.initial_theta()
     run(mlp, theta0, optimizer, config, Budget(max_steps=1), 3)  # warm numpy's caches
-    tracemalloc.start()
-    try:
-        result = run(mlp, theta0, optimizer, config, Budget(max_steps=steps), 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, result = traced_peak(
+        lambda: run(mlp, theta0, optimizer, config, Budget(max_steps=steps), 3))
     assert result.status == "completed"
     return peak, mlp
 
@@ -154,19 +152,19 @@ def _fo_sgd_run_peak(b):
 def test_mezo_run_heap_within_model():
     # parameters plus the pieces of z in flight; at d = 235,146 two lanes stream
     peak, mlp = _mlp_run_peak("mezo", MezoConfig(eta=1e-3, b=8))
-    assert peak <= 8 * account_memory("mezo", None, mlp.d)
+    _assert_within(peak, account_memory("mezo", None, mlp.d))
 
 
 def test_mezo_svrg_run_heap_within_model():
     # parameters, the anchor copy and the pieces in flight: the anchor estimate
     # stays a seed and a scalar, so the run fits recompute_g's 2d + C
     peak, mlp = _mlp_run_peak("mezo-svrg", MezoSvrgConfig(eta1=1e-3, eta2=1e-4, q=2, b=8))
-    assert peak <= 8 * account_memory("mezo-svrg", "recompute_g", mlp.d)
+    _assert_within(peak, account_memory("mezo-svrg", "recompute_g", mlp.d))
 
 
 def test_fo_sgd_run_heap_within_model():
     peak, mlp = _fo_sgd_run_peak(8)
-    assert peak <= 8 * account_memory("fo-sgd", None, mlp.d)
+    _assert_within(peak, account_memory("fo-sgd", None, mlp.d))
 
 
 def test_fo_sgd_run_heap_within_model_plus_batch_gather():
@@ -175,7 +173,7 @@ def test_fo_sgd_run_heap_within_model_plus_batch_gather():
     # model by most of that term
     peak, mlp = _fo_sgd_run_peak(64)
     gather = 64 * mlp.features.shape[1]
-    assert peak <= 8 * (account_memory("fo-sgd", None, mlp.d) + gather)
+    _assert_within(peak, account_memory("fo-sgd", None, mlp.d) + gather)
 
 
 def test_saving_over_fo_sgd_grows_with_the_batch_size():

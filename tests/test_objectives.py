@@ -1,5 +1,4 @@
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from zovr.objectives import (
 )
 from zovr.prng import fold, normals, randint_below, raw_words
 
-from helpers import CountingObjective
+from helpers import CountingObjective, traced_peak
 
 
 def finite_difference_gradient(func, theta: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -227,12 +226,7 @@ def test_load_idx_converts_only_the_kept_rows(tmp_path):
     images, labels = tmp_path / "big.idx3-ubyte", tmp_path / "big.idx1-ubyte"
     images.write_bytes(struct.pack(">IIII", IDX_IMAGES_MAGIC, count, 28, 28) + payload.tobytes())
     labels.write_bytes(struct.pack(">II", IDX_LABELS_MAGIC, count) + bytes(count))
-    tracemalloc.start()
-    try:
-        x, y = load_idx(str(images), str(labels), max_samples=2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, (x, y) = traced_peak(lambda: load_idx(str(images), str(labels), max_samples=2))
     assert np.array_equal(x, payload[:2 * pixels].reshape(2, pixels).astype(np.float64) / 255.0)
     assert list(y) == [0, 0]
     # the uint8 payload is read once; a float64 copy of every image is 8 times it
@@ -246,12 +240,7 @@ def test_load_idx_reads_only_the_kept_rows(tmp_path):
     images.write_bytes(struct.pack(">IIII", IDX_IMAGES_MAGIC, count, 28, 28) + payload.tobytes())
     labels.write_bytes(struct.pack(">II", IDX_LABELS_MAGIC, count)
                        + bytes(range(10)) + bytes(count - 10))
-    tracemalloc.start()
-    try:
-        features, y, n_classes = _read_idx(str(images), str(labels), 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, (features, y, n_classes) = traced_peak(lambda: _read_idx(str(images), str(labels), 2))
     assert np.array_equal(features, payload[:2 * pixels].reshape(2, pixels) / 255.0)
     assert (list(y), n_classes) == ([0, 1], 10)  # classes from the whole label file
     # 2 rows of 784 bytes, their floats and the 3,000 labels; not the 2.35 MB payload
@@ -305,16 +294,6 @@ def _data_matrix(obj):
     return obj.features if isinstance(obj, Mlp2Problem) else obj.X
 
 
-def _traced_batch_loss(obj, theta, idx):
-    tracemalloc.start()
-    try:
-        value = obj.batch_loss(theta, idx)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return value, peak
-
-
 _FULL_BATCH_OBJECTIVES = {
     "ls": lambda: make_least_squares(400, 60, seed=21),
     "logistic": lambda: make_logistic(300, 50, seed=22),
@@ -327,7 +306,7 @@ def test_full_batch_loss_reads_data_in_place(name):
     obj = _FULL_BATCH_OBJECTIVES[name]()
     theta = obj.initial_theta() + 0.05 * normals(fold(24, 1), 0, obj.d)
     idx = np.arange(obj.n)
-    value, peak = _traced_batch_loss(obj, theta, idx)
+    peak, value = traced_peak(lambda: obj.batch_loss(theta, idx))
     assert value == _gathered_loss(obj, theta, idx)
     assert peak < _data_matrix(obj).nbytes
 
@@ -338,7 +317,7 @@ def test_with_replacement_full_length_batch_is_gathered(name):
     theta = obj.initial_theta() + 0.05 * normals(fold(25, 1), 0, obj.d)
     idx = np.sort((raw_words(fold(25, 2), 0, obj.n) % np.uint64(obj.n)).astype(np.int64))
     assert idx.size == obj.n and np.unique(idx).size < obj.n
-    value, peak = _traced_batch_loss(obj, theta, idx)
+    peak, value = traced_peak(lambda: obj.batch_loss(theta, idx))
     assert value == _gathered_loss(obj, theta, idx)
     assert peak >= _data_matrix(obj).nbytes
 

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zovr import estimators, prng
-from zovr.estimators import PerturbationSeed, _stream_add_scaled, sample_minibatch
+from zovr.estimators import (
+    LANE_PIECE, STREAM_CHUNK, PerturbationSeed, _stream_add_scaled, sample_minibatch)
 
 import helpers
-from helpers import assert_pinned
+from helpers import assert_pinned, traced_peak
 
 
 def test_normals_deterministic():
@@ -202,3 +203,12 @@ def test_no_resident_buffers_beyond_the_counter_table():
     arrays = [v for v in values if isinstance(v, np.ndarray)]
     constants = sum(a.nbytes for a in arrays if a.ndim == 0)
     assert sum(a.nbytes for a in arrays) <= 4096 + constants
+
+
+@pytest.mark.parametrize("count", [257, STREAM_CHUNK, LANE_PIECE])
+def test_a_long_window_holds_three_words_per_value(count):
+    # past the counter table, normals holds its two word rows and its output,
+    # and nothing else of the window's size
+    prng.normals(3, 0, count)  # warm numpy's caches
+    peak = traced_peak(lambda: prng.normals(3, 5, count))[0]
+    assert peak <= 24 * count + 2048, f"{peak / count:.2f} bytes per value"
