@@ -157,9 +157,14 @@ def cmd_compare(args) -> int:
 def cmd_replay(args) -> int:
     log = trajectory.load(args.traj)
     theta0 = np.load(args.theta0)
+    if not isinstance(theta0, np.ndarray):  # an .npz archive, which holds its file open
+        theta0.close()
+        raise ValueError(f"{args.theta0} is not a .npy array file")
     theta = trajectory.replay(log, theta0, args.step)
-    np.save(args.out, theta)
-    print(f"wrote step-{args.step} checkpoint to {args.out}")
+    # np.save appends the suffix to a path without one
+    out = args.out if args.out.endswith(".npy") else f"{args.out}.npy"
+    np.save(out, theta)
+    print(f"wrote step-{args.step} checkpoint to {out}")
     return 0
 
 

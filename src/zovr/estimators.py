@@ -22,12 +22,14 @@ second d-length buffer is allocated. A live probe hands it one pass at a
 time, because a loss query sits between its passes; replay hands it each
 step's whole list, every pass of a piece before the next piece. From
 `PARALLEL_MIN_D` parameters on, and with two usable CPUs, a sweep runs in
-two lanes: the caller and one pooled worker thread share its pieces,
-which are `LANE_PIECE` long there and `STREAM_CHUNK` long in a serial
-sweep. Every element still gets each pass's z value, multiply and add in
-list order, so results do not depend on the lane count, on the piece
-size, on which lane streamed which piece, or on how the passes were
-grouped into sweeps.
+two lanes: the caller and one pooled worker thread share its pieces.
+A sweep with cap P (`LANE_PIECE` in two lanes, `STREAM_CHUNK` in a serial
+sweep) streams k = ceil(d / P) equal pieces of ceil(d / k) values, the
+last up to k - 1 shorter, so a piece in flight is no longer than d needs.
+Every element still gets each pass's z value, multiply and add in list
+order, so results do not depend on the lane count, on the piece size, on
+which lane streamed which piece, or on how the passes were grouped into
+sweeps.
 """
 
 from __future__ import annotations
@@ -42,20 +44,23 @@ import numpy as np
 
 from . import prng
 
-# The piece size of a serial sweep. A piece holds at most three words per
-# value while it is made, so a serial pass holds a quarter of the memory
-# model's constant C. Longer serial pieces buy nothing: a 4-pass d = 2^20
-# sweep took 136-154 ms at this size, 143-153 ms at twice it and 176-201 ms
-# at four times it (numpy 2.4.6, 2-CPU Xeon VM). They do cost heap: at twice
-# this size the mlp preset's (d = 25,818) replay peaked at 602 KB, not
-# 405 KB.
+# The cap on a serial sweep's piece length, and the largest d streamed as one
+# piece. A piece holds at most three words per value while it is made, so a
+# serial pass holds at most a quarter of the memory model's constant C, and
+# 3 * ceil(d / k) words for k = ceil(d / STREAM_CHUNK) pieces. Longer serial
+# pieces buy nothing: a 4-pass d = 2^20 sweep took 136-154 ms at this size,
+# 143-153 ms at twice it and 176-201 ms at four times it (numpy 2.4.6, 2-CPU
+# Xeon VM). They do cost heap: the mlp preset's (d = 25,818) replay peaked at
+# 602 KB with whole pieces of twice this size, 405 KB with whole pieces of
+# this size, and 364 KB with its four equal pieces of 6,455 values.
 STREAM_CHUNK = 8192
 
-# The piece size of a two-lane sweep; two lanes' pieces in flight hold all of
-# C. Each prng.normals call on such a piece makes about thirty numpy calls and
-# each gives the interpreter lock back, so the lanes overlap only while numpy
-# computes: doubling the piece halves the lock handoffs per z value, and took
-# the same 4-pass sweep in two lanes from 96-107 ms to 84-91 ms.
+# The cap on a two-lane sweep's piece length; two lanes' pieces in flight hold
+# at most all of C. Each prng.normals call on such a piece makes about thirty
+# numpy calls and each gives the interpreter lock back, so the lanes overlap
+# only while numpy computes: doubling the cap halves the lock handoffs per z
+# value, and took the same 4-pass sweep in two lanes from 96-107 ms to
+# 84-91 ms.
 LANE_PIECE = 2 * STREAM_CHUNK
 
 # Smallest d streamed in two lanes. One-pass sweeps on the same VM, serial
@@ -216,6 +221,17 @@ def _second_lane() -> ThreadPoolExecutor | None:
     return _lane_pool[1]
 
 
+def _piece_length(d: int, cap: int) -> int:
+    """Length of each of the ceil(d / cap) equal pieces a sweep streams d values in.
+
+    Whole cap-long pieces and a short tail would make as many prng.normals
+    calls per pass, but hold a whole cap in flight for a d just above a
+    multiple of it.
+    """
+    pieces = -(-d // cap)
+    return -(-d // pieces)
+
+
 def _stream_pieces(theta: np.ndarray, passes, starts, size: int) -> None:
     # for each piece a taken from `starts`, every (seed, alpha) of `passes` in
     # turn does theta[a:a+size] += alpha * z(seed)[a:a+size]; the two lanes
@@ -240,18 +256,20 @@ def _worker_lane(started: threading.Event, *lane) -> None:
 def _stream_two_lanes(theta: np.ndarray, passes, pool: ThreadPoolExecutor) -> None:
     """`stream_passes`, streamed by the caller and `pool`'s thread.
 
-    The lanes share one queue of LANE_PIECE pieces, so a lane that waits
-    for the interpreter lock or for a busy CPU leaves its pieces to the
-    other. The caller starts only once the worker runs; otherwise it takes
-    the lock back between its short ufuncs and the worker waits. Both
-    lanes have stopped when this returns or raises.
+    The lanes share one queue of equal pieces of at most LANE_PIECE, so a
+    lane that waits for the interpreter lock or for a busy CPU leaves its
+    pieces to the other. The caller starts only once the worker runs;
+    otherwise it takes the lock back between its short ufuncs and the
+    worker waits. Both lanes have stopped when this returns or raises.
     """
-    starts = iter(range(0, theta.shape[0], LANE_PIECE))
+    d = theta.shape[0]
+    size = _piece_length(d, LANE_PIECE)
+    starts = iter(range(0, d, size))
     started = threading.Event()
-    worker = pool.submit(_worker_lane, started, theta, passes, starts, LANE_PIECE)
+    worker = pool.submit(_worker_lane, started, theta, passes, starts, size)
     try:
         started.wait()
-        _stream_pieces(theta, passes, starts, LANE_PIECE)
+        _stream_pieces(theta, passes, starts, size)
     finally:
         wait((worker,))
     worker.result()
@@ -266,7 +284,8 @@ def stream_passes(theta: np.ndarray, passes) -> None:
     value, multiply and add in list order, so the result equals the passes
     applied one after another, bit for bit. One piece runs inline (a
     small-d pass takes microseconds, an extra call shows), large d in two
-    lanes of LANE_PIECE pieces, else STREAM_CHUNK pieces in order.
+    lanes of equal pieces of at most LANE_PIECE, else equal pieces of at
+    most STREAM_CHUNK in order.
     """
     d = theta.shape[0]
     if d <= STREAM_CHUNK:  # one piece: no slicing of theta
@@ -281,7 +300,8 @@ def stream_passes(theta: np.ndarray, passes) -> None:
         if pool is not None:
             _stream_two_lanes(theta, passes, pool)
             return
-    _stream_pieces(theta, passes, range(0, d, STREAM_CHUNK), STREAM_CHUNK)
+    size = _piece_length(d, STREAM_CHUNK)
+    _stream_pieces(theta, passes, range(0, d, size), size)
 
 
 def _stream_add_scaled(theta: np.ndarray, seed: PerturbationSeed, alpha: float) -> None:

@@ -8,6 +8,7 @@ pure, so they are safe to query concurrently.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import warnings
@@ -200,32 +201,29 @@ class Mlp2Problem(Objective):
         self.n = features.shape[0]
         n_in = features.shape[1]
         h1, h2 = hidden
-        self.shapes = [(n_in, h1), (h1,), (h1, h2), (h2,), (h2, n_classes), (n_classes,)]
-        self.d = sum(int(np.prod(s)) for s in self.shapes)
+        shapes = [(n_in, h1), (h1,), (h1, h2), (h2,), (h2, n_classes), (n_classes,)]
+        # (start, end, shape) of each block, laid out once: every loss query reads them
+        self._blocks = []
+        at = 0
+        for shape in shapes:
+            size = math.prod(shape)
+            self._blocks.append((at, at + size, shape))
+            at += size
+        self.d = at
         self.seed = seed
 
     def _views(self, theta):
-        out = []
-        at = 0
-        for shape in self.shapes:
-            size = int(np.prod(shape))
-            out.append(theta[at:at + size].reshape(shape))
-            at += size
-        return out
+        return [theta[a:b].reshape(shape) for a, b, shape in self._blocks]
 
     def initial_theta(self):
         theta = np.empty(self.d)
-        at = 0
         stream = prng.fold(self.seed, 31)
-        fan_in = self.shapes[0][0]
-        for shape in self.shapes:
-            size = int(np.prod(shape))
+        for a, b, shape in self._blocks:
             if len(shape) == 2:
                 fan_in = shape[0]  # the following bias reuses its layer's fan-in
             bound = 1.0 / np.sqrt(fan_in)
-            u = prng.uniforms(stream, at, size)
-            theta[at:at + size] = (2.0 * u - 1.0) * bound
-            at += size
+            u = prng.uniforms(stream, a, b - a)
+            theta[a:b] = (2.0 * u - 1.0) * bound
         return theta
 
     def _forward(self, theta, Xb):

@@ -236,6 +236,8 @@ def replay(log: TrajectoryLog, theta0: np.ndarray, upto: int) -> np.ndarray:
     if upto < 0 or upto > log.steps():
         raise TrajectoryError(f"replay step {upto} outside recorded range "
                               f"[0, {log.steps()}]")
+    if not isinstance(theta0, np.ndarray) or theta0.ndim != 1:
+        raise TrajectoryError(f"theta0 must be a 1-d array, got {np.shape(theta0)}")
     if theta0.shape[0] != log.d:
         raise TrajectoryError(f"theta0 has dimension {theta0.shape[0]}, log has {log.d}")
     if theta_digest(theta0) != log.theta0_sha256:

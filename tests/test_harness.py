@@ -417,6 +417,43 @@ def test_cli_replay_roundtrip(tmp_path):
                      "--step", "26", "--out", ckpt]) == 1
 
 
+def _cli_recorded_run(tmp_path, steps=3):
+    traj = str(tmp_path / "run.zotrj")
+    assert cli.main(["run", "--problem", "ls", "--optimizer", "mezo", "--steps", str(steps),
+                     "--seed", "9", "--n", "16", "--d", "4", "--batch-size", "4",
+                     "--traj-out", traj]) == 0
+    return traj
+
+
+def test_cli_replay_names_the_file_it_wrote(tmp_path, capsys):
+    traj = _cli_recorded_run(tmp_path)
+    ckpt = str(tmp_path / "ckpt")  # np.save appends .npy
+    assert cli.main(["replay", "--traj", traj, "--theta0", traj + ".theta0.npy",
+                     "--step", "3", "--out", ckpt]) == 0
+    assert capsys.readouterr().out.endswith(f"wrote step-3 checkpoint to {ckpt}.npy\n")
+    assert np.array_equal(np.load(ckpt + ".npy"), np.load(traj + ".final.npy"))
+
+
+@pytest.mark.parametrize("name, save, message", [
+    ("scalar.npy", lambda path, theta0: np.save(path, theta0[0]),
+     "theta0 must be a 1-d array, got ()"),
+    ("theta0.npz", lambda path, theta0: np.savez(path, theta0=theta0),
+     "theta0.npz is not a .npy array file"),
+], ids=["0-d", "npz"])
+def test_cli_replay_refuses_a_theta0_file_without_a_vector(tmp_path, capsys, name, save,
+                                                           message):
+    traj = _cli_recorded_run(tmp_path)
+    bad = str(tmp_path / name)
+    save(bad, np.load(traj + ".theta0.npy"))
+    capsys.readouterr()
+    ckpt = tmp_path / "ckpt.npy"
+    assert cli.main(["replay", "--traj", traj, "--theta0", bad, "--step", "3",
+                     "--out", str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not ckpt.exists()
+
+
 def test_cli_replay_in_two_lanes_exits_cleanly(tmp_path, monkeypatch):
     # a MeZO-SVRG log wide enough for the two-lane kernel, replayed by a
     # fresh interpreter whose lane thread must not hold up its exit

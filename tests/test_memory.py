@@ -113,7 +113,7 @@ def _stream_pass_peak(d):
 
 
 def test_stream_kernel_heap_within_constant_overhead():
-    # three full chunks and a ragged tail; the constant C is in float64 slots
+    # four equal pieces of 6,146 values; the constant C is in float64 slots
     _assert_within(_stream_pass_peak(3 * STREAM_CHUNK + 7), CONSTANT_OVERHEAD)
 
 
@@ -122,8 +122,8 @@ def test_two_lane_stream_heap_within_constant_overhead():
     _assert_within(_stream_pass_peak(PARALLEL_MIN_D + 7), CONSTANT_OVERHEAD)
 
 
-# A serial pass holds one STREAM_CHUNK piece in flight, three words per value,
-# plus 512 slots of bookkeeping: 25,088 slots, 200,704 bytes.
+# A serial pass holds one piece of at most STREAM_CHUNK values in flight, three
+# words per value, plus 512 slots of bookkeeping: 25,088 slots, 200,704 bytes.
 _SERIAL_PASS_SLOTS = 3 * STREAM_CHUNK + 512
 
 
@@ -132,6 +132,14 @@ def test_serial_stream_heap_within_one_piece(d):
     # a serial pass streams pieces half as long as two lanes' do, so it holds
     # about a quarter of C; it keeps a bound of its own rather than C's share
     _assert_within(_stream_pass_peak(d), _SERIAL_PASS_SLOTS)
+
+
+@pytest.mark.parametrize("d, piece", [(STREAM_CHUNK + 1, 4_097), (25_818, 6_455)],
+                         ids=["two-pieces", "mlp-preset"])
+def test_serial_stream_heap_within_its_equal_piece(d, piece):
+    # ceil(d / STREAM_CHUNK) equal pieces: a d just above a multiple of
+    # STREAM_CHUNK holds a piece of ceil(d / k) values, not a whole chunk
+    _assert_within(_stream_pass_peak(d), 3 * piece + 512)
 
 
 def _mlp_run_peak(optimizer, config, n=64, steps=4):

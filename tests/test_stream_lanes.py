@@ -31,11 +31,14 @@ from zovr.estimators import (
     stream_passes,
 )
 
-_PIECE = LANE_PIECE  # the piece of a two-lane sweep; a serial sweep streams STREAM_CHUNK
+# The lane-error tests' d, just above six whole LANE_PIECEs, and the length of
+# each of the seven equal pieces a two-lane sweep streams it in
+_FAIL_D = 6 * LANE_PIECE + 5
+_FAIL_PIECE = 14_045
 
 
 def _serial_stream(theta, seed, alpha):
-    """The serial kernel: one STREAM_CHUNK at a time, in index order."""
+    """A reference serial loop: whole STREAM_CHUNK windows in index order."""
     d = theta.shape[0]
     for a in range(0, d, STREAM_CHUNK):
         b = min(a + STREAM_CHUNK, d)
@@ -121,11 +124,13 @@ def test_two_lanes_ask_for_lane_pieces_and_a_serial_sweep_for_chunks(monkeypatch
     monkeypatch.setattr(estimators, "_lane_pool", (os.getpid(), lane_pool))
     assert LANE_PIECE > STREAM_CHUNK  # fewer interpreter-lock handoffs per z value
     stream_passes(np.zeros(d), passes)
-    assert sorted(lengths) == [11] * 2 + [LANE_PIECE] * (2 * (d // LANE_PIECE))
+    # ceil(d / LANE_PIECE) = 5 equal pieces per pass, not four whole ones and 11 values
+    assert sorted(lengths) == [13_107] * 2 + [13_110] * 8
     lengths.clear()
     monkeypatch.setattr(estimators, "PARALLEL_MIN_D", d + 1)
     stream_passes(np.zeros(d), passes)
-    assert lengths == [STREAM_CHUNK] * (2 * (d // STREAM_CHUNK)) + [11] * 2
+    # ceil(d / STREAM_CHUNK) = 9 equal pieces per pass, each piece taking both passes
+    assert lengths == [7_283] * 18
 
 
 def test_dispatch_uses_two_lanes_with_two_cpus():
@@ -168,7 +173,7 @@ def _fail_once_in(monkeypatch, failing, broken):
 
 @pytest.mark.parametrize("failing", ["worker", "caller"])
 def test_lane_error_raises_after_both_lanes_stop(monkeypatch, lane_pool, failing):
-    d = 6 * _PIECE + 5
+    d = _FAIL_D
     seed = PerturbationSeed(31, 7)
     real = prng.normals
     inside, failed_at = _fail_once_in(monkeypatch, failing, seed)
@@ -181,7 +186,7 @@ def test_lane_error_raises_after_both_lanes_stop(monkeypatch, lane_pool, failing
     monkeypatch.setattr(prng, "normals", real)
     _serial_stream(expected, seed, 0.5)
     a = failed_at[0]
-    expected[a:a + _PIECE] = 0.0
+    expected[a:a + _FAIL_PIECE] = 0.0
     assert np.array_equal(theta, expected)
     time.sleep(0.02)
     assert np.array_equal(theta, expected)  # and nothing writes after the raise
@@ -189,7 +194,7 @@ def test_lane_error_raises_after_both_lanes_stop(monkeypatch, lane_pool, failing
 
 @pytest.mark.parametrize("failing", ["worker", "caller"])
 def test_lane_error_in_a_sweep_raises_after_both_lanes_stop(monkeypatch, lane_pool, failing):
-    d = 6 * _PIECE + 5
+    d = _FAIL_D
     first, broken = PerturbationSeed(31, 7), PerturbationSeed(32, 3)
     passes = [(first, 0.5), (broken, -0.25), (first, 0.125)]
     real = prng.normals
@@ -205,7 +210,7 @@ def test_lane_error_in_a_sweep_raises_after_both_lanes_stop(monkeypatch, lane_po
     for seed, alpha in passes:
         _serial_stream(expected, seed, alpha)
     a = failed_at[0]
-    b = min(a + _PIECE, d)
+    b = min(a + _FAIL_PIECE, d)
     expected[a:b] = 0.5 * real(first.seed, first.offset + a, b - a)
     assert np.array_equal(theta, expected)
     time.sleep(0.02)

@@ -107,6 +107,13 @@ def test_replay_rejects_out_of_range():
         replay(traj, theta0, 6)
 
 
+@pytest.mark.parametrize("theta0", [np.array(0.5), np.zeros((6, 1))], ids=["0-d", "2-d"])
+def test_replay_rejects_a_theta0_that_is_not_a_vector(theta0):
+    traj = _recorded_run(steps=5)[3]
+    with pytest.raises(TrajectoryError, match="theta0 must be a 1-d array"):
+        replay(traj, theta0, 3)
+
+
 def test_save_load_roundtrip_byte_identical(tmp_path):
     ls, obj, theta0, traj, result, _ = _recorded_run(steps=25)
     p1, p2 = str(tmp_path / "a.zotrj"), str(tmp_path / "b.zotrj")
