@@ -186,7 +186,7 @@ def cmd_verify(args) -> int:
 
     log32 = objectives.make_logistic(32, 6, seed=2)
     cv = oracles.control_variate_check(
-        log32, np.full(6, 0.2), np.full(6, -0.3), PerturbationSeed(9), pair_counts=())
+        log32, np.full(6, 0.2), np.full(6, -0.3), PerturbationSeed(9))
     report.check("control variates sum to zero",
                  cv.sum_inf_norm < 1e-10 * max(cv.max_u_inf_norm, 1e-300),
                  f"sum {cv.sum_inf_norm:.2e}")

@@ -110,6 +110,8 @@ class SpsaConfig:
     def __post_init__(self):
         if not (self.mu > 0):
             raise ValueError(f"mu must be positive, got {self.mu}")
+        if not math.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu}")
         if self.p < 1:
             raise ValueError(f"p must be >= 1, got {self.p}")
 
@@ -168,7 +170,7 @@ def sample_minibatch(n: int, b: int, seed: int) -> Minibatch:
         raise ValueError(f"need n >= 1, got n={n}")
     if not (1 <= b <= n):
         raise ValueError(f"need 1 <= b <= n, got b={b}, n={n}")
-    # word k of the stream decides draw k, as prng.randint_below(seed, k, bound)
+    # word k of the stream decides draw k: that word mod the draw's bound
     words = prng.raw_words(seed, 0, b)
     # Floyd: draw k picks from [0, n-b+k]
     np.remainder(words, np.arange(n - b + 1, n + 1, dtype=np.uint64), out=words)

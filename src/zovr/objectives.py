@@ -226,8 +226,10 @@ class Mlp2Problem(Objective):
             theta[a:b] = (2.0 * u - 1.0) * bound
         return theta
 
-    def _forward(self, theta, Xb):
-        W1, b1, W2, b2, W3, b3 = self._views(theta)
+    def _forward(self, theta, Xb, views=None):
+        # batch_grad passes the views it holds; a loss query builds them here,
+        # since a list held across the pass adds 64 traced bytes (CPython 3.11)
+        W1, b1, W2, b2, W3, b3 = views or self._views(theta)
         a1 = Xb @ W1
         a1 += b1
         np.maximum(a1, 0.0, out=a1)
@@ -253,8 +255,9 @@ class Mlp2Problem(Objective):
 
     def batch_grad(self, theta, indices):
         Xb, yb = _rows(np.asarray(indices, dtype=np.int64), self.features, self.labels)
-        W1, b1, W2, b2, W3, b3 = self._views(theta)
-        a1, a2, logits = self._forward(theta, Xb)
+        views = self._views(theta)
+        a1, a2, logits = self._forward(theta, Xb, views)
+        W2, W3 = views[2], views[4]
         m = logits.max(axis=1, keepdims=True)
         e = np.exp(logits - m)
         probs = e / e.sum(axis=1, keepdims=True)
@@ -346,7 +349,7 @@ def make_synthetic_digits(n: int, rows: int = 28, cols: int = 28,
     pix = rows * cols
     templates = prng.uniforms(prng.fold(seed, _TAG_DIGIT_TEMPLATE), 0, classes * pix)
     templates = templates.reshape(classes, pix)
-    # label i is prng.randint_below(fold(seed, _TAG_DIGIT_LABEL), i, classes)
+    # label i is word i of stream fold(seed, _TAG_DIGIT_LABEL), mod classes
     labels = (prng.raw_words(prng.fold(seed, _TAG_DIGIT_LABEL), 0, n) % classes).astype(np.int64)
     noise = prng.uniforms(prng.fold(seed, _TAG_DIGIT_NOISE), 0, n * pix).reshape(n, pix)
     features = templates[labels]  # a fresh (n, pix) array: blend into it in place

@@ -174,6 +174,12 @@ def _check_batch(name: str, value: int | None) -> None:
         raise ValueError(f"{name} must be >= 1, got {value}")
 
 
+def _check_rate(name: str, value: float) -> None:
+    # a rate of 0 is legal; a non-finite one would only surface as a diverged run
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class MezoConfig:
     eta: float = 1e-3
@@ -181,6 +187,7 @@ class MezoConfig:
     spsa: SpsaConfig = field(default_factory=SpsaConfig)
 
     def __post_init__(self):
+        _check_rate("eta", self.eta)
         _check_batch("b", self.b)
 
 
@@ -195,6 +202,8 @@ class MezoSvrgConfig:
     schedule: LrScheduleConfig | None = None
 
     def __post_init__(self):
+        _check_rate("eta1", self.eta1)
+        _check_rate("eta2", self.eta2)
         _check_batch("q", self.q)
         _check_batch("b", self.b)
         _check_batch("anchor_batch", self.anchor_batch)
@@ -208,6 +217,7 @@ class ZoSvrgConfig:
     spsa: SpsaConfig = field(default_factory=SpsaConfig)
 
     def __post_init__(self):
+        _check_rate("eta", self.eta)
         _check_batch("q", self.q)
         _check_batch("b", self.b)
 
@@ -218,6 +228,7 @@ class FoSgdConfig:
     b: int = 32
 
     def __post_init__(self):
+        _check_rate("eta", self.eta)
         _check_batch("b", self.b)
 
 
@@ -423,7 +434,11 @@ def run(obj, theta0: np.ndarray, optimizer: str, config, budget: Budget,
     caller. `sink`, when given, is called as sink(step, theta, record)
     after every step. Every record's `peak_slots` is `held_slots(optimizer,
     d)`; a `meter`, when given, has that added once and only observes it.
+    `eval_every` > 0 records obj.metric on every step divisible by it; 0
+    records none.
     """
+    if eval_every < 0:
+        raise ValueError(f"eval_every must be >= 0, got {eval_every}")
     if optimizer not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {optimizer!r}; known: {OPTIMIZERS}")
     if trajectory is not None and optimizer not in SEED_REPLAY:

@@ -8,7 +8,10 @@ make variance reduction work:
   it equals the fullbatch estimator (an exact reordering identity);
 * the control-variate identities: the centered per-sample estimator
   differences u_i sum to the zero vector, and the cross moment
-  E[u_i . u_j] over i.i.d. index pairs is exactly zero.
+  E[u_i . u_j] over i.i.d. index pairs is exactly zero. Its closed form
+  over the whole population, ||mean_i u_i||^2, is computed here; the
+  report also returns the u_i, from which the test suite draws a Monte
+  Carlo estimate over sampled pairs.
 
 They deliberately share no code with the optimizers; the normal-
 equation solver below is the independent optimum reference for the
@@ -22,7 +25,6 @@ from itertools import combinations
 
 import numpy as np
 
-from . import prng
 from .estimators import (
     Minibatch,
     PerturbationSeed,
@@ -31,6 +33,11 @@ from .estimators import (
     materialize,
     spsa_batch_shared,
 )
+
+# The identities hold for every perturbation scale, so the probe uses a
+# large one: with a small mu the loss differences cancel catastrophically
+# and roundoff swamps the identity being checked.
+PROBE = SpsaConfig(mu=0.5)
 
 
 def ls_normal_equations(problem) -> tuple[np.ndarray, float]:
@@ -46,8 +53,7 @@ def ls_normal_equations(problem) -> tuple[np.ndarray, float]:
     return w, float(np.mean(r * r))
 
 
-def unbiasedness_check(obj, theta: np.ndarray, z_seed: PerturbationSeed, b: int,
-                       cfg: SpsaConfig | None = None) -> float:
+def unbiasedness_check(obj, theta: np.ndarray, z_seed: PerturbationSeed, b: int) -> float:
     """Exhaustive minibatch-unbiasedness deviation, conditional on one z.
 
     Enumerates every size-b subset of [0, n), computes the shared
@@ -55,14 +61,10 @@ def unbiasedness_check(obj, theta: np.ndarray, z_seed: PerturbationSeed, b: int,
 
         || mean_over_subsets - fullbatch ||_inf / || fullbatch ||_inf.
 
-    Exact up to float roundoff; n must be small enough to enumerate. The
-    identity holds for every perturbation scale, so the default probe
-    uses a large one: with a small mu the loss differences cancel
-    catastrophically and roundoff swamps the identity being checked.
+    Exact up to float roundoff; n must be small enough to enumerate.
     """
     if obj.n > 12:
         raise ValueError(f"enumeration oracle needs n <= 12, got n={obj.n}")
-    cfg = cfg or SpsaConfig(mu=0.5)
     # estimator calls restore theta only to fp tolerance, so every probe
     # runs on a freshly reset buffer to keep the identity exact
     work = np.array(theta, dtype=np.float64, copy=True)
@@ -71,11 +73,11 @@ def unbiasedness_check(obj, theta: np.ndarray, z_seed: PerturbationSeed, b: int,
     for subset in combinations(range(obj.n), b):
         batch = Minibatch(np.asarray(subset, dtype=np.int64))
         work[:] = theta
-        acc += materialize(spsa_batch_shared(obj, work, batch, z_seed, cfg))
+        acc += materialize(spsa_batch_shared(obj, work, batch, z_seed, PROBE))
         count += 1
     acc /= count
     work[:] = theta
-    full = materialize(spsa_batch_shared(obj, work, full_batch(obj.n), z_seed, cfg))
+    full = materialize(spsa_batch_shared(obj, work, full_batch(obj.n), z_seed, PROBE))
     denom = np.max(np.abs(full))
     if denom == 0.0:
         return float(np.max(np.abs(acc)))
@@ -86,30 +88,22 @@ def unbiasedness_check(obj, theta: np.ndarray, z_seed: PerturbationSeed, b: int,
 class ControlVariateReport:
     sum_inf_norm: float        # ||sum_i u_i||_inf, exactly ~0
     max_u_inf_norm: float      # max_i ||u_i||_inf, for relative comparison
-    cross_moments: list[float]  # |mean over M sampled i.i.d. pairs of u_i . u_j|
     population_cross_moment: float  # ||mean_i u_i||^2, the exact closed form
+    u: np.ndarray              # (n, d): row i is u_i
 
 
 def control_variate_check(obj, theta: np.ndarray, theta_prime: np.ndarray,
-                          z_seed: PerturbationSeed,
-                          pair_counts: tuple[int, ...] = (1000,),
-                          pair_seed: int = 0,
-                          cfg: SpsaConfig | None = None) -> ControlVariateReport:
+                          z_seed: PerturbationSeed) -> ControlVariateReport:
     """Check the control-variate identities with a fixed perturbation z.
 
     u_i = est_i(theta) - est_i(theta') - (est_full(theta) - est_full(theta'))
     where every estimator shares z and est_i is the one-sample shared
-    estimate on sample i. Returns the exact zero-sum norm and,
-    for each M in pair_counts, the Monte Carlo cross-moment magnitude
-    over M i.i.d. uniformly sampled (with replacement) index pairs;
-    those magnitudes shrink like 1/sqrt(M) toward the exact population
-    value ||mean_i u_i||^2 = 0. As with the unbiasedness check, the
-    identities are perturbation-scale independent and the default probe
-    uses a large mu to stay clear of cancellation roundoff.
+    estimate on sample i. Returns the zero-sum norm, the exact population
+    cross moment E[u_i . u_j] = ||mean_i u_i||^2 over i.i.d. uniform
+    index pairs, and the u_i themselves.
     """
     if obj.n > 64:
         raise ValueError(f"control-variate oracle needs n <= 64, got n={obj.n}")
-    cfg = cfg or SpsaConfig(mu=0.5)
     work_a = np.array(theta, dtype=np.float64, copy=True)
     work_b = np.array(theta_prime, dtype=np.float64, copy=True)
     u = np.empty((obj.n, obj.d))
@@ -117,31 +111,21 @@ def control_variate_check(obj, theta: np.ndarray, theta_prime: np.ndarray,
         work_a[:] = theta
         work_b[:] = theta_prime
         sample = Minibatch(np.array([i]))
-        at_theta = materialize(spsa_batch_shared(obj, work_a, sample, z_seed, cfg))
-        at_prime = materialize(spsa_batch_shared(obj, work_b, sample, z_seed, cfg))
+        at_theta = materialize(spsa_batch_shared(obj, work_a, sample, z_seed, PROBE))
+        at_prime = materialize(spsa_batch_shared(obj, work_b, sample, z_seed, PROBE))
         u[i] = at_theta - at_prime
     work_a[:] = theta
     work_b[:] = theta_prime
     full_diff = (
-        materialize(spsa_batch_shared(obj, work_a, full_batch(obj.n), z_seed, cfg))
-        - materialize(spsa_batch_shared(obj, work_b, full_batch(obj.n), z_seed, cfg))
+        materialize(spsa_batch_shared(obj, work_a, full_batch(obj.n), z_seed, PROBE))
+        - materialize(spsa_batch_shared(obj, work_b, full_batch(obj.n), z_seed, PROBE))
     )
     u -= full_diff
     total = u.sum(axis=0)
     mean_u = total / obj.n
-    moments = []
-    ctr = 0
-    for m in pair_counts:
-        acc = 0.0
-        for _ in range(m):
-            i = prng.randint_below(pair_seed, ctr, obj.n)
-            j = prng.randint_below(pair_seed, ctr + 1, obj.n)
-            ctr += 2
-            acc += float(u[i] @ u[j])
-        moments.append(abs(acc / m))
     return ControlVariateReport(
         sum_inf_norm=float(np.max(np.abs(total))),
         max_u_inf_norm=float(np.max(np.abs(u))),
-        cross_moments=moments,
         population_cross_moment=float(mean_u @ mean_u),
+        u=u,
     )

@@ -11,8 +11,11 @@ Construction: the k-th 64-bit word of stream `seed` is
 ``mix64(seed + (k + 1) * GOLDEN)`` where ``mix64`` is the SplitMix64
 finalizer. Standard normals are produced from consecutive word pairs by
 the basic Box-Muller transform; uniforms take the top 53 bits of one
-word. Any (seed, index range) can therefore be regenerated without
-storing state.
+word. Integer draws in [0, bound) (the minibatch sampler, the synthetic
+digit labels) take one word mod bound; the bias is O(bound / 2**64).
+Any (seed, index range) can therefore be regenerated without storing
+state. Every stream is made by the array functions below; `mix64` and
+`fold` are the scalar finalizer and the seed splitter.
 """
 
 from __future__ import annotations
@@ -108,11 +111,6 @@ def raw_words(seed: int, start: int, count: int) -> np.ndarray:
     return x
 
 
-def raw_word(seed: int, index: int) -> int:
-    """Single stream word as a python int (scalar path, no numpy)."""
-    return mix64((seed + ((index + 1) * GOLDEN)) & _MASK)
-
-
 def uniforms(seed: int, start: int, count: int) -> np.ndarray:
     """Uniform [0, 1) doubles at stream positions [start, start+count)."""
     w = raw_words(seed, start, count)
@@ -189,13 +187,3 @@ def normals(seed: int, start: int, count: int) -> np.ndarray:
     np.cos(u2, out=u2)
     return np.multiply(u1, u2)
 
-
-def randint_below(seed: int, index: int, bound: int) -> int:
-    """Deterministic integer in [0, bound) from one stream word.
-
-    Plain modulo mapping; the bias is O(bound / 2**64) and irrelevant at
-    the bounds used here (sample counts, not crypto).
-    """
-    if bound <= 0:
-        raise ValueError(f"bound must be positive, got {bound}")
-    return raw_word(seed, index) % bound

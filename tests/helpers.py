@@ -3,6 +3,8 @@
 import hashlib
 import tracemalloc
 
+import numpy as np
+
 from zovr import Objective, prng
 
 
@@ -45,6 +47,40 @@ class CountingObjective:
 
     def initial_theta(self):
         return self.inner.initial_theta()
+
+
+def stream_word(seed: int, index: int) -> int:
+    """Word `index` of stream `seed` as a python int, one scalar at a time.
+
+    The reference the array path (prng.raw_words) is checked against.
+    """
+    return prng.mix64(seed + (index + 1) * prng.GOLDEN)
+
+
+def word_below(seed: int, index: int, bound: int) -> int:
+    """The integer in [0, bound) that word `index` of stream `seed` draws."""
+    return stream_word(seed, index) % bound
+
+
+def pair_cross_moments(u, counts, pair_seed: int) -> list[float]:
+    """|mean of u_i . u_j| over M i.i.d. uniform index pairs, for each M in counts.
+
+    Pair k takes i and j from words 2k and 2k + 1 of stream `pair_seed`, mod
+    n. The pair index runs on from one count to the next, so no two counts
+    share a pair. For the centred control-variate differences u of
+    oracles.control_variate_check the magnitudes shrink like 1/sqrt(M)
+    toward the exact population value, which is zero.
+    """
+    n = u.shape[0]
+    gram = u @ u.T
+    moments = []
+    start = 0
+    for m in counts:
+        words = prng.raw_words(pair_seed, start, 2 * m) % np.uint64(n)
+        start += 2 * m
+        picks = words.astype(np.int64).reshape(m, 2)
+        moments.append(abs(float(gram[picks[:, 0], picks[:, 1]].sum()) / m))
+    return moments
 
 
 def traced_peak(fn):

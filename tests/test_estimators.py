@@ -17,9 +17,9 @@ from zovr import (
     spsa_batch_shared,
 )
 from zovr.estimators import _stream_add_scaled, apply_probe_sequence
-from zovr.prng import fold, normals, randint_below
+from zovr.prng import fold, normals
 
-from helpers import CountingObjective
+from helpers import CountingObjective, word_below
 
 
 class ConstantObjective:
@@ -356,11 +356,11 @@ def test_sampler_rejects_empty_population():
        data=st.data(),
        seed=st.integers(min_value=0, max_value=2**64 - 1))
 def test_sampler_matches_scalar_draws(n, data, seed):
-    # draw k of a minibatch is randint_below(seed, k, bound)
+    # draw k of a minibatch is word_below(seed, k, bound)
     b = data.draw(st.integers(min_value=1, max_value=n))
     chosen = set()
     for k, j in enumerate(range(n - b, n)):
-        t = randint_below(seed, k, j + 1)
+        t = word_below(seed, k, j + 1)
         chosen.add(j if t in chosen else t)
     assert sample_minibatch(n, b, seed).indices.tolist() == sorted(chosen)
 

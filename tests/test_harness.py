@@ -357,6 +357,13 @@ def test_cli_rejects_accounting_mode_of_another_optimizer(tmp_path, capsys):
 _BAD_SETTINGS = [
     (["--mu", "0"], "mu must be positive, got 0.0"),
     (["--mu", "-1"], "mu must be positive, got -1.0"),
+    (["--mu", "inf"], "mu must be finite, got inf"),
+    (["--lr1", "nan"], "eta1 must be finite, got nan"),
+    (["--lr2", "inf"], "eta2 must be finite, got inf"),
+    (["--optimizer", "mezo", "--lr1", "inf"], "eta must be finite, got inf"),
+    (["--optimizer", "zo-svrg", "--lr1", "nan"], "eta must be finite, got nan"),
+    (["--optimizer", "fo-sgd", "--lr1=-inf"], "eta must be finite, got -inf"),
+    (["--eval-every", "-2"], "eval_every must be >= 0, got -2"),
     (["--config", "p0.cfg"], "p must be >= 1, got 0"),
     (["--kappa", "1"], "kappa must exceed 1, got 1.0"),
     (["--alpha", "1"], "alpha must exceed 1, got 1.0"),
@@ -373,10 +380,11 @@ _BAD_SETTINGS = [
 def test_cli_run_refuses_a_bad_setting(tmp_path, monkeypatch, capsys, args, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "p0.cfg").write_text("p=0\n")
-    code = cli.main(["run", "--optimizer", "mezo-svrg", "--out", "never.csv"] + args)
+    code = cli.main(["run", "--optimizer", "mezo-svrg", "--out", "never.csv",
+                     "--traj-out", "never.zotrj"] + args)
     assert code == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
-    assert not (tmp_path / "never.csv").exists()
+    assert os.listdir(tmp_path) == ["p0.cfg"]
 
 
 # command lines the parser refuses; argparse's own error() would exit 2, the

@@ -21,9 +21,9 @@ from zovr.objectives import (
     _TAG_DIGIT_LABEL,
     _read_idx,
 )
-from zovr.prng import fold, normals, randint_below, raw_words
+from zovr.prng import fold, normals, raw_words
 
-from helpers import CountingObjective, traced_peak
+from helpers import CountingObjective, traced_peak, word_below
 
 
 def finite_difference_gradient(func, theta: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -124,7 +124,7 @@ def test_synthetic_digit_labels_are_one_stream_word_each(seed):
     stream = fold(seed, _TAG_DIGIT_LABEL)
     labels = make_synthetic_digits(300, rows=2, cols=2, classes=7, seed=seed)[1]
     assert labels.dtype == np.int64
-    assert labels.tolist() == [randint_below(stream, i, 7) for i in range(300)]
+    assert labels.tolist() == [word_below(stream, i, 7) for i in range(300)]
     with pytest.raises(ValueError, match="classes"):
         make_synthetic_digits(3, rows=2, cols=2, classes=0, seed=seed)
 
@@ -164,6 +164,22 @@ def test_mlp_backprop_matches_finite_differences():
         fd = (f_plus - f_minus) / 2e-5
         worst = max(worst, abs(fd - analytic[j]) / denom)
     assert worst < 1e-5
+
+
+def test_mlp_lays_out_each_vector_once_per_query(monkeypatch):
+    # a loss query lays out theta's six blocks once; a gradient lays out
+    # theta's and the gradient's, once each
+    features, labels = make_synthetic_digits(6, rows=3, cols=3, classes=2, seed=12)
+    mlp = make_mlp2((features, labels), seed=12, hidden=(4, 3), n_classes=2)
+    theta = mlp.initial_theta()
+    built = []
+    views = mlp._views
+    monkeypatch.setattr(mlp, "_views", lambda v: built.append(v) or views(v))
+    mlp.batch_loss(theta, np.arange(6))
+    assert [v is theta for v in built] == [True]
+    built.clear()
+    grad = mlp.batch_grad(theta, np.arange(6))
+    assert [v is theta for v in built] == [True, False] and built[1] is grad
 
 
 def test_mlp_single_sample_loss_and_metric():

@@ -419,6 +419,30 @@ def test_config_rejects_empty_batches(make):
         make()
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: MezoConfig(eta=float("nan")), "eta must be finite, got nan"),
+    (lambda: MezoSvrgConfig(eta1=float("inf")), "eta1 must be finite, got inf"),
+    (lambda: MezoSvrgConfig(eta2=float("-inf")), "eta2 must be finite, got -inf"),
+    (lambda: ZoSvrgConfig(eta=float("inf")), "eta must be finite, got inf"),
+    (lambda: FoSgdConfig(eta=float("nan")), "eta must be finite, got nan"),
+    (lambda: SpsaConfig(mu=float("inf")), "mu must be finite, got inf"),
+    (lambda: SpsaConfig(mu=float("nan")), "mu must be positive, got nan"),
+], ids=["mezo-eta", "mezo-svrg-eta1", "mezo-svrg-eta2", "zo-svrg-eta", "fo-sgd-eta",
+        "mu-inf", "mu-nan"])
+def test_config_rejects_non_finite_rates_and_mu(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_run_rejects_negative_eval_every():
+    ls = make_least_squares(16, 3, seed=1)
+    obj = CountingObjective(ls)
+    with pytest.raises(ValueError, match="eval_every must be >= 0, got -2"):
+        run(obj, ls.initial_theta(), "mezo", MezoConfig(b=4), Budget(max_steps=3), 0,
+            eval_every=-2)
+    assert obj.forward_queries == 0
+
+
 @pytest.mark.parametrize("optimizer, config", [
     ("mezo", MezoConfig(b=17)),
     ("mezo-svrg", MezoSvrgConfig(b=17)),

@@ -20,6 +20,8 @@ from zovr.oracles import (
 )
 from zovr.prng import fold, normals
 
+from helpers import pair_cross_moments, word_below
+
 
 @dataclass
 class VarianceProbeReport:
@@ -127,11 +129,28 @@ def test_cross_moment_shrinks_with_pair_count():
     theta_prime = theta + 0.3
     small, large = [], []
     for repeat in range(10):
-        rep = control_variate_check(ls, theta, theta_prime, PerturbationSeed(fold(8, repeat)),
-                                    pair_counts=(1000, 100_000), pair_seed=repeat)
-        small.append(rep.cross_moments[0])
-        large.append(rep.cross_moments[1])
+        rep = control_variate_check(ls, theta, theta_prime, PerturbationSeed(fold(8, repeat)))
+        moments = pair_cross_moments(rep.u, (1000, 100_000), pair_seed=repeat)
+        small.append(moments[0])
+        large.append(moments[1])
     assert np.mean(small) >= 3.0 * np.mean(large)
+
+
+def test_pair_cross_moments_draw_the_scalar_loops_pairs():
+    # the pair index runs on across the counts: count 11 starts at pair 5
+    u = normals(fold(8, 2), 0, 7 * 3).reshape(7, 3)
+    expected = []
+    k = 0
+    for m in (5, 11):
+        acc = 0.0
+        for _ in range(m):
+            i = word_below(4, 2 * k, 7)
+            j = word_below(4, 2 * k + 1, 7)
+            k += 1
+            acc += float(u[i] @ u[j])
+        expected.append(abs(acc / m))
+    np.testing.assert_allclose(pair_cross_moments(u, (5, 11), pair_seed=4), expected,
+                               rtol=1e-12)
 
 
 def test_normal_equations_examples():

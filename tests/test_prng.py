@@ -9,7 +9,7 @@ from zovr.estimators import (
     LANE_PIECE, STREAM_CHUNK, PerturbationSeed, _stream_add_scaled, sample_minibatch)
 
 import helpers
-from helpers import assert_pinned, traced_peak
+from helpers import assert_pinned, stream_word, traced_peak
 
 
 def test_normals_deterministic():
@@ -45,7 +45,7 @@ def test_uniforms_in_range():
 def test_raw_word_matches_array_path():
     words = prng.raw_words(123, 10, 8)
     for k in range(8):
-        assert prng.raw_word(123, 10 + k) == int(words[k])
+        assert stream_word(123, 10 + k) == int(words[k])
 
 
 def test_fold_children_are_unrelated():
@@ -54,14 +54,6 @@ def test_fold_children_are_unrelated():
     z_a = prng.normals(prng.fold(99, 0), 0, 4096)
     z_b = prng.normals(prng.fold(99, 1), 0, 4096)
     assert abs(np.corrcoef(z_a, z_b)[0, 1]) < 0.1
-
-
-def test_randint_below_bounds_and_determinism():
-    vals = [prng.randint_below(3, k, 17) for k in range(500)]
-    assert all(0 <= v < 17 for v in vals)
-    assert vals == [prng.randint_below(3, k, 17) for k in range(500)]
-    with pytest.raises(ValueError):
-        prng.randint_below(3, 0, 0)
 
 
 @settings(max_examples=30, deadline=None)
