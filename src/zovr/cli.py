@@ -13,19 +13,25 @@ Exit codes: 0 success, 1 bad input or a failed comparison criterion,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 import numpy as np
 
 from . import harness, oracles, trajectory
 from .estimators import PerturbationSeed, apply_probe_sequence
-from .memory import ACCOUNTING_MODES, account_memory, accounting_mode, held_slots
+from .memory import _EXTRA_MULTIPLE, account_memory, held_slots
 from .optimizers import OPTIMIZERS, _parsed
 from .prng import fold
 from .prng import normals as prng_normals
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads -1 or -.5 after a flag as its value, but -1e-3 or -inf as a flag
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
+
     # a parse error is bad input (exit 1); argparse's own error() exits 2, a diverged run's code
     def error(self, message):
         raise ValueError(f"{self.prog}: {message}")
@@ -52,8 +58,6 @@ def _add_run_parser(sub):
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None, help="CSV output path (or preset directory)")
     p.add_argument("--traj-out", default=None, help="trajectory output path")
-    p.add_argument("--accounting-mode", choices=ACCOUNTING_MODES, default=None,
-                   help="memory model to print next to the registered peak")
     p.add_argument("--eval-every", type=int, default=None)
     p.add_argument("--n", type=int, default=None, help="problem sample count")
     p.add_argument("--d", type=int, default=None, help="problem dimension")
@@ -80,8 +84,6 @@ def _spec_from_settings(settings: dict[str, str]) -> harness.RunSpec:
     """A run spec that hands every setting to both builders; each takes its own keys."""
     problem = settings.get("problem") or "ls"
     optimizer = settings.get("optimizer") or "mezo-svrg"
-    if optimizer not in OPTIMIZERS:
-        raise ValueError(f"unknown optimizer {optimizer!r}; known: {OPTIMIZERS}")
     if "eta1" in settings:  # --lr1 sets eta of the one-rate optimizers
         settings.setdefault("eta", settings["eta1"])
     run = _parsed({"steps": int, "query_budget": int, "seed": int, "eval_every": int},
@@ -132,14 +134,13 @@ def cmd_run(args) -> int:
 
     settings = _collect_settings(args)
     spec = _spec_from_settings(settings)
-    mode = accounting_mode(spec.optimizer, settings.get("accounting_mode") or None)
     execution = harness.execute(spec, out=args.out, traj_out=args.traj_out)
     result = execution.result
     print(_summary(execution))
-    modeled = account_memory(spec.optimizer, mode, execution.objective.d)
-    registered = held_slots(spec.optimizer, execution.objective.d)
-    print(f"memory model ({mode or 'base'}): {modeled} slots; "
-          f"registered peak: {registered} slots")
+    d = execution.objective.d
+    models = "".join(f"memory model ({mode or 'base'}): {account_memory(o, mode, d)} slots; "
+                     for o, mode in _EXTRA_MULTIPLE if o == spec.optimizer)
+    print(f"{models}registered peak: {held_slots(spec.optimizer, d)} slots")
     if result.reason:
         print(f"reason: {result.reason}")
     return 2 if result.status == "diverged" else 0

@@ -23,8 +23,9 @@ that the model leaves out.
 `optimizers.run` writes each optimizer's realized footprint (`held_slots`)
 into every record as the CSV's ``peak_slots``: registered, not measured, and
 a SlotMeter only observes it. MeZO 1d, MeZO-SVRG 2d (its anchor estimate
-kept as seed and scalar, below the 3d default), ZO-SVRG 5d, FO-SGD 2d. The
-tests measure whole MeZO, MeZO-SVRG and FO-SGD runs by tracemalloc.
+kept as seed and scalar, below its 3d store_g model), ZO-SVRG 5d, FO-SGD 2d,
+which `zovr run` prints after every model of the optimizer. The tests
+measure whole MeZO, MeZO-SVRG and FO-SGD runs by tracemalloc.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from .estimators import LANE_PIECE
 # it 935-969.
 CONSTANT_OVERHEAD = 2 * 3 * LANE_PIECE + 2048
 
-# Extra d-multiples on top of the parameter slots themselves. An optimizer's
-# first listed mode is its default (`accounting_mode`).
+# Extra d-multiples on top of the parameter slots themselves, one row per
+# optimizer and accounting mode; `zovr run` prints its optimizer's rows in order.
 _EXTRA_MULTIPLE = {
     ("mezo", None): 0,
     ("mezo-svrg", "store_g"): 2,
@@ -47,8 +48,6 @@ _EXTRA_MULTIPLE = {
     ("zo-svrg", "naive"): 4,
     ("fo-sgd", None): 1,
 }
-
-ACCOUNTING_MODES = tuple(mode for _, mode in _EXTRA_MULTIPLE if mode is not None)
 
 # The mode each optimizer's implementation realizes: the buffers its runs hold.
 REALIZED_MODE = {"mezo": None, "mezo-svrg": "recompute_g", "zo-svrg": "naive", "fo-sgd": None}
@@ -74,17 +73,8 @@ class SlotMeter:
 
 def _extra_multiple(optimizer: str, mode: str | None) -> int:
     if (optimizer, mode) not in _EXTRA_MULTIPLE:
-        known = ", ".join(f"{o}/{m}" for o, m in _EXTRA_MULTIPLE)
-        raise ValueError(f"unknown optimizer/mode {optimizer}/{mode}; known: {known}")
+        raise ValueError(f"unknown optimizer/mode {optimizer}/{mode}")
     return _EXTRA_MULTIPLE[(optimizer, mode)]
-
-
-def accounting_mode(optimizer: str, mode: str | None = None) -> str | None:
-    """`mode`, or by default the optimizer's first listed one; the model must cover it."""
-    if mode is None:
-        mode = next((m for o, m in _EXTRA_MULTIPLE if o == optimizer), None)
-    _extra_multiple(optimizer, mode)
-    return mode
 
 
 def held_slots(optimizer: str, d: int) -> int:

@@ -119,6 +119,8 @@ def make_least_squares(n: int = 1000, d: int = 100, noise_std: float = 0.01,
     """
     if not (n >= d >= 1):
         raise ValueError(f"need n >= d >= 1, got n={n}, d={d}")
+    if not math.isfinite(noise_std):  # a NaN would skip the noise, an inf diverge
+        raise ValueError(f"noise_std must be finite, got {noise_std}")
     if noise_std < 0:
         raise ValueError("noise_std must be non-negative")
     for attempt in range(8):
@@ -172,6 +174,8 @@ def make_logistic(n: int = 256, d: int = 16, separation: float = 2.0,
     """Two-Gaussian binary classification with analytic gradient."""
     if n < 1 or d < 1:
         raise ValueError(f"need n, d >= 1, got n={n}, d={d}")
+    if not math.isfinite(separation):
+        raise ValueError(f"separation must be finite, got {separation}")
     labels = np.where(prng.uniforms(prng.fold(seed, _TAG_LOG_Y), 0, n) < 0.5, -1.0, 1.0)
     direction = np.ones(d) / np.sqrt(d)
     X = prng.normals(prng.fold(seed, _TAG_LOG_X), 0, n * d).reshape(n, d)

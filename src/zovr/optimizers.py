@@ -129,7 +129,7 @@ def update_plan(seed: PerturbationSeed, coeffs: tuple[float, ...], d: int,
 class LrScheduleConfig:
     """Loss-feedback annealing: if the mean loss over the last `window`
     steps exceeds kappa times the mean over the preceding window, both
-    learning rates are divided by alpha."""
+    learning rates are divided by a finite alpha (kappa = inf: never)."""
 
     kappa: float = 1.05
     alpha: float = 5.0
@@ -140,6 +140,8 @@ class LrScheduleConfig:
             raise ValueError(f"kappa must exceed 1, got {self.kappa}")
         if not (self.alpha > 1.0):
             raise ValueError(f"alpha must exceed 1, got {self.alpha}")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
         _check_batch("window", self.window)
 
 
@@ -175,9 +177,11 @@ def _check_batch(name: str, value: int | None) -> None:
 
 
 def _check_rate(name: str, value: float) -> None:
-    # a rate of 0 is legal; a non-finite one would only surface as a diverged run
+    # 0 is legal; a non-finite or negative rate would only surface as a diverged run
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,3 @@
-import argparse
 import hashlib
 import math
 import os
@@ -143,7 +142,7 @@ def test_cli_config_file_with_flag_override(tmp_path):
 def test_cli_config_empty_values_mean_defaults(tmp_path):
     cfg = tmp_path / "empty.cfg"
     cfg.write_text("problem=\noptimizer=mezo\nn=64\nd=8\nnoise_std=\nb=8\nmu=\n"
-                   "seed=\nsteps=\nquery_budget=\neval_every=\naccounting_mode=\n")
+                   "seed=\nsteps=\nquery_budget=\neval_every=\n")
     by_config, by_flags = str(tmp_path / "config.csv"), str(tmp_path / "flags.csv")
     assert cli.main(["run", "--config", str(cfg), "--out", by_config]) == 0
     assert cli.main(["run", "--problem", "ls", "--optimizer", "mezo", "--n", "64",
@@ -259,13 +258,24 @@ _SMALL_RUN = ["run", "--problem", "ls", "--n", "64", "--d", "8", "--batch-size",
               "--steps", "4"]
 
 
-def test_cli_accounting_mode_picks_printed_model(capsys):
-    assert cli.main(_SMALL_RUN + ["--optimizer", "mezo-svrg"]) == 0
-    assert "memory model (store_g): " in capsys.readouterr().out
-    assert cli.main(_SMALL_RUN + ["--optimizer", "mezo-svrg",
-                                  "--accounting-mode", "recompute_g"]) == 0
-    out = capsys.readouterr().out
-    assert f"memory model (recompute_g): {2 * 8 + CONSTANT_OVERHEAD} slots" in out
+# the memory line of a d = 8 run: each model of the optimizer in table order,
+# then the registered peak
+_MEMORY_LINES = {
+    "mezo": f"memory model (base): {8 + CONSTANT_OVERHEAD} slots; registered peak: 8 slots",
+    "mezo-svrg": f"memory model (store_g): {3 * 8 + CONSTANT_OVERHEAD} slots; "
+                 f"memory model (recompute_g): {2 * 8 + CONSTANT_OVERHEAD} slots; "
+                 "registered peak: 16 slots",
+    "zo-svrg": f"memory model (naive): {5 * 8 + CONSTANT_OVERHEAD} slots; "
+               "registered peak: 40 slots",
+    "fo-sgd": f"memory model (base): {2 * 8 + CONSTANT_OVERHEAD} slots; "
+              "registered peak: 16 slots",
+}
+
+
+@pytest.mark.parametrize("optimizer", list(_MEMORY_LINES))
+def test_cli_prints_every_memory_model_of_its_optimizer(capsys, optimizer):
+    assert cli.main(_SMALL_RUN + ["--optimizer", optimizer]) == 0
+    assert capsys.readouterr().out.split("\n")[1] == _MEMORY_LINES[optimizer]
 
 
 @pytest.mark.parametrize("optimizer, held", [
@@ -339,20 +349,6 @@ def test_mlp_report_fails_on_a_run_that_recorded_no_step():
     assert "mezo-svrg=nan" in report.render()
 
 
-def test_cli_rejects_accounting_mode_of_another_optimizer(tmp_path, capsys):
-    out = tmp_path / "never.csv"
-    code = cli.main(_SMALL_RUN + ["--optimizer", "mezo", "--accounting-mode", "naive",
-                                  "--out", str(out)])
-    assert code == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "mezo/naive" in captured.err
-    for pair in ("mezo/None", "mezo-svrg/store_g", "mezo-svrg/recompute_g",
-                 "zo-svrg/naive", "fo-sgd/None"):
-        assert pair in captured.err
-    assert not out.exists()
-
-
 # run flags (mezo-svrg on ls unless they say otherwise) that a settings check refuses
 _BAD_SETTINGS = [
     (["--mu", "0"], "mu must be positive, got 0.0"),
@@ -363,14 +359,26 @@ _BAD_SETTINGS = [
     (["--optimizer", "mezo", "--lr1", "inf"], "eta must be finite, got inf"),
     (["--optimizer", "zo-svrg", "--lr1", "nan"], "eta must be finite, got nan"),
     (["--optimizer", "fo-sgd", "--lr1=-inf"], "eta must be finite, got -inf"),
+    (["--lr1", "-inf"], "eta1 must be finite, got -inf"),
+    (["--mu", "-nan"], "mu must be positive, got nan"),
+    (["--lr1=-1"], "eta1 must be non-negative, got -1.0"),
+    (["--lr1", "-1e-3"], "eta1 must be non-negative, got -0.001"),
+    (["--lr2", "-.5"], "eta2 must be non-negative, got -0.5"),
+    (["--optimizer", "mezo", "--lr1", "-1"], "eta must be non-negative, got -1.0"),
+    (["--optimizer", "zo-svrg", "--lr1", "-1E-3"], "eta must be non-negative, got -0.001"),
+    (["--optimizer", "fo-sgd", "--lr1", "-2"], "eta must be non-negative, got -2.0"),
     (["--eval-every", "-2"], "eval_every must be >= 0, got -2"),
     (["--config", "p0.cfg"], "p must be >= 1, got 0"),
     (["--kappa", "1"], "kappa must exceed 1, got 1.0"),
     (["--alpha", "1"], "alpha must exceed 1, got 1.0"),
+    (["--alpha", "inf"], "alpha must be finite, got inf"),
     (["--steps", "0"], "budget values must be positive"),
     (["--query-budget", "0"], "budget values must be positive"),
     (["--n", "5", "--d", "10"], "need n >= d >= 1, got n=5, d=10"),
     (["--noise-std", "-1"], "noise_std must be non-negative"),
+    (["--noise-std", "nan"], "noise_std must be finite, got nan"),
+    (["--noise-std", "inf"], "noise_std must be finite, got inf"),
+    (["--problem", "logistic", "--config", "nan.cfg"], "separation must be finite, got nan"),
     (["--problem", "logistic", "--d", "0"], "need n, d >= 1, got n=256, d=0"),
 ]
 
@@ -380,11 +388,12 @@ _BAD_SETTINGS = [
 def test_cli_run_refuses_a_bad_setting(tmp_path, monkeypatch, capsys, args, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "p0.cfg").write_text("p=0\n")
+    (tmp_path / "nan.cfg").write_text("separation=nan\n")
     code = cli.main(["run", "--optimizer", "mezo-svrg", "--out", "never.csv",
                      "--traj-out", "never.zotrj"] + args)
     assert code == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
-    assert os.listdir(tmp_path) == ["p0.cfg"]
+    assert sorted(os.listdir(tmp_path)) == ["nan.cfg", "p0.cfg"]
 
 
 # command lines the parser refuses; argparse's own error() would exit 2, the
@@ -541,7 +550,7 @@ def test_fig1a_preset_matches_budgets(tmp_path):
 
 @pytest.mark.parametrize("extra", [
     ["--optimizer", "fo-sgd"],
-    ["--accounting-mode", "naive"],
+    ["--eval-every", "2"],
     ["--config", "run.cfg"],
     ["--traj-out", "run.zotrj"],
 ], ids=lambda extra: extra[0])
@@ -907,24 +916,31 @@ _RUN_FLAG_KEYS = [
     ("--batch-size", "7", "b"), ("--anchor-batch", "7", "anchor_batch"),
     ("--lr1", "0.5", "eta1"), ("--lr2", "0.5", "eta2"), ("--mu", "0.5", "mu"),
     ("--q", "7", "q"), ("--kappa", "0.5", "kappa"), ("--alpha", "0.5", "alpha"),
-    ("--seed", "7", "seed"), ("--accounting-mode", "naive", "accounting_mode"),
-    ("--eval-every", "7", "eval_every"), ("--n", "7", "n"), ("--d", "7", "d"),
-    ("--noise-std", "0.5", "noise_std"), ("--idx-images", "a.idx", "idx_images"),
-    ("--idx-labels", "b.idx", "idx_labels"),
+    ("--seed", "7", "seed"), ("--eval-every", "7", "eval_every"), ("--n", "7", "n"),
+    ("--d", "7", "d"), ("--noise-std", "0.5", "noise_std"),
+    ("--idx-images", "a.idx", "idx_images"), ("--idx-labels", "b.idx", "idx_labels"),
     ("--out", "run.csv", None), ("--traj-out", "run.zotrj", None),
+]
+
+
+# negative and non-finite values given after a space, not as --flag=value
+_NEGATIVE_RUN_FLAG_VALUES = [
+    ("--lr1", "-1e-05", "eta1"), ("--lr2", "-0.5", "eta2"), ("--mu", "-inf", "mu"),
+    ("--noise-std", "-1e+300", "noise_std"), ("--seed", "-7", "seed"),
 ]
 
 
 def _run_parser():
     """The top-level parser with only `run`, and the `run` subparser."""
-    parser = argparse.ArgumentParser()
+    parser = cli._Parser()
     sub = parser.add_subparsers(dest="command")
     cli._add_run_parser(sub)
     return parser, sub.choices["run"]
 
 
-@pytest.mark.parametrize("flag, value, key", _RUN_FLAG_KEYS,
-                         ids=[flag for flag, _, _ in _RUN_FLAG_KEYS])
+@pytest.mark.parametrize("flag, value, key", _RUN_FLAG_KEYS + _NEGATIVE_RUN_FLAG_VALUES,
+                         ids=[flag for flag, _, _ in _RUN_FLAG_KEYS]
+                         + [f"{flag} {value}" for flag, value, _ in _NEGATIVE_RUN_FLAG_VALUES])
 def test_cli_flag_lands_under_its_key(flag, value, key):
     settings = cli._collect_settings(_run_parser()[0].parse_args(["run", flag, value]))
     assert settings == ({} if key is None else {key: value})
@@ -942,6 +958,16 @@ def test_query_parity_check():
     assert query_parity_ok(rows_a, rows_b)
     rows_c = [{"cumulative_queries": 10}, {"cumulative_queries": 20}]
     assert not query_parity_ok(rows_a, rows_c)
+
+
+@pytest.mark.parametrize("problem, key, value", [
+    ("ls", "noise_std", "nan"), ("ls", "noise_std", "inf"), ("ls", "noise_std", "-inf"),
+    ("logistic", "separation", "nan"), ("logistic", "separation", "inf"),
+    ("logistic", "separation", "-inf"),
+])
+def test_build_objective_refuses_a_non_finite_setting(problem, key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be finite, got {value}$"):
+        harness.build_objective(problem, {key: value})
 
 
 def test_unknown_problem_and_optimizer_rejected():

@@ -427,11 +427,31 @@ def test_config_rejects_empty_batches(make):
     (lambda: FoSgdConfig(eta=float("nan")), "eta must be finite, got nan"),
     (lambda: SpsaConfig(mu=float("inf")), "mu must be finite, got inf"),
     (lambda: SpsaConfig(mu=float("nan")), "mu must be positive, got nan"),
+    (lambda: LrScheduleConfig(alpha=float("inf")), "alpha must be finite, got inf"),
 ], ids=["mezo-eta", "mezo-svrg-eta1", "mezo-svrg-eta2", "zo-svrg-eta", "fo-sgd-eta",
-        "mu-inf", "mu-nan"])
+        "mu-inf", "mu-nan", "schedule-alpha"])
 def test_config_rejects_non_finite_rates_and_mu(make, message):
     with pytest.raises(ValueError, match=message):
         make()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: MezoConfig(eta=-1e-3), "eta must be non-negative, got -0.001"),
+    (lambda: MezoSvrgConfig(eta1=-1.0), "eta1 must be non-negative, got -1.0"),
+    (lambda: MezoSvrgConfig(eta2=-1e-300), "eta2 must be non-negative, got -1e-300"),
+    (lambda: ZoSvrgConfig(eta=-2.0), "eta must be non-negative, got -2.0"),
+    (lambda: FoSgdConfig(eta=-0.5), "eta must be non-negative, got -0.5"),
+], ids=["mezo-eta", "mezo-svrg-eta1", "mezo-svrg-eta2", "zo-svrg-eta", "fo-sgd-eta"])
+def test_config_rejects_negative_rates(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_config_keeps_zero_rates_and_an_infinite_kappa():
+    # a rate of 0 takes no step; an infinite kappa never anneals
+    assert [make(eta=0.0).eta for make in (MezoConfig, ZoSvrgConfig, FoSgdConfig)] == [0.0] * 3
+    config = MezoSvrgConfig(eta1=0.0, eta2=-0.0, schedule=LrScheduleConfig(kappa=float("inf")))
+    assert (config.eta1, config.eta2, config.schedule.kappa) == (0.0, 0.0, float("inf"))
 
 
 def test_run_rejects_negative_eval_every():
