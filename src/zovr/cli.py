@@ -20,8 +20,8 @@ import numpy as np
 
 from . import harness, oracles, trajectory
 from .estimators import PerturbationSeed, apply_probe_sequence
-from .memory import _EXTRA_MULTIPLE, account_memory, held_slots
-from .optimizers import OPTIMIZERS, _parsed
+from .memory import account_memory, held_slots
+from .optimizers import OPTIMIZER_ROWS, OPTIMIZERS, _parsed
 from .prng import fold
 from .prng import normals as prng_normals
 
@@ -137,10 +137,10 @@ def cmd_run(args) -> int:
     execution = harness.execute(spec, out=args.out, traj_out=args.traj_out)
     result = execution.result
     print(_summary(execution))
-    d = execution.objective.d
-    models = "".join(f"memory model ({mode or 'base'}): {account_memory(o, mode, d)} slots; "
-                     for o, mode in _EXTRA_MULTIPLE if o == spec.optimizer)
-    print(f"{models}registered peak: {held_slots(spec.optimizer, d)} slots")
+    opt, d = spec.optimizer, execution.objective.d
+    models = "".join(f"memory model ({mode or 'base'}): {account_memory(opt, mode, d)} slots; "
+                     for mode in OPTIMIZER_ROWS[opt].memory)
+    print(f"{models}registered peak: {held_slots(opt, d)} slots")
     if result.reason:
         print(f"reason: {result.reason}")
     return 2 if result.status == "diverged" else 0

@@ -30,12 +30,13 @@ import numpy as np
 
 from . import objectives, trajectory
 from .optimizers import (
-    RUN_KINDS,
+    OPTIMIZER_ROWS,
     Budget,
     RunRecord,
     RunResult,
     _parsed,
     build_optimizer_config,
+    optimizer_row,
     run,
     trajectory_params,
 )
@@ -112,6 +113,7 @@ def execute(spec: RunSpec, out: str | None = None,
     theta0 = obj.initial_theta()
     traj = None
     if traj_out:
+        optimizer_row(spec.optimizer, replay=True)  # before trajectory_params reads config
         traj = trajectory.TrajectoryLog.for_run(
             spec.master_seed, theta0, spec.optimizer, trajectory_params(config))
     budget = Budget(max_steps=spec.max_steps, max_queries=spec.max_queries)
@@ -307,9 +309,9 @@ def judge(criterion: str, rows: list[list[dict]], labels: list[str],
         if not run_rows:  # a run that stopped before its first step, e.g. diverged
             raise ValueError(f"{label} has no rows to judge")
     for role, run_rows, label in zip(runs or (), rows, labels):
-        logs = RUN_KINDS.get(role.removesuffix("-small").removesuffix("-large"))
+        row = OPTIMIZER_ROWS.get(role.removesuffix("-small").removesuffix("-large"))
         kinds = {r["kind"] for r in run_rows}
-        if logs and not (logs[0] in kinds and kinds <= set(logs)):
+        if row and not (row.kinds[0] in kinds and kinds <= set(row.kinds)):
             raise ValueError(f"{label} cannot take the {role} role: it logs {sorted(kinds)}")
     return judge_rows(rows, labels, **options)
 
@@ -352,6 +354,7 @@ def _preset_specs(name: str, seed: int, query_budget: int | None = None) -> list
     """One spec per run of preset `name`, all on its problem at one query budget."""
     default_budget, problem, params, runs, _ = _PRESETS[name]
     budget = default_budget if query_budget is None else query_budget
+    Budget(max_queries=budget)  # refuses a bad budget before any run or directory
     return [RunSpec(run_name, problem, {**params, "seed": seed}, optimizer,
                     {**_BASE_SETTINGS[optimizer], **overrides}, seed, max_queries=budget)
             for run_name, optimizer, overrides in runs]
@@ -367,10 +370,11 @@ def run_preset(name: str, seed: int, outdir: str,
     """Execute every run of a preset, write CSVs, and evaluate its criterion."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; known: {sorted(PRESETS)}")
+    specs = PRESETS[name](seed, query_budget)
     os.makedirs(outdir, exist_ok=True)
     executions: list[ExecutionResult] = []
     svrg_steps = None
-    for spec in PRESETS[name](seed, query_budget):
+    for spec in specs:
         if name == "fig1a" and spec.optimizer == "fo-sgd":  # at MeZO-SVRG's step count
             spec = replace(spec, max_steps=svrg_steps or 1, max_queries=None)
         out = os.path.join(outdir, f"{name}_{spec.name}.csv")

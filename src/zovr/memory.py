@@ -2,7 +2,8 @@
 
 The unit is one float64 slot; the reference point is the "inference
 footprint" of holding the d parameters. The model mirrors the minimum
-footprints of each optimizer family:
+footprints of each optimizer family, as the `memory` column of
+`optimizers.OPTIMIZER_ROWS` states them (mode -> d-multiples beyond theta):
 
     mezo                  1 x d   (parameters only; z is regenerated)
     mezo-svrg, store_g    3 x d   (parameters, anchor copy, anchor estimate)
@@ -20,16 +21,17 @@ words, at most a quarter of C. Tests check both.
 Full-batch loss queries read the dataset in place; a minibatch query
 gathers its b rows (b x 784 for the MLP), a term proportional to the data
 that the model leaves out.
-`optimizers.run` writes each optimizer's realized footprint (`held_slots`)
-into every record as the CSV's ``peak_slots``: registered, not measured, and
-a SlotMeter only observes it. MeZO 1d, MeZO-SVRG 2d (its anchor estimate
-kept as seed and scalar, below its 3d store_g model), ZO-SVRG 5d, FO-SGD 2d,
-which `zovr run` prints after every model of the optimizer. The tests
-measure whole MeZO, MeZO-SVRG and FO-SGD runs by tracemalloc.
+`optimizers.run` writes each optimizer's realized footprint (`held_slots`,
+the model of its row's last mode; MeZO-SVRG keeps its anchor estimate as a
+seed and scalar) into every record as the CSV's ``peak_slots``: registered,
+not measured, and a SlotMeter only observes it. `zovr run` prints it after
+every model of the optimizer, in row order. The tests measure whole MeZO,
+MeZO-SVRG and FO-SGD runs by tracemalloc.
 """
 
 from __future__ import annotations
 
+from . import optimizers  # a module, not its names: optimizers imports this module too
 from .estimators import LANE_PIECE
 
 # Documented constant overhead: two lanes' pieces in flight, at most
@@ -38,19 +40,6 @@ from .estimators import LANE_PIECE
 # plus the pieces in 20 fresh processes, so 2,048 slots of bookkeeping leave
 # it 935-969.
 CONSTANT_OVERHEAD = 2 * 3 * LANE_PIECE + 2048
-
-# Extra d-multiples on top of the parameter slots themselves, one row per
-# optimizer and accounting mode; `zovr run` prints its optimizer's rows in order.
-_EXTRA_MULTIPLE = {
-    ("mezo", None): 0,
-    ("mezo-svrg", "store_g"): 2,
-    ("mezo-svrg", "recompute_g"): 1,
-    ("zo-svrg", "naive"): 4,
-    ("fo-sgd", None): 1,
-}
-
-# The mode each optimizer's implementation realizes: the buffers its runs hold.
-REALIZED_MODE = {"mezo": None, "mezo-svrg": "recompute_g", "zo-svrg": "naive", "fo-sgd": None}
 
 
 class SlotMeter:
@@ -71,17 +60,14 @@ class SlotMeter:
             raise RuntimeError("slot meter released more slots than were added")
 
 
-def _extra_multiple(optimizer: str, mode: str | None) -> int:
-    if (optimizer, mode) not in _EXTRA_MULTIPLE:
-        raise ValueError(f"unknown optimizer/mode {optimizer}/{mode}")
-    return _EXTRA_MULTIPLE[(optimizer, mode)]
-
-
 def held_slots(optimizer: str, d: int) -> int:
-    """The float slots a run of `optimizer` holds, as its realized mode models them."""
-    return (1 + _extra_multiple(optimizer, REALIZED_MODE[optimizer])) * d
+    """The float slots a run of `optimizer` holds, as its realized (last) mode models them."""
+    return (1 + next(reversed(optimizers.OPTIMIZER_ROWS[optimizer].memory.values()))) * d
 
 
 def account_memory(optimizer: str, mode: str | None, d: int) -> int:
     """Modeled peak float-slot count for an optimizer/accounting mode."""
-    return (1 + _extra_multiple(optimizer, mode)) * d + CONSTANT_OVERHEAD
+    row = optimizers.OPTIMIZER_ROWS.get(optimizer)
+    if row is None or mode not in row.memory:
+        raise ValueError(f"unknown optimizer/mode {optimizer}/{mode}")
+    return (1 + row.memory[mode]) * d + CONSTANT_OVERHEAD

@@ -25,6 +25,8 @@ apply its list, so the two cannot drift apart.
 The reference ZO-SVRG keeps the memory-naive per-sample averaged
 estimators and dense blending; it exists as the 5x-footprint baseline.
 `zo_svrg_step` itself refreshes its dense anchor from all n samples.
+Each optimizer is one row of `OPTIMIZER_ROWS`; `run` and the other
+modules read its facts from the row, and no code branches on its name.
 
 Per-step randomness is derived from one master seed (`StepSeeds`):
 perturbation seeds are fold(fold(master, tag), step) with tag 1 for
@@ -54,7 +56,7 @@ from .estimators import (
     spsa_batch_avg,
     spsa_batch_shared,
 )
-from .memory import held_slots
+from . import memory  # a module, not its names: memory reads this module's table
 from .prng import fold
 
 TAG_STEP_PERTURB = 1
@@ -65,17 +67,9 @@ TAG_ANCHOR_BATCH = 4
 KIND_FULLBATCH = "fullbatch"
 KIND_MINIBATCH = "minibatch"
 KIND_FO = "fo"
-# What a seed-replay trajectory log holds, per optimizer: the header `settings` replay
-# needs, and its record `kinds`, step 0's first, each with the estimates one draw carries
+# What a seed-replay trajectory log holds: the header `settings` replay needs, and
+# its record `kinds`, step 0's first, each with the estimates one draw carries
 ReplayLog = namedtuple("ReplayLog", "settings kinds")
-REPLAY_LOGS = {
-    "mezo": ReplayLog(("mu", "eta"), {KIND_MINIBATCH: 1}),
-    "mezo-svrg": ReplayLog(("mu", "eta1", "eta2"), {KIND_FULLBATCH: 1, KIND_MINIBATCH: 2}),
-}
-SEED_REPLAY = tuple(REPLAY_LOGS)  # the optimizers a trajectory log can replay
-# the kinds of step each optimizer's runs log, the kind of its step 0 first
-RUN_KINDS = {**{opt: tuple(log.kinds) for opt, log in REPLAY_LOGS.items()},
-             "zo-svrg": (KIND_FULLBATCH, KIND_MINIBATCH), "fo-sgd": (KIND_FO,)}
 
 DIVERGENCE_FACTOR = 1e6
 
@@ -236,9 +230,37 @@ class FoSgdConfig:
         _check_batch("b", self.b)
 
 
-CONFIGS = {"mezo": MezoConfig, "mezo-svrg": MezoSvrgConfig,
-           "zo-svrg": ZoSvrgConfig, "fo-sgd": FoSgdConfig}
-OPTIMIZERS = tuple(CONFIGS)
+# One optimizer's facts: its config class; its learning-rate fields, eta1's then eta2's;
+# whether `run` gives its t % q == 0 steps the anchor batch; its step function's name
+# here, (obj, theta, anchor, batch, seeds, cfg, t, eta1, eta2) -> (report, anchor),
+# updating theta in place; the kinds of step its runs log, step 0's first; its
+# trajectory log, or None; its memory models, mode -> extra d-multiples, realized last.
+Optimizer = namedtuple("Optimizer", "config rates anchors step kinds replay memory")
+OPTIMIZER_ROWS = {
+    "mezo": Optimizer(MezoConfig, ("eta",), False, "mezo_step", (KIND_MINIBATCH,),
+                      ReplayLog(("mu", "eta"), {KIND_MINIBATCH: 1}), {None: 0}),
+    "mezo-svrg": Optimizer(MezoSvrgConfig, ("eta1", "eta2"), True, "mezo_svrg_step",
+                           (KIND_FULLBATCH, KIND_MINIBATCH),
+                           ReplayLog(("mu", "eta1", "eta2"),
+                                     {KIND_FULLBATCH: 1, KIND_MINIBATCH: 2}),
+                           {"store_g": 2, "recompute_g": 1}),
+    "zo-svrg": Optimizer(ZoSvrgConfig, ("eta",), False, "zo_svrg_step",
+                         (KIND_FULLBATCH, KIND_MINIBATCH), None, {"naive": 4}),
+    "fo-sgd": Optimizer(FoSgdConfig, ("eta",), False, "fo_sgd_step", (KIND_FO,), None,
+                        {None: 1}),
+}
+OPTIMIZERS = tuple(OPTIMIZER_ROWS)
+
+
+def optimizer_row(optimizer: str, replay: bool = False) -> Optimizer:
+    """The row of `optimizer`; with `replay`, one whose runs a trajectory log records."""
+    if optimizer not in OPTIMIZER_ROWS:
+        raise ValueError(f"unknown optimizer {optimizer!r}; known: {OPTIMIZERS}")
+    if replay and OPTIMIZER_ROWS[optimizer].replay is None:
+        raise ValueError(f"trajectory recording is only defined for seed-replay "
+                         f"optimizers, not {optimizer!r}")
+    return OPTIMIZER_ROWS[optimizer]
+
 
 # settings key -> parser, per target: the config's own fields, its spsa, its schedule
 _PARSERS = {
@@ -261,9 +283,7 @@ def build_optimizer_config(optimizer: str, params: dict):
     value leaves the dataclass default. Any schedule key, even an empty
     one, turns the MeZO-SVRG loss-feedback schedule on.
     """
-    if optimizer not in CONFIGS:
-        raise ValueError(f"unknown optimizer {optimizer!r}; known: {OPTIMIZERS}")
-    cls = CONFIGS[optimizer]
+    cls = optimizer_row(optimizer).config
     names = cls.__dataclass_fields__
     kwargs = _parsed({k: parse for k, parse in _PARSERS["own"].items() if k in names},
                      params)
@@ -283,8 +303,8 @@ def trajectory_params(config) -> dict[str, str]:
 
 
 def initial_etas(optimizer: str, config) -> tuple[float, float | None]:
-    """(eta1, eta2) at step 0; MeZO, ZO-SVRG and FO-SGD have one rate and no eta2."""
-    return (config.eta1, config.eta2) if optimizer == "mezo-svrg" else (config.eta, None)
+    """(eta1, eta2) at step 0; an optimizer with one rate has no eta2."""
+    return (*(getattr(config, k) for k in optimizer_row(optimizer).rates), None)[:2]
 
 
 @dataclass(frozen=True)
@@ -319,19 +339,19 @@ class SvrgAnchor:
 
     theta_bar: np.ndarray
     estimate: object
-    step_created: int
 
 
-def mezo_step(obj, theta: np.ndarray, batch: Minibatch, seed: PerturbationSeed,
-              eta: float, cfg: SpsaConfig) -> StepReport:
-    est = spsa_batch_shared(obj, theta, batch, seed, cfg)
-    for e, scale in update_plan(seed, est.coeffs, est.d, None, eta):
+def mezo_step(obj, theta: np.ndarray, anchor: None, batch: Minibatch, seeds: StepSeeds,
+              cfg: MezoConfig, t: int, eta1: float, eta2: None) -> tuple[StepReport, None]:
+    seed = seeds.perturb_seed(t, KIND_MINIBATCH)
+    est = spsa_batch_shared(obj, theta, batch, seed, cfg.spsa)
+    for e, scale in update_plan(seed, est.coeffs, est.d, None, eta1):
         axpy_estimate_in_place(theta, e, scale)
-    return StepReport(KIND_MINIBATCH, est.loss_proxy, est.queries_used, est.coeffs)
+    return StepReport(KIND_MINIBATCH, est.loss_proxy, est.queries_used, est.coeffs), anchor
 
 
 def mezo_svrg_step(obj, theta: np.ndarray, anchor: SvrgAnchor | None,
-                   batch: Minibatch, seed: PerturbationSeed, cfg: MezoSvrgConfig,
+                   batch: Minibatch, seeds: StepSeeds, cfg: MezoSvrgConfig,
                    t: int, eta1: float, eta2: float) -> tuple[StepReport, SvrgAnchor]:
     """One MeZO-SVRG step; the branch is chosen by t mod q.
 
@@ -340,13 +360,15 @@ def mezo_svrg_step(obj, theta: np.ndarray, anchor: SvrgAnchor | None,
     `batch` must hold the anchor-batch indices on anchor steps.
     """
     if t % cfg.q == 0:
+        seed = seeds.perturb_seed(t, KIND_FULLBATCH)
         est = spsa_batch_shared(obj, theta, batch, seed, cfg.spsa)
-        anchor = _set_anchor(anchor, theta, est, t)
+        anchor = _set_anchor(anchor, theta, est)
         for e, scale in update_plan(seed, est.coeffs, est.d, None, eta1):
             axpy_estimate_in_place(theta, e, scale)
         return StepReport(KIND_FULLBATCH, est.loss_proxy, est.queries_used, est.coeffs), anchor
     if anchor is None:
         raise RuntimeError(f"minibatch step {t} without a fullbatch anchor")
+    seed = seeds.perturb_seed(t, KIND_MINIBATCH)
     est_theta = spsa_batch_shared(obj, theta, batch, seed, cfg.spsa)
     est_anchor = spsa_batch_shared(obj, anchor.theta_bar, batch, seed, cfg.spsa)
     coeffs = est_theta.coeffs + est_anchor.coeffs
@@ -358,11 +380,11 @@ def mezo_svrg_step(obj, theta: np.ndarray, anchor: SvrgAnchor | None,
 
 
 def zo_svrg_step(obj, theta: np.ndarray, anchor: SvrgAnchor | None, batch: Minibatch,
-                 seeds: StepSeeds, cfg: ZoSvrgConfig, t: int,
-                 eta: float) -> tuple[StepReport, SvrgAnchor]:
+                 seeds: StepSeeds, cfg: ZoSvrgConfig, t: int, eta1: float,
+                 eta2: None) -> tuple[StepReport, SvrgAnchor]:
     """One reference ZO-SVRG step with per-sample averaged estimators (dense).
 
-    theta <- theta - eta * [est_I(theta) - est_I(theta_bar) + g], with the
+    theta <- theta - eta1 * [est_I(theta) - est_I(theta_bar) + g], with the
     same per-sample seeds at theta and theta_bar. On t % q == 0 the step
     first anchors g <- est_full(theta), theta_bar <- theta (2n queries per
     draw) and is a fullbatch step. Returns (report, anchor). Deliberately
@@ -372,7 +394,7 @@ def zo_svrg_step(obj, theta: np.ndarray, anchor: SvrgAnchor | None, batch: Minib
     if t % cfg.q == 0:
         per_sample = _per_sample_seeds(seeds.perturb_seed(t, KIND_FULLBATCH), obj.n)
         dense = spsa_batch_avg(obj, theta, full_batch(obj.n), per_sample, cfg.spsa)
-        anchor = _set_anchor(anchor, theta, dense, t)
+        anchor = _set_anchor(anchor, theta, dense)
         kind, queries = KIND_FULLBATCH, queries + 2 * obj.n * cfg.spsa.p
     if anchor is None or not isinstance(anchor.estimate, np.ndarray):
         raise RuntimeError("reference ZO-SVRG needs a dense anchor estimate")
@@ -384,20 +406,21 @@ def zo_svrg_step(obj, theta: np.ndarray, anchor: SvrgAnchor | None, batch: Minib
     loss_logged = obj.batch_loss(theta, batch.indices)
     at_theta -= at_anchor
     at_theta += anchor.estimate
-    at_theta *= eta
+    at_theta *= eta1
     theta -= at_theta
     return StepReport(kind, float(loss_logged), queries), anchor
 
 
-def fo_sgd_step(obj, theta: np.ndarray, batch: Minibatch, eta: float) -> StepReport:
-    """First-order baseline: theta <- theta - eta * mean batch gradient."""
+def fo_sgd_step(obj, theta: np.ndarray, anchor: None, batch: Minibatch, seeds: StepSeeds,
+                cfg: FoSgdConfig, t: int, eta1: float, eta2: None) -> tuple[StepReport, None]:
+    """First-order baseline: theta <- theta - eta1 * mean batch gradient."""
     loss = obj.batch_loss(theta, batch.indices)
     if not math.isfinite(loss):
         raise NonFiniteLossError(f"non-finite batch loss {loss!r} in FO-SGD step")
     grad = obj.batch_grad(theta, batch.indices)
-    grad *= eta  # in place: eta * grad would be a second d-length temporary
+    grad *= eta1  # in place: eta1 * grad would be a second d-length temporary
     theta -= grad
-    return StepReport(KIND_FO, float(loss), batch.b, backward_queries=batch.b)
+    return StepReport(KIND_FO, float(loss), batch.b, backward_queries=batch.b), anchor
 
 
 @dataclass(slots=True)
@@ -443,15 +466,13 @@ def run(obj, theta0: np.ndarray, optimizer: str, config, budget: Budget,
     """
     if eval_every < 0:
         raise ValueError(f"eval_every must be >= 0, got {eval_every}")
-    if optimizer not in OPTIMIZERS:
-        raise ValueError(f"unknown optimizer {optimizer!r}; known: {OPTIMIZERS}")
-    if trajectory is not None and optimizer not in SEED_REPLAY:
-        raise ValueError(f"trajectory recording is only defined for seed-replay "
-                         f"optimizers, not {optimizer!r}")
+    row = optimizer_row(optimizer, replay=trajectory is not None)
     if config.b > obj.n:
         raise ValueError(f"batch size b={config.b} exceeds the {obj.n} samples")
+    # looked up once per run, not bound in the row, so a replaced module function runs
+    step = globals()[row.step]
     theta = np.array(theta0, dtype=np.float64, copy=True)
-    slots = held_slots(optimizer, theta.shape[0])  # the whole footprint, from step 0 on
+    slots = memory.held_slots(optimizer, theta.shape[0])  # the whole footprint, from step 0 on
     if meter is not None:
         meter.add(slots)
     records: list[RunRecord] = []
@@ -474,25 +495,13 @@ def run(obj, theta0: np.ndarray, optimizer: str, config, budget: Budget,
         if budget.max_queries is not None and queries >= budget.max_queries:
             break
         try:
-            kind = KIND_MINIBATCH
-            if optimizer == "mezo-svrg" and t % config.q == 0:
-                kind = KIND_FULLBATCH
+            if row.anchors and t % config.q == 0:
                 anchor_n = obj.n if config.anchor_batch is None else config.anchor_batch
                 batch = (full_batch(obj.n) if anchor_n >= obj.n else
                          sample_minibatch(obj.n, anchor_n, seeds.anchor_batch_seed(t)))
             else:
                 batch = sample_minibatch(obj.n, config.b, seeds.step_batch_seed(t))
-            seed = seeds.perturb_seed(t, kind)
-            if optimizer == "mezo":
-                report = mezo_step(obj, theta, batch, seed, eta1_cur, config.spsa)
-            elif optimizer == "mezo-svrg":
-                report, anchor = mezo_svrg_step(
-                    obj, theta, anchor, batch, seed, config, t, eta1_cur, eta2_cur)
-            elif optimizer == "zo-svrg":
-                report, anchor = zo_svrg_step(
-                    obj, theta, anchor, batch, seeds, config, t, eta1_cur)
-            else:  # fo-sgd
-                report = fo_sgd_step(obj, theta, batch, eta1_cur)
+            report, anchor = step(obj, theta, anchor, batch, seeds, config, t, eta1_cur, eta2_cur)
             if trajectory is not None:
                 trajectory.record_step(t, report.kind, report.coeffs)
         except NonFiniteLossError as err:
@@ -540,12 +549,10 @@ def _per_sample_seeds(seed: PerturbationSeed, count: int) -> list[PerturbationSe
     return [PerturbationSeed(fold(seed.seed, i)) for i in range(count)]
 
 
-def _set_anchor(anchor: SvrgAnchor | None, theta: np.ndarray, estimate,
-                t: int) -> SvrgAnchor:
+def _set_anchor(anchor: SvrgAnchor | None, theta: np.ndarray, estimate) -> SvrgAnchor:
     """Anchor `estimate` at a copy of theta, in `anchor`'s buffer if there is one."""
     if anchor is None:
-        return SvrgAnchor(theta.copy(), estimate, t)
+        return SvrgAnchor(theta.copy(), estimate)
     anchor.theta_bar[:] = theta
     anchor.estimate = estimate
-    anchor.step_created = t
     return anchor

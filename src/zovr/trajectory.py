@@ -5,7 +5,7 @@ configuration, and the loss-difference coefficient(s) each step
 produced. This module records exactly that: the header carries the
 master seed, dimension, optimizer id and config, and a SHA-256 digest
 of theta0; each step record carries its coefficient scalars, p times the
-estimates one draw of its kind carries (`optimizers.REPLAY_LOGS`).
+estimates one draw of its kind carries (its `optimizers.OPTIMIZER_ROWS` row).
 Learning-rate annealing events are stored as explicit records so replay
 never needs loss values.
 
@@ -43,7 +43,7 @@ from .estimators import estimate_passes, probe_passes, stream_passes
 from .optimizers import (
     KIND_FULLBATCH,
     KIND_MINIBATCH,
-    REPLAY_LOGS,
+    OPTIMIZER_ROWS,
     ReplayLog,
     StepSeeds,
     build_optimizer_config,
@@ -60,7 +60,9 @@ REC_LR_EVENT = 3
 
 _KIND_TO_CODE = {KIND_FULLBATCH: REC_FULLBATCH, KIND_MINIBATCH: REC_MINIBATCH}
 _CODE_TO_KIND = {code: kind for kind, code in _KIND_TO_CODE.items()}
-_NO_ROW = ReplayLog((), {})  # the row of an optimizer whose steps replay cannot apply
+# the logs of the seed-replay optimizers, from their rows, and the log of any other
+_REPLAY_LOGS = {name: row.replay for name, row in OPTIMIZER_ROWS.items() if row.replay}
+_NO_LOG = ReplayLog((), {})
 
 
 class TrajectoryError(ValueError):
@@ -95,7 +97,7 @@ class TrajectoryLog:
         cfg = {str(k): str(v) for k, v in config.items()}
         cfg["optimizer"] = optimizer
         # a record counts its coefficients in one byte: p times a draw's estimates
-        most = 255 // max(REPLAY_LOGS.get(optimizer, _NO_ROW).kinds.values(), default=1)
+        most = 255 // max(_REPLAY_LOGS.get(optimizer, _NO_LOG).kinds.values(), default=1)
         p = int(cfg.get("p") or 1)
         if p > most:
             raise TrajectoryError(f"a {optimizer} trajectory takes p up to {most}, got p={p}")
@@ -109,7 +111,7 @@ class TrajectoryLog:
         if step != self._next_step:
             raise TrajectoryError(
                 f"out-of-order append: got step {step}, expected {self._next_step}")
-        kinds = REPLAY_LOGS.get(self.optimizer, _NO_ROW).kinds
+        kinds = _REPLAY_LOGS.get(self.optimizer, _NO_LOG).kinds
         if kind not in kinds:
             raise TrajectoryError(f"{kind} record at step {step}: a {self.optimizer} "
                                   f"log holds none")
@@ -124,8 +126,8 @@ class TrajectoryLog:
 
     def record_lr_event(self, effective_step: int, eta1: float, eta2: float) -> None:
         """New learning rates, effective from `effective_step` onwards."""
-        if "eta2" not in REPLAY_LOGS.get(self.optimizer, _NO_ROW).settings:
-            scheduled = ", ".join(o for o, row in REPLAY_LOGS.items() if "eta2" in row.settings)
+        if "eta2" not in _REPLAY_LOGS.get(self.optimizer, _NO_LOG).settings:
+            scheduled = ", ".join(o for o, log in _REPLAY_LOGS.items() if "eta2" in log.settings)
             raise TrajectoryError(f"LR event for step {effective_step} in a {self.optimizer} "
                                   f"log; only {scheduled} has a learning-rate schedule")
         if effective_step != self._next_step:
@@ -219,7 +221,7 @@ def _header_settings(log: TrajectoryLog) -> tuple[float, int, float, float | Non
 
     Only the scalars outlive this call, so replay holds no config object.
     """
-    for key in REPLAY_LOGS[log.optimizer].settings:
+    for key in _REPLAY_LOGS[log.optimizer].settings:
         if not log.config.get(key):
             raise TrajectoryError(f"{log.optimizer} trajectory config has no {key!r}")
     config = build_optimizer_config(log.optimizer, log.config)
@@ -242,7 +244,7 @@ def replay(log: TrajectoryLog, theta0: np.ndarray, upto: int) -> np.ndarray:
         raise TrajectoryError(f"theta0 has dimension {theta0.shape[0]}, log has {log.d}")
     if theta_digest(theta0) != log.theta0_sha256:
         raise TrajectoryError("theta0 digest does not match the trajectory header")
-    if log.optimizer not in REPLAY_LOGS:
+    if log.optimizer not in _REPLAY_LOGS:
         raise TrajectoryError(f"cannot replay optimizer {log.optimizer!r}")
     mu, p, eta1, eta2 = _header_settings(log)
 

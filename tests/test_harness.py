@@ -380,6 +380,10 @@ _BAD_SETTINGS = [
     (["--noise-std", "inf"], "noise_std must be finite, got inf"),
     (["--problem", "logistic", "--config", "nan.cfg"], "separation must be finite, got nan"),
     (["--problem", "logistic", "--d", "0"], "need n, d >= 1, got n=256, d=0"),
+    (["--optimizer", "fo-sgd"],
+     "trajectory recording is only defined for seed-replay optimizers, not 'fo-sgd'"),
+    (["--optimizer", "zo-svrg"],
+     "trajectory recording is only defined for seed-replay optimizers, not 'zo-svrg'"),
 ]
 
 
@@ -560,6 +564,14 @@ def test_cli_preset_rejects_flags_it_would_ignore(tmp_path, capsys, extra):
                      "--out", str(outdir)] + extra)
     assert code == 1
     assert extra[0] in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_cli_preset_refuses_a_bad_budget_before_making_its_directory(tmp_path, capsys):
+    outdir = tmp_path / "preset"
+    code = cli.main(["run", "--preset", "fig1a", "--query-budget", "0", "--out", str(outdir)])
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: budget values must be positive\n")
     assert not outdir.exists()
 
 

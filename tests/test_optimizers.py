@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +27,8 @@ from zovr import (
     spsa_batch_avg,
     zo_svrg_step,
 )
-from zovr.optimizers import KIND_FULLBATCH, KIND_MINIBATCH, _LossWindows
+from zovr import memory, optimizers
+from zovr.optimizers import KIND_FULLBATCH, KIND_MINIBATCH, OPTIMIZERS, _LossWindows
 from zovr.prng import fold, normals
 
 from helpers import CountingObjective
@@ -41,7 +45,8 @@ def test_mezo_step_zero_eta_keeps_theta():
     ls = make_least_squares(16, 4, seed=1)
     theta = normals(fold(1, 1), 0, 4)
     snapshot = theta.copy()
-    report = mezo_step(ls, theta, full_batch(16), PerturbationSeed(2), 0.0, SpsaConfig())
+    report, _ = mezo_step(ls, theta, None, full_batch(16), StepSeeds(2), MezoConfig(), 0,
+                          0.0, None)
     assert np.max(np.abs(theta - snapshot)) < 1e-12
     assert report.queries == 32
 
@@ -51,9 +56,10 @@ def test_mezo_step_quadratic_hand_value():
     # eta=0.1 lands on 1 - 0.2 z^2
     obj = ScalarSquare()
     theta = np.array([1.0])
-    seed = PerturbationSeed(3)
+    seed = StepSeeds(3).perturb_seed(0, KIND_MINIBATCH)
     z = float(normals(seed.seed, seed.offset, 1)[0])
-    mezo_step(obj, theta, full_batch(1), seed, 0.1, SpsaConfig(mu=1e-3))
+    mezo_step(obj, theta, None, full_batch(1), StepSeeds(3),
+              MezoConfig(spsa=SpsaConfig(mu=1e-3)), 0, 0.1, None)
     assert theta[0] == pytest.approx(1.0 - 0.1 * 2.0 * z * z, rel=1e-9)
 
 
@@ -80,12 +86,12 @@ def test_zo_svrg_blend_at_anchor_point_is_anchor_estimate():
     cfg = ZoSvrgConfig(q=2, spsa=SpsaConfig(mu=1e-3))
     work = theta.copy()
     dense = spsa_batch_avg(ls, work, full_batch(8), seeds, cfg.spsa)
-    anchor = SvrgAnchor(theta.copy(), dense, 0)
+    anchor = SvrgAnchor(theta.copy(), dense)
     # with theta == theta_bar and shared per-sample seeds, the two minibatch
     # terms cancel and the update direction is exactly the anchored estimate
     work2 = theta.copy()
     eta = 0.05
-    zo_svrg_step(ls, work2, anchor, full_batch(8), step_seeds, cfg, 1, eta)
+    zo_svrg_step(ls, work2, anchor, full_batch(8), step_seeds, cfg, 1, eta, None)
     moved = (theta - work2) / eta
     assert np.allclose(moved, dense, rtol=1e-9, atol=1e-12)
 
@@ -99,9 +105,9 @@ def test_zo_svrg_full_cancellation_with_identical_seeds():
     cfg = ZoSvrgConfig(q=2, spsa=SpsaConfig(mu=1e-3))
     work = theta_bar.copy()
     dense_at_bar = spsa_batch_avg(ls, work, full_batch(6), seeds, cfg.spsa)
-    anchor = SvrgAnchor(theta_bar.copy(), dense_at_bar, 0)
+    anchor = SvrgAnchor(theta_bar.copy(), dense_at_bar)
     work = theta.copy()
-    zo_svrg_step(ls, work, anchor, full_batch(6), step_seeds, cfg, 1, 1.0)
+    zo_svrg_step(ls, work, anchor, full_batch(6), step_seeds, cfg, 1, 1.0, None)
     # b=n with identical seeds: blended = est(theta) - est(bar) + est(bar)
     expected = spsa_batch_avg(ls, theta.copy(), full_batch(6), seeds, cfg.spsa)
     assert np.allclose(theta - work, expected, rtol=1e-8, atol=1e-11)
@@ -114,12 +120,12 @@ def test_zo_svrg_ls_blend_composition():
     anchor_seeds = [PerturbationSeed(fold(4, 30 + i)) for i in range(8)]
     cfg = ZoSvrgConfig(q=2, spsa=SpsaConfig(mu=1e-3))
     g = spsa_batch_avg(ls, theta_bar.copy(), full_batch(8), anchor_seeds, cfg.spsa)
-    anchor = SvrgAnchor(theta_bar.copy(), g, 0)
+    anchor = SvrgAnchor(theta_bar.copy(), g)
     batch = sample_minibatch(8, 4, fold(4, 2))
     step_seeds = StepSeeds(4)
     seeds = _zo_svrg_minibatch_seeds(step_seeds, 1, 4)
     work = theta.copy()
-    zo_svrg_step(ls, work, anchor, batch, step_seeds, cfg, 1, 1.0)
+    zo_svrg_step(ls, work, anchor, batch, step_seeds, cfg, 1, 1.0, None)
     expected = (
         spsa_batch_avg(ls, theta.copy(), batch, seeds, cfg.spsa)
         - spsa_batch_avg(ls, theta_bar.copy(), batch, seeds, cfg.spsa)
@@ -142,17 +148,16 @@ def test_zo_svrg_step_anchors_itself_every_q_steps():
                                 cfg.spsa)
     work = theta.copy()
     report, anchor = zo_svrg_step(ls, work, None, sample_minibatch(8, 4, 1), step_seeds,
-                                  cfg, 3, 0.05)
+                                  cfg, 3, 0.05, None)
     assert report.kind == KIND_FULLBATCH
     assert report.queries == 2 * 8 * 2 + 4 * 4 * 2
-    assert anchor.step_created == 3
     # the anchor's probes restore theta up to rounding before it is copied
     assert np.allclose(anchor.theta_bar, theta, rtol=1e-12, atol=0.0)
     assert np.array_equal(anchor.estimate, expected_g)
     assert np.allclose((theta - work) / 0.05, expected_g, rtol=1e-9, atol=1e-12)
     report, same = zo_svrg_step(ls, work, anchor, sample_minibatch(8, 4, 2), step_seeds,
-                                cfg, 4, 0.05)
-    assert same is anchor and anchor.step_created == 3
+                                cfg, 4, 0.05, None)
+    assert same is anchor
     assert report.kind == KIND_MINIBATCH and report.queries == 4 * 4 * 2
 
 
@@ -162,10 +167,9 @@ def test_mezo_svrg_anchor_branch_refreshes_even_with_zero_eta():
     snapshot = theta.copy()
     cfg = MezoSvrgConfig(eta1=0.0, eta2=1e-4, q=2, b=4)
     report, anchor = mezo_svrg_step(
-        ls, theta, None, full_batch(12), PerturbationSeed(6), cfg, t=0,
+        ls, theta, None, full_batch(12), StepSeeds(6), cfg, t=0,
         eta1=cfg.eta1, eta2=cfg.eta2)
     assert report.kind == KIND_FULLBATCH
-    assert anchor.step_created == 0
     assert len(report.coeffs) == 1
     assert np.max(np.abs(theta - snapshot) / np.abs(snapshot)) < 1e-12
     assert np.array_equal(anchor.theta_bar, theta)
@@ -176,13 +180,13 @@ def test_mezo_svrg_minibatch_cancellation_at_anchor():
     theta = normals(fold(6, 1), 0, 6)
     cfg = MezoSvrgConfig(eta1=1e-3, eta2=1e-4, q=4, b=8)
     anchor_report, anchor = mezo_svrg_step(
-        ls, theta, None, full_batch(32), PerturbationSeed(7), cfg, t=0,
+        ls, theta, None, full_batch(32), StepSeeds(7), cfg, t=0,
         eta1=0.0, eta2=cfg.eta2)  # keep theta == theta_bar
     assert np.array_equal(anchor.theta_bar, theta)
     before = theta.copy()
     batch = sample_minibatch(32, 8, fold(6, 3))
     report, anchor = mezo_svrg_step(
-        ls, theta, anchor, batch, PerturbationSeed(8), cfg, t=1,
+        ls, theta, anchor, batch, StepSeeds(8), cfg, t=1,
         eta1=cfg.eta1, eta2=cfg.eta2)
     # lines 5-6 cancel; net update is -eta2 * anchor estimate
     expected = before - cfg.eta2 * materialize(anchor.estimate)
@@ -196,7 +200,7 @@ def test_mezo_svrg_requires_anchor_for_minibatch_step():
     cfg = MezoSvrgConfig(q=2, b=4)
     with pytest.raises(RuntimeError, match="anchor"):
         mezo_svrg_step(ls, np.zeros(3), None, sample_minibatch(8, 4, 1),
-                       PerturbationSeed(1), cfg, t=1, eta1=cfg.eta1, eta2=cfg.eta2)
+                       StepSeeds(1), cfg, t=1, eta1=cfg.eta1, eta2=cfg.eta2)
 
 
 def test_mezo_svrg_anchor_cadence():
@@ -212,7 +216,7 @@ def test_fo_sgd_zero_eta_and_gradient_requirement():
     ls = make_least_squares(16, 4, seed=9)
     theta = normals(fold(9, 1), 0, 4)
     snapshot = theta.copy()
-    fo_sgd_step(ls, theta, full_batch(16), 0.0)
+    fo_sgd_step(ls, theta, None, full_batch(16), StepSeeds(9), FoSgdConfig(), 0, 0.0, None)
     assert np.array_equal(theta, snapshot)
 
     class NoGrad:
@@ -225,7 +229,8 @@ def test_fo_sgd_zero_eta_and_gradient_requirement():
             raise NotImplementedError("objective provides no analytic gradient")
 
     with pytest.raises(NotImplementedError):
-        fo_sgd_step(NoGrad(), np.zeros(2), full_batch(4), 0.1)
+        fo_sgd_step(NoGrad(), np.zeros(2), None, full_batch(4), StepSeeds(9), FoSgdConfig(), 0,
+                    0.1, None)
 
 
 def test_fo_sgd_hand_checked_step():
@@ -233,7 +238,7 @@ def test_fo_sgd_hand_checked_step():
     theta = np.array([0.3, -0.7])
     eta = 0.01
     expected = theta - eta * ls.batch_grad(theta, np.arange(8))
-    fo_sgd_step(ls, theta, full_batch(8), eta)
+    fo_sgd_step(ls, theta, None, full_batch(8), StepSeeds(10), FoSgdConfig(), 0, eta, None)
     assert np.allclose(theta, expected, rtol=1e-14)
 
 
@@ -478,3 +483,20 @@ def test_run_rejects_batch_larger_than_dataset(optimizer, config):
     # b = n is a full-size batch and runs
     result = run(ls, ls.initial_theta(), optimizer, type(config)(b=16), Budget(max_steps=3), 0)
     assert result.status == "completed"
+
+
+def test_optimizer_names_appear_only_in_the_table():
+    # a name outside the table's dict literal is a branch on the optimizer or a
+    # second table keyed by it, which the next optimizer would have to grow
+    stray, keys = [], []
+    for module in (optimizers, memory):
+        tree = ast.parse(Path(module.__file__).read_text())
+        tables = [node.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "OPTIMIZER_ROWS" for t in node.targets)]
+        inside = {id(n) for table in tables for n in ast.walk(table)}
+        keys += [k.value for table in tables for k in table.keys]
+        stray += [(module.__name__, n.lineno, n.value) for n in ast.walk(tree)
+                  if isinstance(n, ast.Constant) and n.value in OPTIMIZERS
+                  and id(n) not in inside]
+    assert keys == list(OPTIMIZERS)
+    assert stray == []

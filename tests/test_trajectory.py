@@ -17,7 +17,7 @@ from zovr import (
     run,
 )
 from zovr import cli, estimators
-from zovr.optimizers import OPTIMIZERS, REPLAY_LOGS, RUN_KINDS
+from zovr.optimizers import OPTIMIZER_ROWS, OPTIMIZERS
 from zovr.trajectory import (
     REC_FULLBATCH,
     REC_LR_EVENT,
@@ -281,6 +281,8 @@ def test_digest_hashes_the_little_endian_float64_bytes(theta):
     assert theta_digest(theta) == expected
 
 
+# each seed-replay optimizer's trajectory log, from its row of the table
+REPLAY_LOGS = {opt: row.replay for opt, row in OPTIMIZER_ROWS.items() if row.replay}
 _HEADER = {"eta": "0.001", "eta1": "0.001", "eta2": "0.0001", "mu": "0.001"}
 
 
@@ -309,7 +311,7 @@ def test_record_step_takes_p_times_the_estimates_of_its_kind(optimizer, kind, es
 @pytest.mark.parametrize("optimizer", list(REPLAY_LOGS))
 def test_record_step_refuses_a_kind_outside_the_row(optimizer):
     kinds = REPLAY_LOGS[optimizer].kinds
-    outside = {k for run_kinds in RUN_KINDS.values() for k in run_kinds} - set(kinds)
+    outside = {k for row in OPTIMIZER_ROWS.values() for k in row.kinds} - set(kinds)
     assert outside
     for kind in sorted(outside):
         with pytest.raises(TrajectoryError, match=f"{kind} record at step 1: a {optimizer} "
@@ -331,7 +333,7 @@ def test_record_step_refuses_a_step_zero_of_another_kind(optimizer):
 
 @pytest.mark.parametrize("optimizer", OPTIMIZERS)
 def test_for_run_p_limit_follows_the_table(optimizer):
-    row = REPLAY_LOGS.get(optimizer)
+    row = OPTIMIZER_ROWS[optimizer].replay
     most = 255 // max(row.kinds.values()) if row else 255
     assert most == {"mezo": 255, "mezo-svrg": 127, "zo-svrg": 255, "fo-sgd": 255}[optimizer]
     TrajectoryLog.for_run(2, np.zeros(4), optimizer, {"p": str(most)})
