@@ -18,12 +18,11 @@ import sys
 
 import numpy as np
 
-from . import harness, oracles, trajectory
+from . import harness, oracles, prng, trajectory
 from .estimators import PerturbationSeed, apply_probe_sequence
 from .memory import account_memory, held_slots
 from .optimizers import OPTIMIZER_ROWS, OPTIMIZERS, _parsed
 from .prng import fold
-from .prng import normals as prng_normals
 
 
 class _Parser(argparse.ArgumentParser):
@@ -177,7 +176,7 @@ def cmd_verify(args) -> int:
     ls = objectives.make_least_squares(6, 5, noise_std=0.05, seed=1)
     worst = 0.0
     for probe in range(3):
-        theta = 0.4 * prng_normals(fold(100, probe), 0, 5)
+        theta = 0.4 * prng.normals(fold(100, probe), 0, 5)
         for b in (1, 2, 3):
             dev = oracles.unbiasedness_check(
                 ls, theta, PerturbationSeed(fold(probe, b)), b)
@@ -203,6 +202,13 @@ def cmd_verify(args) -> int:
     apply_probe_sequence(theta, PerturbationSeed(77), 1e-3)
     rel = float(np.max(np.abs(theta - snapshot) / np.abs(snapshot)))
     report.check("perturb-restore returns parameters", rel < 1e-12, f"max rel err {rel:.2e}")
+
+    kernel = "numpy" if prng.ZKERNEL is None else "compiled"
+    differ = [c for c in (1, 256, 257, 16_387)
+              if prng.normals(fold(300, c), 7, c).tobytes()
+              != prng._numpy_normals(fold(300, c), 7, c).tobytes()]
+    report.check(f"{kernel} z kernel matches the numpy reference bit for bit", not differ,
+                 f"windows of {differ} values differ" if differ else "")
     print(report.render())
     return 0 if report.passed else 1
 

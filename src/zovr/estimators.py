@@ -56,11 +56,11 @@ from . import prng
 STREAM_CHUNK = 8192
 
 # The cap on a two-lane sweep's piece length; two lanes' pieces in flight hold
-# at most all of C. Each prng.normals call on such a piece makes about thirty
-# numpy calls and each gives the interpreter lock back, so the lanes overlap
-# only while numpy computes: doubling the cap halves the lock handoffs per z
-# value, and took the same 4-pass sweep in two lanes from 96-107 ms to
-# 84-91 ms.
+# at most all of C. On prng's numpy path each normals call on such a piece
+# makes about thirty numpy calls and each gives the interpreter lock back, so
+# the lanes overlap only while numpy computes: doubling the cap halves the
+# lock handoffs per z value, and took the same 4-pass sweep in two lanes from
+# 96-107 ms to 84-91 ms.
 LANE_PIECE = 2 * STREAM_CHUNK
 
 # Smallest d streamed in two lanes. One-pass sweeps on the same VM, serial

@@ -24,7 +24,7 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import get_type_hints
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -325,28 +325,60 @@ _BASE_SETTINGS = {
 
 _LS = {"n": 1000, "d": 100, "noise_std": 0.01}  # the paper's least squares
 
-# preset -> (default query budget, problem, its settings but the seed, runs as
-# (name, optimizer, overrides of _BASE_SETTINGS), (criterion, options) of its
-# report judged on the runs' CSVs by spec name, or None)
+
+class _Run(NamedTuple):
+    """One run of a preset: its name, optimizer and overrides of _BASE_SETTINGS.
+
+    A run with `steps_of` runs for as many steps as that earlier run of the
+    preset took, in place of the preset's query budget.
+    """
+
+    name: str
+    optimizer: str
+    overrides: dict
+    steps_of: str | None = None
+
+
+def _judge_csvs(criterion: str, names: list[str], executions: list[ExecutionResult],
+                **options) -> CompareReport:
+    return judge(criterion, [read_csv(e.csv_path) for e in executions], names, **options)
+
+
+def _judge_final_losses(names: list[str], executions: list[ExecutionResult]) -> CompareReport:
+    """Each run's exact full-dataset final loss at or below the run before it."""
+    rep = CompareReport()
+    losses = [e.final_loss for e in executions]
+    rep.note("final training loss: "
+             + " ".join(f"{name}={loss:.4f}" for name, loss in zip(names, losses)))
+    for i in range(1, len(names)):
+        rep.check(f"{names[i]} <= {names[i - 1]}", losses[i] <= losses[i - 1])
+    return rep
+
+
+# preset -> (default query budget, problem, its settings but the seed, its runs,
+# the report that judges the runs from their names and executions, or None)
 _PRESETS = {
-    "fig1a": (2_000_000, "ls", _LS, [(n, n, {}) for n in ("mezo", "mezo-svrg", "fo-sgd")],
-              ("convergence", {})),
+    "fig1a": (2_000_000, "ls", _LS,
+              [_Run("mezo", "mezo", {}), _Run("mezo-svrg", "mezo-svrg", {}),
+               _Run("fo-sgd", "fo-sgd", {}, steps_of="mezo-svrg")],
+              partial(_judge_csvs, "convergence")),
     "batch-robustness": (800_000, "ls", _LS,
-                         [("mezo-b8", "mezo", {"b": 8}), ("mezo-b128", "mezo", {"b": 128}),
-                          ("mezo-svrg-b8", "mezo-svrg", {"b": 8})],
-                         ("batch-robustness", {})),
-    "q-ablation": (2_000_000, "ls", _LS, [(f"q{q}", "mezo-svrg", {"q": q}) for q in (2, 10)],
-                   ("final-loss", {})),
+                         [_Run("mezo-b8", "mezo", {"b": 8}), _Run("mezo-b128", "mezo", {"b": 128}),
+                          _Run("mezo-svrg-b8", "mezo-svrg", {"b": 8})],
+                         partial(_judge_csvs, "batch-robustness")),
+    "q-ablation": (2_000_000, "ls", _LS, [_Run(f"q{q}", "mezo-svrg", {"q": q}) for q in (2, 10)],
+                   partial(_judge_csvs, "final-loss")),
     "anchor-approx": (2_000_000, "ls", _LS,
-                      [("anchor-full", "mezo-svrg", {}),
-                       ("anchor-half", "mezo-svrg", {"anchor_batch": _LS["n"] // 2})],
-                      ("final-loss", {"max_rel_diff": 0.2})),
-    "mu-ablation": (200_000, "ls", _LS, [(f"mu-{mu:g}", "mezo-svrg", {"mu": mu})
+                      [_Run("anchor-full", "mezo-svrg", {}),
+                       _Run("anchor-half", "mezo-svrg", {"anchor_batch": _LS["n"] // 2})],
+                      partial(_judge_csvs, "final-loss", max_rel_diff=0.2)),
+    "mu-ablation": (200_000, "ls", _LS, [_Run(f"mu-{mu:g}", "mezo-svrg", {"mu": mu})
                                          for mu in (1.0, 0.5, 1e-1, 1e-2, 1e-3, 1e-4)], None),
     "mlp": (400_000, "mlp", {"n": 512},
-            [("mezo", "mezo", {"b": 64, "eta": 1e-4}),
-             ("mezo-svrg", "mezo-svrg", {"b": 64, "eta2": 1e-5}), ("fo-sgd", "fo-sgd", {"b": 64})],
-            None),  # judged on exact losses by _preset_report
+            [_Run("mezo", "mezo", {"b": 64, "eta": 1e-4}),
+             _Run("mezo-svrg", "mezo-svrg", {"b": 64, "eta2": 1e-5}),
+             _Run("fo-sgd", "fo-sgd", {"b": 64})],
+            _judge_final_losses),
 }
 
 
@@ -355,9 +387,10 @@ def _preset_specs(name: str, seed: int, query_budget: int | None = None) -> list
     default_budget, problem, params, runs, _ = _PRESETS[name]
     budget = default_budget if query_budget is None else query_budget
     Budget(max_queries=budget)  # refuses a bad budget before any run or directory
-    return [RunSpec(run_name, problem, {**params, "seed": seed}, optimizer,
-                    {**_BASE_SETTINGS[optimizer], **overrides}, seed, max_queries=budget)
-            for run_name, optimizer, overrides in runs]
+    return [RunSpec(run.name, problem, {**params, "seed": seed}, run.optimizer,
+                    {**_BASE_SETTINGS[run.optimizer], **run.overrides}, seed,
+                    max_queries=budget)
+            for run in runs]
 
 
 # preset -> callable(seed, query_budget=None) returning its specs
@@ -373,32 +406,20 @@ def run_preset(name: str, seed: int, outdir: str,
     specs = PRESETS[name](seed, query_budget)
     os.makedirs(outdir, exist_ok=True)
     executions: list[ExecutionResult] = []
-    svrg_steps = None
-    for spec in specs:
-        if name == "fig1a" and spec.optimizer == "fo-sgd":  # at MeZO-SVRG's step count
-            spec = replace(spec, max_steps=svrg_steps or 1, max_queries=None)
+    steps: dict[str, int] = {}
+    for spec, run in zip(specs, _PRESETS[name][3]):
+        if run.steps_of is not None:
+            spec = replace(spec, max_steps=steps[run.steps_of] or 1, max_queries=None)
         out = os.path.join(outdir, f"{name}_{spec.name}.csv")
         execution = execute(spec, out=out)
         executions.append(execution)
-        if spec.optimizer == "mezo-svrg" and svrg_steps is None:
-            svrg_steps = len(execution.result.records)
+        steps[spec.name] = len(execution.result.records)
     return executions, _preset_report(name, executions)
 
 
 def _preset_report(name: str, executions: list[ExecutionResult]) -> CompareReport | None:
-    if name == "mlp":  # judged on the exact full-dataset losses, not on CSV rows
-        rep = CompareReport()
-        losses = [e.final_loss for e in executions]
-        rep.note(f"final training loss: mezo={losses[0]:.4f} "
-                 f"mezo-svrg={losses[1]:.4f} fo-sgd={losses[2]:.4f}")
-        rep.check("mezo-svrg <= mezo", losses[1] <= losses[0])
-        rep.check("fo-sgd <= mezo-svrg", losses[2] <= losses[1])
-        return rep
-    if _PRESETS[name][4] is None:
-        return None
-    criterion, options = _PRESETS[name][4]
-    return judge(criterion, [read_csv(e.csv_path) for e in executions],
-                 [e.spec.name for e in executions], **options)
+    *_, runs, report = _PRESETS[name]
+    return None if report is None else report([run.name for run in runs], executions)
 
 
 def parse_config_file(path: str) -> dict[str, str]:

@@ -14,8 +14,9 @@ footprints of each optimizer family, as the `memory` column of
 
 plus a constant overhead C: two lanes' pieces in flight, at most
 ``LANE_PIECE`` values each, three words per value while ``prng.normals``
-makes them, and bookkeeping. One ``theta += alpha * z`` pass allocates at
-most 8*C bytes (tracemalloc) for any d. A serial one streams
+makes them on its numpy path (two with its compiled kernel), and
+bookkeeping. One ``theta += alpha * z`` pass allocates at most 8*C bytes
+(tracemalloc) for any d. A serial one streams
 k = ceil(d / ``STREAM_CHUNK``) equal pieces and holds about 3 * ceil(d / k)
 words, at most a quarter of C. Tests check both.
 Full-batch loss queries read the dataset in place; a minibatch query

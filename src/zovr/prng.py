@@ -16,9 +16,23 @@ digit labels) take one word mod bound; the bias is O(bound / 2**64).
 Any (seed, index range) can therefore be regenerated without storing
 state. Every stream is made by the array functions below; `mix64` and
 `fold` are the scalar finalizer and the seed splitter.
+
+Normals, the perturbation z that every step regenerates, come from a
+compiled kernel (``_zkernel.c``): its two C loops mix the words and finish
+Box-Muller around numpy's own log, with the interpreter lock released.
+Importing this module builds it once per machine with the system C
+compiler into a private per-user cache. Where it cannot be built,
+`_numpy_normals` makes the same bits in numpy; it is also the reference
+the kernel is tested against.
 """
 
 from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import subprocess
+import tempfile
 
 import numpy as np
 
@@ -56,6 +70,56 @@ _TABLE_WORDS = 512
 _OFFSETS = np.arange(_TABLE_WORDS, dtype=_U64)
 np.multiply(_OFFSETS, _U_GOLDEN, out=_OFFSETS)
 _OFFSETS.flags.writeable = False
+
+# The compiled z kernel: its C source, the compiler and flags that build it,
+# and the private per-user directory its libraries are cached in, one per
+# hash of source and flags. No -ffast-math and no -march=native: either may
+# change the bits of a value.
+_ZKERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_zkernel.c")
+_CC = "cc"
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_ZKERNEL_CACHE = os.path.join(os.path.expanduser("~"), ".cache", "zovr")
+
+
+def _load_zkernel(cache: str):
+    """The compiled kernel's (uniform_pairs, box_muller) functions, or None.
+
+    The first process to need a library compiles it into a temporary file
+    in `cache` and renames it into place, so a concurrent build or reader
+    never sees half a file. None where the source, the compiler or a
+    private cache is missing, or the build or the load fails: `normals`
+    then runs in numpy. A ctypes.CDLL call releases the interpreter lock.
+    """
+    try:
+        with open(_ZKERNEL_SOURCE, "rb") as fh:
+            source = fh.read()
+        key = hashlib.sha256(source + " ".join(_CFLAGS).encode()).hexdigest()[:16]
+        path = os.path.join(cache, f"zkernel-{key}.so")
+        os.makedirs(cache, mode=0o700, exist_ok=True)
+        st = os.stat(cache)
+        if st.st_uid != os.getuid() or st.st_mode & 0o022:
+            return None  # a library others can plant is not loaded
+        if not os.path.exists(path):
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+            os.close(fd)
+            try:
+                subprocess.run([_CC, *_CFLAGS, "-x", "c", "-", "-o", tmp, "-lm"],
+                               input=source, capture_output=True, check=True, timeout=120)
+                os.replace(tmp, path)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        lib = ctypes.CDLL(path)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    uniform_pairs, box_muller = lib.zovr_uniform_pairs, lib.zovr_box_muller
+    uniform_pairs.argtypes = (ctypes.c_uint64, ctypes.c_int64, ctypes.c_void_p)
+    box_muller.argtypes = (ctypes.c_int64, ctypes.c_void_p)
+    uniform_pairs.restype = box_muller.restype = None
+    return uniform_pairs, box_muller
+
+
+ZKERNEL = _load_zkernel(_ZKERNEL_CACHE)
 
 
 def mix64(x: int) -> int:
@@ -149,10 +213,32 @@ def normals(seed: int, start: int, count: int) -> np.ndarray:
     Normal j consumes raw words 2j and 2j+1, so disjoint index windows
     of the same seed never share entropy. Box-Muller takes
     u1 = ((w_even >> 11) + 1) / 2**53 in (0, 1] and
-    u2 = (w_odd >> 11) / 2**53 in [0, 1). The even and odd words are the
-    two contiguous rows of one buffer.
+    u2 = (w_odd >> 11) / 2**53 in [0, 1).
 
-    A window longer than the counter table's reach (256 values) holds at
+    The compiled kernel writes u1 and the angle 2*pi*u2 into the two rows
+    of one (2, count) buffer, numpy's own log runs in place on the first
+    row, and the kernel's second loop turns that row into the normals,
+    which are returned as a view of it: two words per value. Without a
+    compiled kernel `_numpy_normals` makes the same bits in numpy.
+    """
+    if ZKERNEL is None:
+        return _numpy_normals(seed, start, count)
+    uniform_pairs, box_muller = ZKERNEL
+    rows = np.empty((2, count), _F64)
+    # a plain int, not ndarray.ctypes, whose helper objects show on the heap
+    address = rows.__array_interface__["data"][0]
+    uniform_pairs((seed + (2 * start + 1) * GOLDEN) & _MASK, count, address)
+    u1 = rows[0]
+    np.log(u1, out=u1)  # numpy's log, not libm's: the two differ in the last bit
+    box_muller(count, address)
+    return u1
+
+
+def _numpy_normals(seed: int, start: int, count: int) -> np.ndarray:
+    """`normals` in numpy: the path without a compiled kernel, and its reference.
+
+    The even and odd words are the two contiguous rows of one buffer. A
+    window longer than the counter table's reach (256 values) holds at
     most three words per value: the two rows and the output. A shorter one
     mixes and scales both rows jointly and in place, in fewer numpy calls.
     Both paths make each value by the same operations in the same order, so

@@ -1,6 +1,7 @@
 """Test doubles and checks shared by several test modules."""
 
 import hashlib
+import os
 import tracemalloc
 
 import numpy as np
@@ -47,6 +48,13 @@ class CountingObjective:
 
     def initial_theta(self):
         return self.inner.initial_theta()
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """This process's environment plus `extra`, with zovr's sources on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(prng.__file__))
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
 def stream_word(seed: int, index: int) -> int:

@@ -22,6 +22,7 @@ from zovr import (
     estimators,
     harness,
     objectives,
+    prng,
     trajectory,
 )
 from zovr.memory import CONSTANT_OVERHEAD
@@ -36,7 +37,7 @@ from zovr.harness import (
     trailing_std,
 )
 
-from helpers import CountingObjective, assert_pinned
+from helpers import CountingObjective, assert_pinned, child_env
 
 
 def _ls_spec(**overrides):
@@ -296,10 +297,7 @@ def test_cli_prints_registered_peak_of_a_run_diverged_at_step_0(capsys, optimize
 
 
 def _cli_in_fresh_interpreter(args, cwd=None):
-    src = os.path.dirname(os.path.dirname(zovr.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-m", "zovr.cli", *args], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, "-m", "zovr.cli", *args], cwd=cwd, env=child_env(),
                           capture_output=True, text=True, timeout=120)
 
 
@@ -494,8 +492,24 @@ def test_cli_replay_in_two_lanes_exits_cleanly(tmp_path, monkeypatch):
     assert np.array_equal(np.load(ckpt), np.load(traj + ".final.npy"))
 
 
-def test_cli_verify_passes():
+def test_cli_verify_passes(monkeypatch, capsys):
+    # its z kernel line names the kernel that ran, the compiled one where it was built
+    kernel = "numpy" if prng.ZKERNEL is None else "compiled"
     assert cli.main(["verify"]) == 0
+    line = "[PASS] {} z kernel matches the numpy reference bit for bit\n"
+    assert capsys.readouterr().out.endswith(line.format(kernel))
+    monkeypatch.setattr(prng, "ZKERNEL", None)
+    assert cli.main(["verify"]) == 0
+    assert capsys.readouterr().out.endswith(line.format("numpy"))
+
+
+def test_cli_verify_fails_on_a_z_kernel_one_ulp_off(monkeypatch, capsys):
+    reference = prng._numpy_normals
+    monkeypatch.setattr(prng, "normals",
+                        lambda *window: np.nextafter(reference(*window), np.inf))
+    assert cli.main(["verify"]) == 1
+    assert ("z kernel matches the numpy reference bit for bit "
+            "(windows of [1, 256, 257, 16387] values differ)\n") in capsys.readouterr().out
 
 
 def test_cli_compare_identical_inputs(tmp_path, capsys):

@@ -1,4 +1,9 @@
 import hashlib
+import json
+import os
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +14,7 @@ from zovr.estimators import (
     LANE_PIECE, STREAM_CHUNK, PerturbationSeed, _stream_add_scaled, sample_minibatch)
 
 import helpers
-from helpers import assert_pinned, stream_word, traced_peak
+from helpers import assert_pinned, child_env, stream_word, traced_peak
 
 
 def test_normals_deterministic():
@@ -198,9 +203,107 @@ def test_no_resident_buffers_beyond_the_counter_table():
 
 
 @pytest.mark.parametrize("count", [257, STREAM_CHUNK, LANE_PIECE])
-def test_a_long_window_holds_three_words_per_value(count):
-    # past the counter table, normals holds its two word rows and its output,
-    # and nothing else of the window's size
+def test_a_long_window_holds_three_words_per_value(count, monkeypatch):
+    # without a compiled kernel, past the counter table, normals holds its two
+    # word rows and its output, and nothing else of the window's size
+    monkeypatch.setattr(prng, "ZKERNEL", None)
     prng.normals(3, 0, count)  # warm numpy's caches
     peak = traced_peak(lambda: prng.normals(3, 5, count))[0]
     assert peak <= 24 * count + 2048, f"{peak / count:.2f} bytes per value"
+
+
+# The compiled z kernel. Where a C compiler runs it must have been built: a
+# machine with none runs the numpy path, which is its own reference.
+needs_compiler = pytest.mark.skipif(shutil.which(prng._CC) is None,
+                                    reason="no C compiler to build the z kernel")
+_KERNEL_COUNTS = (0, 1, 255, 256, 257, 6455, 16387)
+_KERNEL_SEEDS = (0, 2**64 - 1)
+_KERNEL_STARTS = (0, 2**40)
+
+# exits 1 unless this process runs a compiled kernel that matches the numpy
+# reference bit for bit over the windows of _KERNEL_COUNTS, _KERNEL_SEEDS and
+# _KERNEL_STARTS, given as its arguments
+_COMPARE_IN_CHILD = """
+import json, sys
+from zovr import prng
+counts, seeds, starts = (json.loads(a) for a in sys.argv[1:])
+same = prng.ZKERNEL is not None and all(
+    prng.normals(s, a, c).tobytes() == prng._numpy_normals(s, a, c).tobytes()
+    for c in counts for s in seeds for a in starts)
+sys.exit(0 if same else 1)
+"""
+
+
+def _python(code: str, *args: str, **env: str) -> subprocess.Popen:
+    """A child interpreter running `code` on zovr from this tree's sources."""
+    return subprocess.Popen([sys.executable, "-c", code, *args], env=child_env(**env),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+def _finish(child: subprocess.Popen) -> tuple[int, str]:
+    try:
+        _, err = child.communicate(timeout=120)
+    finally:
+        child.kill()
+        child.wait()
+    return child.returncode, err
+
+
+@needs_compiler
+@pytest.mark.parametrize("count", _KERNEL_COUNTS)
+def test_compiled_kernel_matches_the_numpy_reference(count):
+    assert prng.ZKERNEL is not None
+    for seed in _KERNEL_SEEDS:
+        for start in _KERNEL_STARTS:
+            z = prng.normals(seed, start, count)
+            reference = prng._numpy_normals(seed, start, count)
+            assert z.dtype == reference.dtype and z.shape == reference.shape == (count,)
+            assert z.tobytes() == reference.tobytes(), (seed, start)
+
+
+@needs_compiler
+def test_compiled_kernel_matches_the_numpy_reference_without_avx512():
+    # np.log's AVX2 loop makes other bits than its AVX-512 one; the kernel
+    # calls numpy's log, so it follows numpy to whichever loop it dispatches
+    child = _python(_COMPARE_IN_CHILD, *map(json.dumps, (_KERNEL_COUNTS, _KERNEL_SEEDS,
+                                                         _KERNEL_STARTS)),
+                    NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    code, err = _finish(child)
+    assert code == 0, err
+
+
+@needs_compiler
+def test_a_compiled_window_holds_two_words_per_value():
+    for count in (100, 257, STREAM_CHUNK, LANE_PIECE):
+        prng.normals(3, 0, count)
+        peak = traced_peak(lambda: prng.normals(3, 5, count))[0]
+        assert peak <= 16 * count + 2048, f"{count}: {peak / count:.2f} bytes per value"
+
+
+@pytest.mark.parametrize("compiler", ["missing", "failing"])
+def test_a_build_that_cannot_run_falls_back_to_the_same_bits(tmp_path, monkeypatch, compiler):
+    failing = shutil.which("false")
+    if compiler == "failing" and failing is None:
+        pytest.skip("no `false` program to stand in for a failing compiler")
+    before = [prng.normals(seed, 2**40, 300) for seed in _KERNEL_SEEDS]
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(prng, "_CC", str(tmp_path / "no-cc") if compiler == "missing" else failing)
+    kernel = prng._load_zkernel(str(cache))
+    assert kernel is None
+    assert list(cache.iterdir()) == []  # no library and no temporary file
+    with pytest.raises(ChildProcessError):  # and no compiler process left to reap
+        os.waitpid(-1, os.WNOHANG)
+    monkeypatch.setattr(prng, "ZKERNEL", kernel)
+    after = [prng.normals(seed, 2**40, 300) for seed in _KERNEL_SEEDS]
+    assert [z.tobytes() for z in after] == [z.tobytes() for z in before]
+
+
+@needs_compiler
+def test_two_processes_building_into_one_empty_cache_both_load_it(tmp_path):
+    cache = tmp_path / "cache"
+    code = "import sys; from zovr import prng; sys.exit(prng._load_zkernel(sys.argv[1]) is None)"
+    children = [_python(code, str(cache)) for _ in range(2)]
+    results = [_finish(child) for child in children]
+    assert [status for status, _ in results] == [0, 0], results
+    built = [path.name for path in cache.iterdir()]
+    assert len(built) == 1 and built[0].startswith("zkernel-") and built[0].endswith(".so")
