@@ -48,28 +48,32 @@ from . import prng
 # piece. A piece holds at most three words per value while it is made, so a
 # serial pass holds at most a quarter of the memory model's constant C, and
 # 3 * ceil(d / k) words for k = ceil(d / STREAM_CHUNK) pieces. Longer serial
-# pieces buy nothing: a 4-pass d = 2^20 sweep took 136-154 ms at this size,
-# 143-153 ms at twice it and 176-201 ms at four times it (numpy 2.4.6, 2-CPU
-# Xeon VM). They do cost heap: the mlp preset's (d = 25,818) replay peaked at
-# 602 KB with whole pieces of twice this size, 405 KB with whole pieces of
-# this size, and 364 KB with its four equal pieces of 6,455 values.
+# pieces buy little: with the compiled z kernel a 4-pass d = 2^20 sweep took
+# 82-140 ms at this size, 80-128 ms at twice it and 80-128 ms at four times
+# it (numpy 2.4.6, 2-CPU Xeon VM whose speed drifts). They do cost heap: the
+# mlp preset's (d = 25,818) replay peaked at 602 KB with whole pieces of twice
+# this size, 405 KB with whole pieces of this size, and 364 KB with its four
+# equal pieces of 6,455 values.
 STREAM_CHUNK = 8192
 
 # The cap on a two-lane sweep's piece length; two lanes' pieces in flight hold
-# at most all of C. On prng's numpy path each normals call on such a piece
-# makes about thirty numpy calls and each gives the interpreter lock back, so
-# the lanes overlap only while numpy computes: doubling the cap halves the
-# lock handoffs per z value, and took the same 4-pass sweep in two lanes from
-# 96-107 ms to 84-91 ms.
+# at most all of C. The compiled z kernel gives the interpreter lock back only
+# in its two C loops; each piece takes it again for numpy's log, the axpy and
+# the slicing, so fewer, longer pieces hand it over less often. With the
+# kernel the same 4-pass sweep took 45-62 ms in two lanes at this cap and
+# 49-84 ms at half of it.
 LANE_PIECE = 2 * STREAM_CHUNK
 
-# Smallest d streamed in two lanes. One-pass sweeps on the same VM, serial
-# against two lanes of LANE_PIECE pieces, medians of 400 in three runs:
-#     d =  32,768:  1.12-1.43 ms against 0.92-1.22 (lanes lost once)
-#     d =  49,152:  1.76-2.17 ms against 1.64-1.87
-#     d =  65,536:  2.78-2.97 ms against 1.90-2.06
-#     d =  98,304:  4.17-4.48 ms against 2.63-2.84
-#     d = 131,072:  4.47-5.83 ms against 3.07-3.64
+# Smallest d streamed in two lanes. One-pass sweeps on the same VM with the
+# compiled kernel, serial against two lanes of LANE_PIECE pieces, medians of
+# 200 in six runs (nine from 65,536 on):
+#     d =  32,768:  0.62-0.65 ms against 0.64-0.92
+#     d =  49,152:  0.93-0.95 ms against 0.95
+#     d =  65,536:  1.25-2.14 ms against 1.11-1.76
+#     d =  98,304:  1.86-2.63 ms against 1.00-2.83
+#     d = 131,072:  2.47-2.59 ms against 1.33-1.69
+# The value was set on the numpy path; with the kernel, two lanes win
+# clearly only from about 98,304 on.
 PARALLEL_MIN_D = 8 * STREAM_CHUNK
 
 # The probe walk in steps of mu: to theta + mu*z, on to theta - mu*z, back.

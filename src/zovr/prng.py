@@ -21,9 +21,10 @@ Normals, the perturbation z that every step regenerates, come from a
 compiled kernel (``_zkernel.c``): its two C loops mix the words and finish
 Box-Muller around numpy's own log, with the interpreter lock released.
 Importing this module builds it once per machine with the system C
-compiler into a private per-user cache. Where it cannot be built,
-`_numpy_normals` makes the same bits in numpy; it is also the reference
-the kernel is tested against.
+compiler into a private per-user cache, and uses it only once it has
+made two fixed windows bit for bit. Where it cannot be built or misses
+a bit, `_numpy_normals` makes the same bits in numpy; it is also the
+reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -80,6 +81,12 @@ _CC = "cc"
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _ZKERNEL_CACHE = os.path.join(os.path.expanduser("~"), ".cache", "zovr")
 
+# The windows a freshly loaded kernel must reproduce bit for bit, at seed 0
+# and start 0, before normals uses it: one below the kernel's 1,024-value
+# sorting gate, and one past it that ends one value into a third block and
+# puts about 2,000 angles across the nine paths of libm's cos.
+_CHECK_COUNTS = (100, 2049)
+
 
 def _load_zkernel(cache: str):
     """The compiled kernel's (uniform_pairs, box_muller) functions, or None.
@@ -87,8 +94,10 @@ def _load_zkernel(cache: str):
     The first process to need a library compiles it into a temporary file
     in `cache` and renames it into place, so a concurrent build or reader
     never sees half a file. None where the source, the compiler or a
-    private cache is missing, or the build or the load fails: `normals`
-    then runs in numpy. A ctypes.CDLL call releases the interpreter lock.
+    private cache is missing, or the build or the load fails, or the
+    kernel's windows of _CHECK_COUNTS values differ from `_numpy_normals`
+    in any byte (a compiler or libm that moved a bit): `normals` then runs
+    in numpy. A ctypes.CDLL call releases the interpreter lock.
     """
     try:
         with open(_ZKERNEL_SOURCE, "rb") as fh:
@@ -116,10 +125,10 @@ def _load_zkernel(cache: str):
     uniform_pairs.argtypes = (ctypes.c_uint64, ctypes.c_int64, ctypes.c_void_p)
     box_muller.argtypes = (ctypes.c_int64, ctypes.c_void_p)
     uniform_pairs.restype = box_muller.restype = None
-    return uniform_pairs, box_muller
-
-
-ZKERNEL = _load_zkernel(_ZKERNEL_CACHE)
+    kernel = uniform_pairs, box_muller
+    same = all(_kernel_normals(kernel, 0, 0, count).tobytes()
+               == _numpy_normals(0, 0, count).tobytes() for count in _CHECK_COUNTS)
+    return kernel if same else None
 
 
 def mix64(x: int) -> int:
@@ -223,7 +232,12 @@ def normals(seed: int, start: int, count: int) -> np.ndarray:
     """
     if ZKERNEL is None:
         return _numpy_normals(seed, start, count)
-    uniform_pairs, box_muller = ZKERNEL
+    return _kernel_normals(ZKERNEL, seed, start, count)
+
+
+def _kernel_normals(kernel, seed: int, start: int, count: int) -> np.ndarray:
+    """`normals` by `kernel`, the (uniform_pairs, box_muller) of _load_zkernel."""
+    uniform_pairs, box_muller = kernel
     rows = np.empty((2, count), _F64)
     # a plain int, not ndarray.ctypes, whose helper objects show on the heap
     address = rows.__array_interface__["data"][0]
@@ -273,3 +287,5 @@ def _numpy_normals(seed: int, start: int, count: int) -> np.ndarray:
     np.cos(u2, out=u2)
     return np.multiply(u1, u2)
 
+
+ZKERNEL = _load_zkernel(_ZKERNEL_CACHE)

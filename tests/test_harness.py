@@ -509,7 +509,7 @@ def test_cli_verify_fails_on_a_z_kernel_one_ulp_off(monkeypatch, capsys):
                         lambda *window: np.nextafter(reference(*window), np.inf))
     assert cli.main(["verify"]) == 1
     assert ("z kernel matches the numpy reference bit for bit "
-            "(windows of [1, 256, 257, 16387] values differ)\n") in capsys.readouterr().out
+            "(windows of [1, 256, 257, 1025, 16387] values differ)\n") in capsys.readouterr().out
 
 
 def test_cli_compare_identical_inputs(tmp_path, capsys):

@@ -216,7 +216,7 @@ def test_a_long_window_holds_three_words_per_value(count, monkeypatch):
 # machine with none runs the numpy path, which is its own reference.
 needs_compiler = pytest.mark.skipif(shutil.which(prng._CC) is None,
                                     reason="no C compiler to build the z kernel")
-_KERNEL_COUNTS = (0, 1, 255, 256, 257, 6455, 16387)
+_KERNEL_COUNTS = (0, 1, 255, 256, 257, 1023, 1024, 1025, 2049, 6455, 16387)
 _KERNEL_SEEDS = (0, 2**64 - 1)
 _KERNEL_STARTS = (0, 2**40)
 
@@ -270,6 +270,51 @@ def test_compiled_kernel_matches_the_numpy_reference_without_avx512():
                     NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
     code, err = _finish(child)
     assert code == 0, err
+
+
+# Where glibc's cos changes branch over [0, 2 pi), as _zkernel.c's PATH_EDGES
+_COS_PATH_EDGES = np.array([0.855469, np.pi / 2 - 0.126, np.pi / 2 + 0.126, 2.426265,
+                            5 * np.pi / 4, 3 * np.pi / 2 - 0.126, 3 * np.pi / 2 + 0.126,
+                            7 * np.pi / 4])
+
+
+@needs_compiler
+@pytest.mark.parametrize("count", [1023, 1024, 2049])
+def test_box_muller_matches_numpy_at_every_path_edge(count):
+    # each edge, one ulp either side, 0 and fl(2 pi), the largest double below
+    # 2 pi, shuffled among stream angles: sorting by path moves no bit
+    angles = np.concatenate([_COS_PATH_EDGES, np.nextafter(_COS_PATH_EDGES, 0),
+                             np.nextafter(_COS_PATH_EDGES, 7), [0.0, 2 * np.pi]])
+    uniform_pairs, box_muller = prng.ZKERNEL
+    rows = np.empty((2, count))
+    address = rows.__array_interface__["data"][0]
+    uniform_pairs(prng.GOLDEN, count, address)
+    rows[1, :angles.size] = angles
+    rows[1] = np.random.default_rng(count).permutation(rows[1])
+    np.log(rows[0], out=rows[0])
+    expected = np.sqrt(rows[0] * -2.0) * np.cos(rows[1])
+    box_muller(count, address)
+    assert rows[0].tobytes() == expected.tobytes()
+
+
+@needs_compiler
+def test_the_kernel_source_compiles_without_warnings():
+    built = subprocess.run([prng._CC, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+                            prng._ZKERNEL_SOURCE], capture_output=True, text=True, timeout=120)
+    assert built.returncode == 0, built.stderr
+
+
+@needs_compiler
+def test_a_kernel_one_ulp_off_loads_as_none(tmp_path, monkeypatch):
+    with open(prng._ZKERNEL_SOURCE) as fh:
+        source = fh.read()
+    assert source.count("-2.0") == 2  # both Box-Muller loops
+    off = tmp_path / "_zkernel.c"
+    off.write_text(source.replace("-2.0", "-0x1.0000000000001p+1"))  # -2 one ulp out
+    monkeypatch.setattr(prng, "_ZKERNEL_SOURCE", str(off))
+    cache = tmp_path / "cache"
+    assert prng._load_zkernel(str(cache)) is None
+    assert [path.suffix for path in cache.iterdir()] == [".so"]  # built, then refused
 
 
 @needs_compiler
