@@ -99,6 +99,8 @@ def _load_zkernel(cache: str):
     in any byte (a compiler or libm that moved a bit): `normals` then runs
     in numpy. A ctypes.CDLL call releases the interpreter lock.
     """
+    if not os.path.isabs(cache):
+        return None  # a home of "~" would build under every working directory
     try:
         with open(_ZKERNEL_SOURCE, "rb") as fh:
             source = fh.read()
@@ -191,31 +193,6 @@ def uniforms(seed: int, start: int, count: int) -> np.ndarray:
     return np.multiply(w.view(_I64), _TWO_M53, out=w.view(_F64))
 
 
-def _box_muller_in_three_words(w: np.ndarray) -> np.ndarray:
-    # normals' long-window path over its (2, count) counter rows: holds the
-    # rows and the output, which is the mixing scratch until it takes u1
-    out = np.empty(w.shape[1], _F64)
-    scratch = out.view(_U64)
-    _mix64_in_place(w[1], scratch)
-    _mix64_in_place(w[0], scratch)
-    np.right_shift(w, _U_11, out=w)
-    # Explicit casts into rows that do not overlap their source: a ufunc that
-    # casts its input, or writes over it, makes numpy buffer or copy it. u1
-    # goes to out, then u2 to the even row, which u1 no longer needs.
-    bits = w.view(_I64)
-    u2 = w[0].view(_F64)
-    np.copyto(out, bits[0], casting="unsafe")
-    np.multiply(out, _TWO_M53, out=out)
-    np.add(out, _TWO_M53, out=out)
-    np.copyto(u2, bits[1], casting="unsafe")
-    np.multiply(u2, _TWO_PI_M53, out=u2)
-    np.log(out, out=out)
-    np.multiply(out, _MINUS_2, out=out)
-    np.sqrt(out, out=out)
-    np.cos(u2, out=u2)
-    return np.multiply(out, u2, out=out)
-
-
 def normals(seed: int, start: int, count: int) -> np.ndarray:
     """Standard normal doubles at normal-stream positions [start, start+count).
 
@@ -251,41 +228,35 @@ def _kernel_normals(kernel, seed: int, start: int, count: int) -> np.ndarray:
 def _numpy_normals(seed: int, start: int, count: int) -> np.ndarray:
     """`normals` in numpy: the path without a compiled kernel, and its reference.
 
-    The even and odd words are the two contiguous rows of one buffer. A
-    window longer than the counter table's reach (256 values) holds at
-    most three words per value: the two rows and the output. A shorter one
-    mixes and scales both rows jointly and in place, in fewer numpy calls.
-    Both paths make each value by the same operations in the same order, so
-    they agree bit for bit.
+    The even and odd words are the two contiguous rows of one buffer, and
+    the output is the mixing scratch until it takes u1, so a window of any
+    length holds at most three words per value: the two rows and the output.
     """
     w = np.empty((2, count), _U64)
     even = w[0]
     # counter of word 2(start+j) is 2(start+j)+1; its odd partner's is one more
     _counters(even, seed + (2 * start + 1) * GOLDEN, 2)
     np.add(even, _U_GOLDEN, out=w[1])
-    # Short windows keep the joint path for speed: with the three-word path at
-    # every size, normals(100) took 16.6 us, not 12.3, and the least-squares
-    # d = 100 benchmark ran 16-24% fewer steps per second in 10 of 10 paired
-    # runs (numpy 2.4.6, 2-CPU Xeon VM).
-    if 2 * count > _TABLE_WORDS:  # _counters' arange is freed by now
-        return _box_muller_in_three_words(w)
-    _mix64_in_place(w)
+    out = np.empty(count, _F64)  # _counters' arange is freed by now
+    scratch = out.view(_U64)
+    _mix64_in_place(w[1], scratch)
+    _mix64_in_place(w[0], scratch)
     np.right_shift(w, _U_11, out=w)
-    # 53-bit integers convert exactly through int64; the floats reuse w.
-    # The two scalings stay two multiplies: one broadcast multiply over
-    # both rows makes numpy copy the overlapping operand.
+    # Explicit casts into rows that do not overlap their source: a ufunc that
+    # casts its input, or writes over it, makes numpy buffer or copy it. u1
+    # goes to out, then u2 to the even row, which u1 no longer needs.
     bits = w.view(_I64)
-    f = w.view(_F64)
-    u1 = f[0]
-    u2 = f[1]
-    np.multiply(bits[0], _TWO_M53, out=u1)
-    np.add(u1, _TWO_M53, out=u1)
-    np.multiply(bits[1], _TWO_PI_M53, out=u2)
-    np.log(u1, out=u1)
-    np.multiply(u1, _MINUS_2, out=u1)
-    np.sqrt(u1, out=u1)
+    u2 = w[0].view(_F64)
+    np.copyto(out, bits[0], casting="unsafe")
+    np.multiply(out, _TWO_M53, out=out)
+    np.add(out, _TWO_M53, out=out)
+    np.copyto(u2, bits[1], casting="unsafe")
+    np.multiply(u2, _TWO_PI_M53, out=u2)
+    np.log(out, out=out)
+    np.multiply(out, _MINUS_2, out=out)
+    np.sqrt(out, out=out)
     np.cos(u2, out=u2)
-    return np.multiply(u1, u2)
+    return np.multiply(out, u2, out=out)
 
 
 ZKERNEL = _load_zkernel(_ZKERNEL_CACHE)

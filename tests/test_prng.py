@@ -108,8 +108,17 @@ def _digest(arrays):
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("key", sorted(_PINNED_WINDOWS))
-def test_stream_windows_pinned(key):
+def _pin_cases(keys):
+    """Each key as its own case, and each normals key again through the numpy path."""
+    return ([pytest.param(key, False, id=f"key{i}") for i, key in enumerate(keys)]
+            + [pytest.param(key, True, id=f"key{i}-numpy")
+               for i, key in enumerate(keys) if key[0] == "normals"])
+
+
+@pytest.mark.parametrize("key, numpy_path", _pin_cases(sorted(_PINNED_WINDOWS)))
+def test_stream_windows_pinned(key, numpy_path, monkeypatch):
+    if numpy_path:
+        monkeypatch.setattr(prng, "ZKERNEL", None)
     fn, seed_i, start_i = key
     seed, start = _PIN_SEEDS[seed_i], _PIN_STARTS[start_i]
     windows = (getattr(prng, fn)(seed, start, c) for c in _PIN_COUNTS[fn])
@@ -144,8 +153,10 @@ _PINNED_GATE_MINIBATCHES = {
 }
 
 
-@pytest.mark.parametrize("key", list(_PINNED_GATE_WINDOWS))
-def test_windows_across_size_gates_pinned(key):
+@pytest.mark.parametrize("key, numpy_path", _pin_cases(list(_PINNED_GATE_WINDOWS)))
+def test_windows_across_size_gates_pinned(key, numpy_path, monkeypatch):
+    if numpy_path:
+        monkeypatch.setattr(prng, "ZKERNEL", None)
     fn, start = key
     windows = (getattr(prng, fn)(s, start, c) for s in _GATE_SEEDS for c in _GATE_COUNTS)
     assert_pinned(_digest(windows), _PINNED_GATE_WINDOWS[key])
@@ -202,10 +213,10 @@ def test_no_resident_buffers_beyond_the_counter_table():
     assert sum(a.nbytes for a in arrays) <= 4096 + constants
 
 
-@pytest.mark.parametrize("count", [257, STREAM_CHUNK, LANE_PIECE])
-def test_a_long_window_holds_three_words_per_value(count, monkeypatch):
-    # without a compiled kernel, past the counter table, normals holds its two
-    # word rows and its output, and nothing else of the window's size
+@pytest.mark.parametrize("count", [1, 100, 255, 256, 257, STREAM_CHUNK, LANE_PIECE])
+def test_every_window_holds_three_words_per_value(count, monkeypatch):
+    # without a compiled kernel, on both sides of the counter table, normals
+    # holds its two word rows and its output, and nothing else of the window's size
     monkeypatch.setattr(prng, "ZKERNEL", None)
     prng.normals(3, 0, count)  # warm numpy's caches
     peak = traced_peak(lambda: prng.normals(3, 5, count))[0]
@@ -323,6 +334,13 @@ def test_a_compiled_window_holds_two_words_per_value():
         prng.normals(3, 0, count)
         peak = traced_peak(lambda: prng.normals(3, 5, count))[0]
         assert peak <= 16 * count + 2048, f"{count}: {peak / count:.2f} bytes per value"
+
+
+def test_a_relative_cache_builds_nothing(tmp_path, monkeypatch):
+    # expanduser("~") stays "~" where HOME is unset and the uid has no passwd entry
+    monkeypatch.chdir(tmp_path)
+    assert prng._load_zkernel("~/.cache/zovr") is None
+    assert not (tmp_path / "~").exists()
 
 
 @pytest.mark.parametrize("compiler", ["missing", "failing"])
