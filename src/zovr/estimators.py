@@ -57,23 +57,29 @@ from . import prng
 STREAM_CHUNK = 8192
 
 # The cap on a two-lane sweep's piece length; two lanes' pieces in flight hold
-# at most all of C. The compiled z kernel gives the interpreter lock back only
-# in its two C loops; each piece takes it again for numpy's log, the axpy and
-# the slicing, so fewer, longer pieces hand it over less often. With the
-# kernel the same 4-pass sweep took 45-62 ms in two lanes at this cap and
-# 49-84 ms at half of it.
+# at most all of C. The compiled z kernel makes a whole pass over a piece in
+# one call that holds the interpreter lock only to read its arguments, so the
+# lanes take the lock just for that call and the slicing of theta: a two-lane
+# sweep made 0.02 voluntary context switches per z pass, against 0.18-0.26
+# when the kernel gave the lock back only in its two C loops. Fewer, longer
+# pieces still hand the lock over less often; the numpy path, which gives it
+# back in each of its ufuncs, needs that most. With the earlier kernel the
+# same 4-pass sweep took 45-62 ms in two lanes at this cap and 49-84 ms at
+# half of it.
 LANE_PIECE = 2 * STREAM_CHUNK
 
 # Smallest d streamed in two lanes. One-pass sweeps on the same VM with the
-# compiled kernel, serial against two lanes of LANE_PIECE pieces, medians of
-# 200 in six runs (nine from 65,536 on):
-#     d =  32,768:  0.62-0.65 ms against 0.64-0.92
-#     d =  49,152:  0.93-0.95 ms against 0.95
-#     d =  65,536:  1.25-2.14 ms against 1.11-1.76
-#     d =  98,304:  1.86-2.63 ms against 1.00-2.83
-#     d = 131,072:  2.47-2.59 ms against 1.33-1.69
-# The value was set on the numpy path; with the kernel, two lanes win
-# clearly only from about 98,304 on.
+# one-call kernel, serial against two lanes of LANE_PIECE pieces, medians of
+# 200 in four runs:
+#     d =  32,768:  0.60-0.95 ms against 0.37-0.68
+#     d =  49,152:  0.92-1.52 ms against 0.68-0.71
+#     d =  65,536:  1.22-2.12 ms against 1.06-1.18
+#     d =  98,304:  1.92-3.08 ms against 1.33-1.64
+#     d = 131,072:  2.53-4.00 ms against 1.62-2.09
+# The value was set on the numpy path. With the kernel, two lanes won at every
+# d here in 19 of 20 runs, so the gate could come down; the serial times
+# spread up to x1.65 between runs on this VM, whose second CPU comes and goes,
+# so it stays until a benchmark workload sits below it.
 PARALLEL_MIN_D = 8 * STREAM_CHUNK
 
 # The probe walk in steps of mu: to theta + mu*z, on to theta - mu*z, back.
@@ -248,10 +254,7 @@ def _stream_pieces(theta: np.ndarray, passes, starts, size: int) -> None:
         b = min(a + size, d)
         piece = theta[a:b]
         for seed, alpha in passes:
-            z = prng.normals(seed.seed, seed.offset + a, b - a)
-            z *= alpha
-            piece += z
-            del z  # free this window before the next one is generated
+            prng.normals(seed.seed, seed.offset + a, b - a, add_to=piece, scale=alpha)
 
 
 def _worker_lane(started: threading.Event, *lane) -> None:
@@ -265,7 +268,7 @@ def _stream_two_lanes(theta: np.ndarray, passes, pool: ThreadPoolExecutor) -> No
     The lanes share one queue of equal pieces of at most LANE_PIECE, so a
     lane that waits for the interpreter lock or for a busy CPU leaves its
     pieces to the other. The caller starts only once the worker runs;
-    otherwise it takes the lock back between its short ufuncs and the
+    otherwise it takes the lock back between its short calls and the
     worker waits. Both lanes have stopped when this returns or raises.
     """
     d = theta.shape[0]
@@ -296,10 +299,7 @@ def stream_passes(theta: np.ndarray, passes) -> None:
     d = theta.shape[0]
     if d <= STREAM_CHUNK:  # one piece: no slicing of theta
         for seed, alpha in passes:
-            z = prng.normals(seed.seed, seed.offset, d)
-            z *= alpha
-            theta += z
-            del z
+            prng.normals(seed.seed, seed.offset, d, add_to=theta, scale=alpha)
         return
     if d >= PARALLEL_MIN_D:
         pool = _second_lane()

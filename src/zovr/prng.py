@@ -18,21 +18,25 @@ state. Every stream is made by the array functions below; `mix64` and
 `fold` are the scalar finalizer and the seed splitter.
 
 Normals, the perturbation z that every step regenerates, come from a
-compiled kernel (``_zkernel.c``): its two C loops mix the words and finish
-Box-Muller around numpy's own log, with the interpreter lock released.
-Importing this module builds it once per machine with the system C
-compiler into a private per-user cache, and uses it only once it has
-made two fixed windows bit for bit. Where it cannot be built or misses
-a bit, `_numpy_normals` makes the same bits in numpy; it is also the
+compiled kernel (``_zkernel.c``), a CPython extension module: one call
+mixes the words, runs numpy's own log loop and finishes Box-Muller for a
+whole window, with the interpreter lock released from start to end, and
+either returns the window or adds scale * z into a target. Importing this
+module builds it once per machine with the system C compiler into a
+private per-user cache, and uses it only once it has made two fixed
+windows bit for bit in both forms. Where it cannot be built or misses a
+bit, `_numpy_normals` makes the same bits in numpy; it is also the
 reference the kernel is tested against.
 """
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
+import importlib.machinery
+import importlib.util
 import os
 import subprocess
+import sysconfig
 import tempfile
 
 import numpy as np
@@ -72,65 +76,83 @@ _OFFSETS = np.arange(_TABLE_WORDS, dtype=_U64)
 np.multiply(_OFFSETS, _U_GOLDEN, out=_OFFSETS)
 _OFFSETS.flags.writeable = False
 
-# The compiled z kernel: its C source, the compiler and flags that build it,
-# and the private per-user directory its libraries are cached in, one per
-# hash of source and flags. No -ffast-math and no -march=native: either may
-# change the bits of a value.
+# The compiled z kernel: its C source, the compiler, flags and header
+# directories that build it, and the private per-user directory its
+# extension modules are cached in, one per hash of all of those, the
+# interpreter's extension suffix and numpy's version. No -ffast-math and no
+# -march=native: either may change the bits of a value.
 _ZKERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_zkernel.c")
 _CC = "cc"
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_INCLUDES = (sysconfig.get_paths()["include"], np.get_include())
 _ZKERNEL_CACHE = os.path.join(os.path.expanduser("~"), ".cache", "zovr")
 
 # The windows a freshly loaded kernel must reproduce bit for bit, at seed 0
-# and start 0, before normals uses it: one below the kernel's 1,024-value
-# sorting gate, and one past it that ends one value into a third block and
-# puts about 2,000 angles across the nine paths of libm's cos.
+# and start 0, as an array and added at _CHECK_SCALE into a target, before
+# normals uses it: one below the kernel's 1,024-value sorting gate, and one
+# past it that ends one value into a third block and puts about 2,000
+# angles across the nine paths of libm's cos.
 _CHECK_COUNTS = (100, 2049)
+_CHECK_SCALE = -1e-3
 
 
 def _load_zkernel(cache: str):
-    """The compiled kernel's (uniform_pairs, box_muller) functions, or None.
+    """The compiled kernel's extension module, or None.
 
-    The first process to need a library compiles it into a temporary file
-    in `cache` and renames it into place, so a concurrent build or reader
-    never sees half a file. None where the source, the compiler or a
-    private cache is missing, or the build or the load fails, or the
-    kernel's windows of _CHECK_COUNTS values differ from `_numpy_normals`
-    in any byte (a compiler or libm that moved a bit): `normals` then runs
-    in numpy. A ctypes.CDLL call releases the interpreter lock.
+    The first process to need a module compiles it into a temporary file in
+    `cache` and renames it into place, so a concurrent build or reader never
+    sees half a file. None where the source, the compiler, Python's or
+    numpy's headers or a private cache is missing, or the build or the load
+    fails (a numpy whose np.log has no float64 loop to call), or the
+    kernel's windows of _CHECK_COUNTS values differ from `_numpy_normals` in
+    any byte, as arrays or added into a target (a compiler or libm that
+    moved a bit): `normals` then runs in numpy.
     """
     if not os.path.isabs(cache):
         return None  # a home of "~" would build under every working directory
     try:
         with open(_ZKERNEL_SOURCE, "rb") as fh:
             source = fh.read()
-        key = hashlib.sha256(source + " ".join(_CFLAGS).encode()).hexdigest()[:16]
+        build = [*_CFLAGS, *(flag for path in _INCLUDES for flag in ("-isystem", path))]
+        key = hashlib.sha256(b"\0".join([
+            source, " ".join(build).encode(), str(sysconfig.get_config_var("EXT_SUFFIX")).encode(),
+            np.__version__.encode()])).hexdigest()[:16]
         path = os.path.join(cache, f"zkernel-{key}.so")
         os.makedirs(cache, mode=0o700, exist_ok=True)
         st = os.stat(cache)
         if st.st_uid != os.getuid() or st.st_mode & 0o022:
-            return None  # a library others can plant is not loaded
+            return None  # a module others can plant is not loaded
         if not os.path.exists(path):
             fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
             os.close(fd)
             try:
-                subprocess.run([_CC, *_CFLAGS, "-x", "c", "-", "-o", tmp, "-lm"],
+                subprocess.run([_CC, *build, "-x", "c", "-", "-o", tmp, "-lm"],
                                input=source, capture_output=True, check=True, timeout=120)
                 os.replace(tmp, path)
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
-        lib = ctypes.CDLL(path)
-    except (OSError, subprocess.SubprocessError):
+        loader = importlib.machinery.ExtensionFileLoader("zovr._zkernel", path)
+        kernel = importlib.util.module_from_spec(
+            importlib.util.spec_from_file_location("zovr._zkernel", path, loader=loader))
+        loader.exec_module(kernel)
+    except (OSError, subprocess.SubprocessError, ImportError):
         return None
-    uniform_pairs, box_muller = lib.zovr_uniform_pairs, lib.zovr_box_muller
-    uniform_pairs.argtypes = (ctypes.c_uint64, ctypes.c_int64, ctypes.c_void_p)
-    box_muller.argtypes = (ctypes.c_int64, ctypes.c_void_p)
-    uniform_pairs.restype = box_muller.restype = None
-    kernel = uniform_pairs, box_muller
-    same = all(_kernel_normals(kernel, 0, 0, count).tobytes()
-               == _numpy_normals(0, 0, count).tobytes() for count in _CHECK_COUNTS)
-    return kernel if same else None
+    return kernel if all(_same_bits(kernel, count) for count in _CHECK_COUNTS) else None
+
+
+def _same_bits(kernel, count: int) -> bool:
+    """Whether `kernel` makes the window of `count` values at seed 0 and start
+    0 with `_numpy_normals`'s bytes, as an array and added into a target."""
+    if kernel.normals(0, 0, count, None, 1.0).tobytes() != _numpy_normals(0, 0, count).tobytes():
+        return False
+    added = _numpy_normals(1, 0, count)
+    expected = added.copy()
+    kernel.normals(0, 0, count, added, _CHECK_SCALE)
+    z = _numpy_normals(0, 0, count)
+    z *= _CHECK_SCALE
+    expected += z
+    return added.tobytes() == expected.tobytes()
 
 
 def mix64(x: int) -> int:
@@ -193,45 +215,48 @@ def uniforms(seed: int, start: int, count: int) -> np.ndarray:
     return np.multiply(w.view(_I64), _TWO_M53, out=w.view(_F64))
 
 
-def normals(seed: int, start: int, count: int) -> np.ndarray:
-    """Standard normal doubles at normal-stream positions [start, start+count).
+def normals(seed: int, start: int, count: int, add_to: np.ndarray | None = None,
+            scale: float = 1.0) -> np.ndarray | None:
+    """scale * the standard normals at normal-stream positions [start, start+count).
 
     Normal j consumes raw words 2j and 2j+1, so disjoint index windows
     of the same seed never share entropy. Box-Muller takes
     u1 = ((w_even >> 11) + 1) / 2**53 in (0, 1] and
     u2 = (w_odd >> 11) / 2**53 in [0, 1).
 
-    The compiled kernel writes u1 and the angle 2*pi*u2 into the two rows
-    of one (2, count) buffer, numpy's own log runs in place on the first
-    row, and the kernel's second loop turns that row into the normals,
-    which are returned as a view of it: two words per value. Without a
-    compiled kernel `_numpy_normals` makes the same bits in numpy.
+    Without `add_to` the window is returned as a fresh array. With it, the
+    pass form, `add_to += scale * z` is done in place and None returned;
+    each element takes one multiply and one add, the bits of
+    ``z *= scale; add_to += z``. `add_to` must be a 1-d array of `count`
+    values (else TypeError or ValueError, before any write).
+
+    The compiled kernel makes the window in one call, holding at most two
+    rows of 1,024 values of scratch besides the returned array. It writes
+    into `add_to` directly where that is a writable C-contiguous float64
+    array; any other target, and every call without a compiled kernel,
+    takes `_numpy_normals`, which makes the same bits.
     """
-    if ZKERNEL is None:
-        return _numpy_normals(seed, start, count)
-    return _kernel_normals(ZKERNEL, seed, start, count)
+    if ZKERNEL is not None:
+        z = ZKERNEL.normals(seed, start, count, add_to, scale)
+        if z is not NotImplemented:
+            return z
+    return _numpy_normals(seed, start, count, add_to, scale)
 
 
-def _kernel_normals(kernel, seed: int, start: int, count: int) -> np.ndarray:
-    """`normals` by `kernel`, the (uniform_pairs, box_muller) of _load_zkernel."""
-    uniform_pairs, box_muller = kernel
-    rows = np.empty((2, count), _F64)
-    # a plain int, not ndarray.ctypes, whose helper objects show on the heap
-    address = rows.__array_interface__["data"][0]
-    uniform_pairs((seed + (2 * start + 1) * GOLDEN) & _MASK, count, address)
-    u1 = rows[0]
-    np.log(u1, out=u1)  # numpy's log, not libm's: the two differ in the last bit
-    box_muller(count, address)
-    return u1
-
-
-def _numpy_normals(seed: int, start: int, count: int) -> np.ndarray:
+def _numpy_normals(seed: int, start: int, count: int, add_to: np.ndarray | None = None,
+                   scale: float = 1.0) -> np.ndarray | None:
     """`normals` in numpy: the path without a compiled kernel, and its reference.
 
     The even and odd words are the two contiguous rows of one buffer, and
     the output is the mixing scratch until it takes u1, so a window of any
     length holds at most three words per value: the two rows and the output.
+    The pass form scales that output in place and adds it into `add_to`.
     """
+    if add_to is not None:
+        if not isinstance(add_to, np.ndarray):
+            raise TypeError(f"add_to must be a numpy array, got {type(add_to).__name__}")
+        if add_to.shape != (count,):
+            raise ValueError(f"add_to has shape {add_to.shape}, not ({count},)")
     w = np.empty((2, count), _U64)
     even = w[0]
     # counter of word 2(start+j) is 2(start+j)+1; its odd partner's is one more
@@ -256,7 +281,13 @@ def _numpy_normals(seed: int, start: int, count: int) -> np.ndarray:
     np.multiply(out, _MINUS_2, out=out)
     np.sqrt(out, out=out)
     np.cos(u2, out=u2)
-    return np.multiply(out, u2, out=out)
+    np.multiply(out, u2, out=out)
+    if scale != 1.0:  # times 1.0 is exact
+        np.multiply(out, scale, out=out)
+    if add_to is None:
+        return out
+    np.add(add_to, out, out=add_to)
+    return None
 
 
 ZKERNEL = _load_zkernel(_ZKERNEL_CACHE)

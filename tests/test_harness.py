@@ -504,12 +504,25 @@ def test_cli_verify_passes(monkeypatch, capsys):
 
 
 def test_cli_verify_fails_on_a_z_kernel_one_ulp_off(monkeypatch, capsys):
+    # a kernel whose z is one ulp up as an array and in a pass, then in a pass
+    # only; the check line names the forms that differ
     reference = prng._numpy_normals
-    monkeypatch.setattr(prng, "normals",
-                        lambda *window: np.nextafter(reference(*window), np.inf))
-    assert cli.main(["verify"]) == 1
-    assert ("z kernel matches the numpy reference bit for bit "
-            "(windows of [1, 256, 257, 1025, 16387] values differ)\n") in capsys.readouterr().out
+    for forms in (("array", "pass"), ("pass",)):
+        def off(seed, start, count, add_to=None, scale=1.0):
+            z = reference(seed, start, count)
+            if ("array" if add_to is None else "pass") in forms:
+                z = np.nextafter(z, np.inf)
+            z *= scale
+            if add_to is None:
+                return z
+            add_to += z
+
+        monkeypatch.setattr(prng, "normals", off)
+        assert cli.main(["verify"]) == 1
+        differ = "; ".join(f"{form} windows of [1, 256, 257, 1025, 16387] values differ"
+                           for form in forms)
+        assert (f"z kernel matches the numpy reference bit for bit ({differ})\n"
+                in capsys.readouterr().out)
 
 
 def test_cli_compare_identical_inputs(tmp_path, capsys):

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from zovr import estimators, prng
 from zovr.estimators import (
-    LANE_PIECE, STREAM_CHUNK, PerturbationSeed, _stream_add_scaled, sample_minibatch)
+    LANE_PIECE, STREAM_CHUNK, GradientEstimate, PerturbationSeed, _stream_add_scaled,
+    sample_minibatch)
 
 import helpers
 from helpers import assert_pinned, child_env, stream_word, traced_peak
@@ -293,24 +294,28 @@ _COS_PATH_EDGES = np.array([0.855469, np.pi / 2 - 0.126, np.pi / 2 + 0.126, 2.42
 @pytest.mark.parametrize("count", [1023, 1024, 2049])
 def test_box_muller_matches_numpy_at_every_path_edge(count):
     # each edge, one ulp either side, 0 and fl(2 pi), the largest double below
-    # 2 pi, shuffled among stream angles: sorting by path moves no bit
+    # 2 pi, shuffled among stream angles: sorting by path moves no bit, in a
+    # fresh window or added into a target
     angles = np.concatenate([_COS_PATH_EDGES, np.nextafter(_COS_PATH_EDGES, 0),
                              np.nextafter(_COS_PATH_EDGES, 7), [0.0, 2 * np.pi]])
-    uniform_pairs, box_muller = prng.ZKERNEL
     rows = np.empty((2, count))
-    address = rows.__array_interface__["data"][0]
-    uniform_pairs(prng.GOLDEN, count, address)
+    rows[0] = np.log(1.0 - prng.uniforms(1, 0, count))  # log u1, u1 in (0, 1]
+    rows[1] = prng.uniforms(2, 0, count) * (2 * np.pi)
     rows[1, :angles.size] = angles
     rows[1] = np.random.default_rng(count).permutation(rows[1])
-    np.log(rows[0], out=rows[0])
-    expected = np.sqrt(rows[0] * -2.0) * np.cos(rows[1])
-    box_muller(count, address)
-    assert rows[0].tobytes() == expected.tobytes()
+    z = np.sqrt(rows[0] * -2.0) * np.cos(rows[1])
+    target = prng.normals(3, 0, count)
+    expected = target + z * -0.37
+    prng.ZKERNEL.box_muller(rows, target, -0.37)
+    assert target.tobytes() == expected.tobytes()
+    prng.ZKERNEL.box_muller(rows, None, 1.0)
+    assert rows[0].tobytes() == z.tobytes()
 
 
 @needs_compiler
 def test_the_kernel_source_compiles_without_warnings():
-    built = subprocess.run([prng._CC, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+    headers = [flag for path in prng._INCLUDES for flag in ("-isystem", path)]
+    built = subprocess.run([prng._CC, "-Wall", "-Wextra", "-Werror", "-fsyntax-only", *headers,
                             prng._ZKERNEL_SOURCE], capture_output=True, text=True, timeout=120)
     assert built.returncode == 0, built.stderr
 
@@ -319,13 +324,19 @@ def test_the_kernel_source_compiles_without_warnings():
 def test_a_kernel_one_ulp_off_loads_as_none(tmp_path, monkeypatch):
     with open(prng._ZKERNEL_SOURCE) as fh:
         source = fh.read()
-    assert source.count("-2.0") == 2  # both Box-Muller loops
-    off = tmp_path / "_zkernel.c"
-    off.write_text(source.replace("-2.0", "-0x1.0000000000001p+1"))  # -2 one ulp out
-    monkeypatch.setattr(prng, "_ZKERNEL_SOURCE", str(off))
-    cache = tmp_path / "cache"
-    assert prng._load_zkernel(str(cache)) is None
-    assert [path.suffix for path in cache.iterdir()] == [".so"]  # built, then refused
+    mutations = {
+        "-2.0": "-0x1.0000000000001p+1",  # -2 one ulp out, in both forms
+        # the pass form's scale * z one ulp out; a fresh window keeps its bits
+        "dst[j] += z * scale": "dst[j] += z * scale * 0x1.0000000000001p+0",
+    }
+    for i, (exact, off) in enumerate(mutations.items()):
+        assert source.count(exact) == 1
+        mutant = tmp_path / f"_zkernel{i}.c"
+        mutant.write_text(source.replace(exact, off))
+        monkeypatch.setattr(prng, "_ZKERNEL_SOURCE", str(mutant))
+        cache = tmp_path / f"cache{i}"
+        assert prng._load_zkernel(str(cache)) is None, exact
+        assert [path.suffix for path in cache.iterdir()] == [".so"]  # built, then refused
 
 
 @needs_compiler
@@ -336,6 +347,67 @@ def test_a_compiled_window_holds_two_words_per_value():
         assert peak <= 16 * count + 2048, f"{count}: {peak / count:.2f} bytes per value"
 
 
+@needs_compiler
+def test_a_compiled_pass_holds_no_window_sized_scratch():
+    # the pass form adds into its target from two rows of at most 1,024 values
+    for count in (100, 257, STREAM_CHUNK, LANE_PIECE):
+        target = np.zeros(count)
+        prng.normals(3, 0, count, add_to=target, scale=0.5)
+        peak = traced_peak(lambda: prng.normals(3, 5, count, add_to=target, scale=0.5))[0]
+        assert peak <= 16 * 1024 + 2048, f"{count}: {peak} bytes"
+
+
+@pytest.mark.parametrize("d", [100, STREAM_CHUNK + 5])
+def test_a_target_the_kernel_cannot_write_takes_the_numpy_pass(d):
+    # a strided view of theta, one piece or several: the two-step numpy form,
+    # z *= alpha; theta += z, in the very bits of a contiguous theta
+    wide = prng.normals(77, 0, 2 * d)
+    seed, alpha = PerturbationSeed(2**64 - 59, 5), -0.37
+    strided = wide.copy()
+    estimators.stream_passes(strided[::2], [(seed, alpha), (seed, -alpha)])
+    estimators.axpy_estimate_in_place(strided[::2], GradientEstimate(seed, (0.25,), d, 2), 3.0)
+    expected = wide[::2].copy()
+    for scale in (alpha, -alpha, 3.0 * 0.25 * 1.0):
+        z = prng._numpy_normals(seed.seed, seed.offset, d)
+        z *= scale
+        expected += z
+    contiguous = wide[::2].copy()
+    estimators.stream_passes(contiguous, [(seed, alpha), (seed, -alpha)])
+    estimators.axpy_estimate_in_place(contiguous, GradientEstimate(seed, (0.25,), d, 2), 3.0)
+    assert strided[::2].tobytes() == expected.tobytes() == contiguous.tobytes()
+    assert strided[1::2].tobytes() == wide[1::2].tobytes()
+
+
+@pytest.mark.parametrize("numpy_path", [False, True])
+def test_a_pass_with_wrong_arguments_raises_before_any_write(numpy_path, monkeypatch):
+    if numpy_path:
+        monkeypatch.setattr(prng, "ZKERNEL", None)
+    target, as_list, as_ints = np.zeros(5), [0.0] * 5, np.zeros(5, np.int64)
+    read_only = np.zeros(5)
+    read_only.flags.writeable = False
+    cases = [
+        (TypeError, (1, 0, 5), {"add_to": as_list}),
+        (TypeError, (1, 0, 5), {"add_to": as_ints}),
+        (ValueError, (1, 0, 4), {"add_to": target}),
+        (ValueError, (1, 0, 5), {"add_to": target.reshape(1, 5)}),
+        (ValueError, (1, 0, 5), {"add_to": read_only}),
+        (ValueError, (1, 0, -1), {"add_to": target}),
+        (TypeError, (1, 0, 5), {"add_to": target, "scale": "x"}),
+        (TypeError, (1.5, 0, 5), {"add_to": target}),
+        (TypeError, (1, 0, 5.0), {"add_to": target}),
+        (TypeError, (1, 0), {"add_to": target}),
+    ]
+    for error, args, kwargs in cases:
+        with pytest.raises(error):
+            prng.normals(*args, **kwargs)
+    if not numpy_path and prng.ZKERNEL is not None:
+        for args in [(1, 0, 5, target), (1, 0, 5, target, 1.0, 2)]:
+            with pytest.raises(TypeError):
+                prng.ZKERNEL.normals(*args)
+    assert as_list == [0.0] * 5
+    assert not (target.any() or as_ints.any() or read_only.any())
+
+
 def test_a_relative_cache_builds_nothing(tmp_path, monkeypatch):
     # expanduser("~") stays "~" where HOME is unset and the uid has no passwd entry
     monkeypatch.chdir(tmp_path)
@@ -343,14 +415,21 @@ def test_a_relative_cache_builds_nothing(tmp_path, monkeypatch):
     assert not (tmp_path / "~").exists()
 
 
-@pytest.mark.parametrize("compiler", ["missing", "failing"])
+@pytest.mark.parametrize("compiler", ["missing", "failing", "headerless"])
 def test_a_build_that_cannot_run_falls_back_to_the_same_bits(tmp_path, monkeypatch, compiler):
     failing = shutil.which("false")
     if compiler == "failing" and failing is None:
         pytest.skip("no `false` program to stand in for a failing compiler")
+    if compiler == "headerless" and shutil.which(prng._CC) is None:
+        pytest.skip("no C compiler to fail on missing headers")
     before = [prng.normals(seed, 2**40, 300) for seed in _KERNEL_SEEDS]
     cache = tmp_path / "cache"
-    monkeypatch.setattr(prng, "_CC", str(tmp_path / "no-cc") if compiler == "missing" else failing)
+    if compiler == "headerless":  # no Python.h and no numpy headers
+        monkeypatch.setattr(prng, "_INCLUDES", (str(tmp_path / "no-python"),
+                                                str(tmp_path / "no-numpy")))
+    else:
+        monkeypatch.setattr(prng, "_CC",
+                            str(tmp_path / "no-cc") if compiler == "missing" else failing)
     kernel = prng._load_zkernel(str(cache))
     assert kernel is None
     assert list(cache.iterdir()) == []  # no library and no temporary file

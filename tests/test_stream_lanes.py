@@ -115,10 +115,10 @@ def test_two_lanes_ask_for_lane_pieces_and_a_serial_sweep_for_chunks(monkeypatch
     lock = threading.Lock()
     lengths = []
 
-    def recorded(seed, start, count):
+    def recorded(seed, start, count, add_to=None, scale=1.0):
         with lock:
             lengths.append(count)
-        return real(seed, start, count)
+        return real(seed, start, count, add_to, scale)
 
     monkeypatch.setattr(prng, "normals", recorded)
     monkeypatch.setattr(estimators, "_lane_pool", (os.getpid(), lane_pool))
@@ -153,7 +153,7 @@ def _fail_once_in(monkeypatch, failing, broken):
     inside = []
     failed_at = []
 
-    def flaky(s, start, count):
+    def flaky(s, start, count, add_to=None, scale=1.0):
         mine = threading.current_thread() is caller
         with lock:
             inside.append(mine)
@@ -162,7 +162,7 @@ def _fail_once_in(monkeypatch, failing, broken):
             if (failing == "caller") == mine and s == broken.seed and not failed_at:
                 failed_at.append(start - broken.offset)
                 raise RuntimeError(f"{failing} lane failed")
-            return real(s, start, count)
+            return real(s, start, count, add_to, scale)
         finally:
             with lock:
                 inside.remove(mine)
@@ -269,10 +269,10 @@ def test_replay_in_two_lanes_generates_every_z_value(monkeypatch, lane_pool, opt
     lock = threading.Lock()
     values = [0]
 
-    def counted(seed, start, count):
+    def counted(seed, start, count, add_to=None, scale=1.0):
         with lock:
             values[0] += count
-        return real(seed, start, count)
+        return real(seed, start, count, add_to, scale)
 
     monkeypatch.setattr(prng, "normals", counted)
     replayed = trajectory.replay(log, theta0, _WIDE_STEPS)
