@@ -1,6 +1,8 @@
 /* The z kernel of prng.normals: a CPython extension module whose one call
  * makes a whole window of normals with the interpreter lock released from
- * start to end.
+ * start to end. It also draws the minibatches of estimators.sample_minibatch
+ * (`sample`, below), for which prng's `_python_sample` is the path without the
+ * kernel and the reference it is tested against.
  *
  * Built by prng at import with -O2 -fPIC -shared -ffp-contract=off and
  * nothing that licenses value-changing rewrites: no -ffast-math (which lets
@@ -37,6 +39,7 @@
 #include <numpy/ufuncobject.h>
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 static const uint64_t GOLDEN = 0x9E3779B97F4A7C15ULL;
 
@@ -217,6 +220,101 @@ static PyObject *normals(PyObject *module, PyObject *const *args, Py_ssize_t nar
     Py_RETURN_NONE;
 }
 
+/* Whether `value` was chosen before; if not, it is marked chosen. The table
+ * has 2^bits slots, each 0 or a chosen value + 1, probed linearly from the
+ * value's Fibonacci hash. */
+static int chosen_before(uint64_t *table, int bits, uint64_t value)
+{
+    uint64_t mask = ((uint64_t)1 << bits) - 1;
+    for (uint64_t i = (value * GOLDEN) >> (64 - bits);; i = (i + 1) & mask) {
+        if (table[i] == value + 1)
+            return 1;
+        if (table[i] == 0) {
+            table[i] = value + 1;
+            return 0;
+        }
+    }
+}
+
+/* x[0..n) in ascending order: an LSD radix sort on the bytes of values up
+ * to `max`, through `scratch` of n words. It allocates nothing, where numpy's
+ * sort took 2.6 KiB of scratch even for 32 values. */
+static void radix_sort(int64_t *x, int64_t *scratch, Py_ssize_t n, uint64_t max)
+{
+    for (int shift = 0; shift < 64 && (max >> shift) != 0; shift += 8) {
+        Py_ssize_t next[256] = {0};  /* the count of each byte, then its next slot */
+        for (Py_ssize_t i = 0; i < n; i++)
+            next[((uint64_t)x[i] >> shift) & 255]++;
+        for (Py_ssize_t d = 0, slot = 0; d < 256; d++) {
+            Py_ssize_t size = next[d];
+            next[d] = slot;
+            slot += size;
+        }
+        for (Py_ssize_t i = 0; i < n; i++)
+            scratch[next[((uint64_t)x[i] >> shift) & 255]++] = x[i];
+        memcpy(x, scratch, n * sizeof *x);
+    }
+}
+
+/* Floyd's sampler (Bentley, "A sample of brilliance", CACM 1987): b distinct
+ * indices from [0, n), uniform over the size-b subsets, ascending. Draw k takes
+ * word k of the stream mod n - b + 1 + k; where that index is already chosen
+ * it takes n - b + k, which no earlier draw could reach. The chosen indices
+ * are kept in a table of at least 2b words from PyMem_RawCalloc, which then
+ * serves as the sort's scratch and is freed before the call returns. Only
+ * integer operations run, so a batch depends on no CPU feature, compiler flag
+ * or libm. n is read as an unsigned word, up to 2^63, the int64 bound. */
+static PyObject *sample(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)module;
+    if (nargs != 3) {
+        PyErr_Format(PyExc_TypeError, "sample takes (n, b, seed), got %zd arguments", nargs);
+        return NULL;
+    }
+    PyObject *index = PyNumber_Index(args[0]);
+    if (index == NULL)
+        return NULL;
+    uint64_t n = PyLong_AsUnsignedLongLong(index), seed;
+    Py_DECREF(index);
+    if (n == (uint64_t)-1 && PyErr_Occurred())
+        return NULL;
+    Py_ssize_t b = PyNumber_AsSsize_t(args[1], PyExc_OverflowError);
+    if (b == -1 && PyErr_Occurred())
+        return NULL;
+    if (as_word(args[2], &seed) < 0)
+        return NULL;
+    if (b < 1 || (uint64_t)b > n || n > ((uint64_t)1 << 63)) {
+        PyErr_Format(PyExc_ValueError, "need 1 <= b <= n <= 2**63, got b=%zd, n=%llu", b,
+                     (unsigned long long)n);
+        return NULL;
+    }
+    npy_intp dims[1] = {b};
+    PyObject *out = PyArray_SimpleNew(1, dims, NPY_INT64);
+    if (out == NULL)
+        return NULL;
+    int bits = 1;  /* at least 2b slots, so a probe ends within a few */
+    while (((Py_ssize_t)1 << bits) < 2 * b)
+        bits++;
+    uint64_t *table = PyMem_RawCalloc((size_t)1 << bits, sizeof(uint64_t));
+    if (table == NULL) {
+        Py_DECREF(out);
+        return PyErr_NoMemory();
+    }
+    int64_t *dst = PyArray_DATA((PyArrayObject *)out);
+    for (Py_ssize_t k = 0; k < b; k++) {
+        /* word k of the stream, mod the bound of draw k */
+        uint64_t t = mix64(seed + (uint64_t)(k + 1) * GOLDEN) % (n - b + 1 + k);
+        if (chosen_before(table, bits, t)) {
+            t = n - b + k;  /* above every earlier draw's bound */
+            chosen_before(table, bits, t);
+        }
+        dst[k] = (int64_t)t;
+    }
+    radix_sort(dst, (int64_t *)table, b, n - 1);  /* the table is scratch by now */
+    PyMem_RawFree(table);
+    return out;
+}
+
 static PyObject *box_muller_rows(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
@@ -264,6 +362,9 @@ static PyMethodDef methods[] = {
     {"box_muller", (PyCFunction)(void (*)(void))box_muller_rows, METH_FASTCALL,
      "box_muller(rows, add_to, scale): the window's last stage on a (2, n) array of "
      "log(u1) and angles: scale * z into rows[0] if add_to is None, else added into it."},
+    {"sample", (PyCFunction)(void (*)(void))sample, METH_FASTCALL,
+     "sample(n, b, seed): b distinct indices from [0, n) by Floyd's algorithm on the "
+     "stream `seed`, ascending, as an int64 array."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import harness, oracles, prng, trajectory
-from .estimators import PerturbationSeed, apply_probe_sequence
+from .estimators import PerturbationSeed, apply_probe_sequence, sample_minibatch
 from .memory import account_memory, held_slots
 from .optimizers import OPTIMIZER_ROWS, OPTIMIZERS, _parsed
 from .prng import fold
@@ -202,6 +202,16 @@ def cmd_verify(args) -> int:
     apply_probe_sequence(theta, PerturbationSeed(77), 1e-3)
     rel = float(np.max(np.abs(theta - snapshot) / np.abs(snapshot)))
     report.check("perturb-restore returns parameters", rel < 1e-12, f"max rel err {rel:.2e}")
+
+    sampler = "python" if prng.ZKERNEL is None else "compiled"
+    missed = []
+    for n, b in ((1, 1), (7, 7), (100, 50), (1000, 32), (2**63, 7)):
+        seed = fold(302, b)
+        indices, reference = sample_minibatch(n, b, seed).indices, prng._python_sample(n, b, seed)
+        if indices.dtype != reference.dtype or not np.array_equal(indices, reference):
+            missed.append((n, b))
+    report.check(f"{sampler} minibatch sampler matches the python reference", not missed,
+                 f"batches of (n, b) in {missed} differ" if missed else "")
 
     kernel = "numpy" if prng.ZKERNEL is None else "compiled"
     differ = {"array": [], "pass": []}

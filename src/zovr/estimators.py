@@ -174,23 +174,19 @@ def full_batch(n: int) -> Minibatch:
 def sample_minibatch(n: int, b: int, seed: int) -> Minibatch:
     """Draw b distinct indices from [0, n) using the counter stream `seed`.
 
-    Floyd's algorithm: uniform over the size-b subsets.
+    Floyd's algorithm: uniform over the size-b subsets. Indices are int64,
+    so n is at most 2**63. The compiled kernel draws and sorts the batch in
+    one call; without it `prng._python_sample` draws the same batch, and it
+    is the reference the kernel is tested against.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
     if not (1 <= b <= n):
         raise ValueError(f"need 1 <= b <= n, got b={b}, n={n}")
-    # word k of the stream decides draw k: that word mod the draw's bound
-    words = prng.raw_words(seed, 0, b)
-    # Floyd: draw k picks from [0, n-b+k]
-    np.remainder(words, np.arange(n - b + 1, n + 1, dtype=np.uint64), out=words)
-    chosen: set[int] = set()
-    pick = chosen.add
-    for j, t in enumerate(words.tolist(), n - b):
-        pick(j if t in chosen else t)
-    indices = np.fromiter(chosen, np.int64, b)
-    indices.sort()
-    return Minibatch._of_sorted(indices)
+    if n > 2**63:
+        raise ValueError(f"need n <= 2**63, the int64 index bound, got n={n}")
+    sample = prng._python_sample if prng.ZKERNEL is None else prng.ZKERNEL.sample
+    return Minibatch._of_sorted(sample(n, b, seed))
 
 
 @dataclass(frozen=True)

@@ -21,12 +21,15 @@ Normals, the perturbation z that every step regenerates, come from a
 compiled kernel (``_zkernel.c``), a CPython extension module: one call
 mixes the words, runs numpy's own log loop and finishes Box-Muller for a
 whole window, with the interpreter lock released from start to end, and
-either returns the window or adds scale * z into a target. Importing this
-module builds it once per machine with the system C compiler into a
-private per-user cache, and uses it only once it has made two fixed
-windows bit for bit in both forms. Where it cannot be built or misses a
-bit, `_numpy_normals` makes the same bits in numpy; it is also the
-reference the kernel is tested against.
+either returns the window or adds scale * z into a target. The kernel
+also draws each live step's minibatch: one call runs Floyd's sampler
+over the stream's words and sorts the batch. Importing this module builds
+it once per machine with the system C compiler into a private per-user
+cache, and uses it only once it has made two fixed windows bit for bit in
+both forms and one fixed batch index for index. Where it cannot be built
+or misses, `_numpy_normals` makes the same bits in numpy and
+`_python_sample` draws the same batches in Python; they are also the
+references the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -95,6 +98,11 @@ _ZKERNEL_CACHE = os.path.join(os.path.expanduser("~"), ".cache", "zovr")
 _CHECK_COUNTS = (100, 2049)
 _CHECK_SCALE = -1e-3
 
+# The (n, b, seed) whose batch a freshly loaded kernel's sampler must draw as
+# `_python_sample` does before sample_minibatch uses it: 12 of its 50 draws
+# hit an index already chosen and take the fallback.
+_CHECK_SAMPLE = (100, 50, 0)
+
 
 def _load_zkernel(cache: str):
     """The compiled kernel's extension module, or None.
@@ -106,7 +114,9 @@ def _load_zkernel(cache: str):
     fails (a numpy whose np.log has no float64 loop to call), or the
     kernel's windows of _CHECK_COUNTS values differ from `_numpy_normals` in
     any byte, as arrays or added into a target (a compiler or libm that
-    moved a bit): `normals` then runs in numpy.
+    moved a bit), or its batch of _CHECK_SAMPLE differs from
+    `_python_sample`'s: `normals` then runs in numpy, and the minibatch
+    sampler in Python.
     """
     if not os.path.isabs(cache):
         return None  # a home of "~" would build under every working directory
@@ -138,7 +148,12 @@ def _load_zkernel(cache: str):
         loader.exec_module(kernel)
     except (OSError, subprocess.SubprocessError, ImportError):
         return None
-    return kernel if all(_same_bits(kernel, count) for count in _CHECK_COUNTS) else None
+    if not all(_same_bits(kernel, count) for count in _CHECK_COUNTS):
+        return None
+    indices, reference = kernel.sample(*_CHECK_SAMPLE), _python_sample(*_CHECK_SAMPLE)
+    if indices.dtype != reference.dtype or not np.array_equal(indices, reference):
+        return None
+    return kernel
 
 
 def _same_bits(kernel, count: int) -> bool:
@@ -213,6 +228,26 @@ def uniforms(seed: int, start: int, count: int) -> np.ndarray:
     w = raw_words(seed, start, count)
     w >>= _U_11
     return np.multiply(w.view(_I64), _TWO_M53, out=w.view(_F64))
+
+
+def _python_sample(n: int, b: int, seed: int) -> np.ndarray:
+    """Floyd's sampler in Python: the path without a compiled kernel, and its reference.
+
+    b distinct indices from [0, n), ascending, as int64, for 1 <= b <= n <=
+    2**63 (the caller checks). Draw k takes word k of stream `seed` mod
+    n - b + 1 + k, or n - b + k where that index is already chosen.
+    """
+    # word k of the stream decides draw k: that word mod the draw's bound
+    words = raw_words(seed, 0, b)
+    # Floyd: draw k picks from [0, n-b+k]
+    np.remainder(words, np.arange(n - b + 1, n + 1, dtype=_U64), out=words)
+    chosen: set[int] = set()
+    pick = chosen.add
+    for j, t in enumerate(words.tolist(), n - b):
+        pick(j if t in chosen else t)
+    indices = np.fromiter(chosen, _I64, b)
+    indices.sort()
+    return indices
 
 
 def normals(seed: int, start: int, count: int, add_to: np.ndarray | None = None,

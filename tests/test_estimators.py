@@ -12,6 +12,7 @@ from zovr import (
     full_batch,
     make_least_squares,
     materialize,
+    prng,
     sample_minibatch,
     spsa_batch_avg,
     spsa_batch_shared,
@@ -349,6 +350,19 @@ def test_minibatch_rejects(indices, message):
 def test_sampler_rejects_empty_population():
     with pytest.raises(ValueError, match="n >= 1"):
         sample_minibatch(0, 1, 3)
+
+
+@pytest.mark.parametrize("python_path", [False, True])
+@pytest.mark.parametrize("n", [2**64 - 1, 2**63 + 2**62])
+def test_sampler_refuses_a_population_past_the_int64_bound(n, python_path, monkeypatch):
+    # indices are int64, so a larger population is refused up front on every
+    # seed and path, not left to numpy's overflow on some seeds
+    if python_path:
+        monkeypatch.setattr(prng, "ZKERNEL", None)
+    for seed in range(5):
+        with pytest.raises(ValueError, match=r"n <= 2\*\*63"):
+            sample_minibatch(n, 7, seed)
+    assert sample_minibatch(2**63, 7, 0).indices.max() < 2**63
 
 
 @settings(max_examples=40, deadline=None)

@@ -493,14 +493,20 @@ def test_cli_replay_in_two_lanes_exits_cleanly(tmp_path, monkeypatch):
 
 
 def test_cli_verify_passes(monkeypatch, capsys):
-    # its z kernel line names the kernel that ran, the compiled one where it was built
-    kernel = "numpy" if prng.ZKERNEL is None else "compiled"
+    # its z kernel and sampler lines name the paths that ran, the compiled
+    # ones where the kernel was built
+    kernel, sampler = ("numpy", "python") if prng.ZKERNEL is None else ("compiled",) * 2
     assert cli.main(["verify"]) == 0
     line = "[PASS] {} z kernel matches the numpy reference bit for bit\n"
-    assert capsys.readouterr().out.endswith(line.format(kernel))
+    sampler_line = "[PASS] {} minibatch sampler matches the python reference\n"
+    out = capsys.readouterr().out
+    assert out.endswith(line.format(kernel))
+    assert sampler_line.format(sampler) in out
     monkeypatch.setattr(prng, "ZKERNEL", None)
     assert cli.main(["verify"]) == 0
-    assert capsys.readouterr().out.endswith(line.format("numpy"))
+    out = capsys.readouterr().out
+    assert out.endswith(line.format("numpy"))
+    assert sampler_line.format("python") in out
 
 
 def test_cli_verify_fails_on_a_z_kernel_one_ulp_off(monkeypatch, capsys):
@@ -523,6 +529,24 @@ def test_cli_verify_fails_on_a_z_kernel_one_ulp_off(monkeypatch, capsys):
                            for form in forms)
         assert (f"z kernel matches the numpy reference bit for bit ({differ})\n"
                 in capsys.readouterr().out)
+
+
+def test_cli_verify_fails_on_a_sampler_one_index_off(monkeypatch, capsys):
+    # a kernel whose z falls back to numpy and whose batches have their first
+    # index one up; the check line names the compiled sampler and each batch
+    reference = prng._python_sample
+
+    def off(n, b, seed):
+        indices = reference(n, b, seed)
+        indices[0] += 1
+        return indices
+
+    monkeypatch.setattr(prng, "ZKERNEL", SimpleNamespace(
+        normals=lambda *args: NotImplemented, sample=off))
+    assert cli.main(["verify"]) == 1
+    missed = [(1, 1), (7, 7), (100, 50), (1000, 32), (2**63, 7)]
+    assert (f"[FAIL] compiled minibatch sampler matches the python reference "
+            f"(batches of (n, b) in {missed} differ)\n" in capsys.readouterr().out)
 
 
 def test_cli_compare_identical_inputs(tmp_path, capsys):

@@ -328,6 +328,9 @@ def test_a_kernel_one_ulp_off_loads_as_none(tmp_path, monkeypatch):
         "-2.0": "-0x1.0000000000001p+1",  # -2 one ulp out, in both forms
         # the pass form's scale * z one ulp out; a fresh window keeps its bits
         "dst[j] += z * scale": "dst[j] += z * scale * 0x1.0000000000001p+0",
+        # the sampler's bound one short, then its fallback one high: z keeps its bits
+        "% (n - b + 1 + k)": "% (n - b + k)",
+        "t = n - b + k;": "t = n - b + k + 1;",
     }
     for i, (exact, off) in enumerate(mutations.items()):
         assert source.count(exact) == 1
@@ -341,10 +344,12 @@ def test_a_kernel_one_ulp_off_loads_as_none(tmp_path, monkeypatch):
 
 @needs_compiler
 def test_a_compiled_window_holds_two_words_per_value():
+    # at most: the array, which takes u1 in place, and one block's angles
     for count in (100, 257, STREAM_CHUNK, LANE_PIECE):
         prng.normals(3, 0, count)
         peak = traced_peak(lambda: prng.normals(3, 5, count))[0]
-        assert peak <= 16 * count + 2048, f"{count}: {peak / count:.2f} bytes per value"
+        bound = 8 * count + 8 * min(count, 1024) + 2048
+        assert peak <= bound, f"{count}: {peak} bytes, bound {bound}"
 
 
 @needs_compiler
@@ -355,6 +360,62 @@ def test_a_compiled_pass_holds_no_window_sized_scratch():
         prng.normals(3, 0, count, add_to=target, scale=0.5)
         peak = traced_peak(lambda: prng.normals(3, 5, count, add_to=target, scale=0.5))[0]
         assert peak <= 16 * 1024 + 2048, f"{count}: {peak} bytes"
+
+
+# (n, b) pairs for the compiled sampler: small and wide batches, b = n, n = 1,
+# populations past 32 bits up to the int64 bound, and the load-time case
+_SAMPLER_SIZES = ((1000, 32), (512, 64), (100, 50), (100, 99), (5000, 1000), (10, 10),
+                  (1000, 1000), (7, 7), (1, 1), (2**40, 7), (2**63, 7), (2**63, 1))
+_SAMPLER_SEEDS = (0, 1, 2, 3, 99991, 2**63, 2**64 - 59, 2**64 - 1)
+
+
+@needs_compiler
+@pytest.mark.parametrize("n, b", _SAMPLER_SIZES)
+def test_compiled_sampler_matches_the_python_reference(n, b):
+    assert prng.ZKERNEL is not None
+    for seed in _SAMPLER_SEEDS:
+        indices, reference = prng.ZKERNEL.sample(n, b, seed), prng._python_sample(n, b, seed)
+        assert indices.dtype == reference.dtype == np.int64
+        assert indices.tolist() == reference.tolist(), seed
+        # what the kernel returns is a valid batch, not only one by construction
+        assert estimators.Minibatch(indices).indices.tolist() == indices.tolist()
+
+
+def test_without_a_kernel_the_python_sampler_draws_the_same_batches(monkeypatch):
+    batches = [sample_minibatch(n, b, seed).indices
+               for n, b in _SAMPLER_SIZES for seed in _SAMPLER_SEEDS]
+    monkeypatch.setattr(prng, "ZKERNEL", None)
+    reference, calls = prng._python_sample, []
+    monkeypatch.setattr(prng, "_python_sample",
+                        lambda *args: calls.append(args) or reference(*args))
+    again = [sample_minibatch(n, b, seed).indices
+             for n, b in _SAMPLER_SIZES for seed in _SAMPLER_SEEDS]
+    assert len(calls) == len(batches)
+    assert [a.dtype for a in again] == [a.dtype for a in batches]
+    assert [a.tolist() for a in again] == [a.tolist() for a in batches]
+
+
+@needs_compiler
+def test_the_compiled_sampler_refuses_what_sample_minibatch_refuses():
+    for args in [(10, 0, 1), (10, 11, 1), (2**63 + 1, 7, 1), (0, 1, 1)]:
+        with pytest.raises(ValueError, match="1 <= b <= n <= 2"):
+            prng.ZKERNEL.sample(*args)
+    for args in [(-1, 1, 1), (2**64, 1, 1)]:
+        with pytest.raises(OverflowError):
+            prng.ZKERNEL.sample(*args)
+    for args in [(10, 2, 1.5), (10.0, 2, 1), (10, 2)]:
+        with pytest.raises(TypeError):
+            prng.ZKERNEL.sample(*args)
+
+
+@needs_compiler
+@pytest.mark.parametrize("n, b", [(1000, 32), (512, 64)])
+def test_a_compiled_batch_holds_its_output_and_its_table(n, b):
+    # the b indices, a table of the first power of two >= 2b words, and 2 KiB
+    sample_minibatch(n, b, 1)
+    peak = traced_peak(lambda: prng.ZKERNEL.sample(n, b, 2))[0]
+    slots = 1 << (2 * b - 1).bit_length()
+    assert peak <= 8 * b + 8 * slots + 2048, f"{peak} bytes"
 
 
 @pytest.mark.parametrize("d", [100, STREAM_CHUNK + 5])
