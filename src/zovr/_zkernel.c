@@ -1,8 +1,10 @@
 /* The z kernel of prng.normals: a CPython extension module whose one call
  * makes a whole window of normals with the interpreter lock released from
- * start to end. It also draws the minibatches of estimators.sample_minibatch
- * (`sample`, below), for which prng's `_python_sample` is the path without the
- * kernel and the reference it is tested against.
+ * start to end. It also draws the minibatches of prng.sample (`sample`,
+ * below), for which prng's `_python_sample` is the path without the kernel.
+ * These two calls are all it exports. prng uses the module only once
+ * `_kernel_misses` has found it making every case of its table as the numpy
+ * and Python references do; `zovr verify` reports the same check.
  *
  * Built by prng at import with -O2 -fPIC -shared -ffp-contract=off and
  * nothing that licenses value-changing rewrites: no -ffast-math (which lets
@@ -315,53 +317,11 @@ static PyObject *sample(PyObject *module, PyObject *const *args, Py_ssize_t narg
     return out;
 }
 
-static PyObject *box_muller_rows(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    (void)module;
-    if (nargs != 3) {
-        PyErr_Format(PyExc_TypeError,
-                     "box_muller takes (rows, add_to, scale), got %zd arguments", nargs);
-        return NULL;
-    }
-    PyArrayObject *rows = (PyArrayObject *)args[0];
-    if (!PyArray_Check(args[0]) || PyArray_NDIM(rows) != 2 || PyArray_DIM(rows, 0) != 2
-        || PyArray_TYPE(rows) != NPY_DOUBLE || !PyArray_ISCARRAY(rows)
-        || !PyArray_ISNOTSWAPPED(rows)) {
-        PyErr_SetString(PyExc_ValueError, "rows must be a writable C-contiguous (2, n) "
-                                          "float64 array");
-        return NULL;
-    }
-    Py_ssize_t count = PyArray_DIM(rows, 1);
-    double scale = PyFloat_AsDouble(args[2]);
-    if (scale == -1.0 && PyErr_Occurred())
-        return NULL;
-    double *r = PyArray_DATA(rows), *a = r + count, *dst = r;
-    if (args[1] != Py_None) {
-        if (!writable(args[1], count)) {
-            PyErr_SetString(PyExc_ValueError, "add_to must be a writable C-contiguous "
-                                              "float64 array of n values");
-            return NULL;
-        }
-        dst = PyArray_DATA((PyArrayObject *)args[1]);
-    }
-    Py_BEGIN_ALLOW_THREADS
-    for (Py_ssize_t base = 0; base < count; base += BLOCK) {
-        int n = count - base < BLOCK ? (int)(count - base) : BLOCK;
-        box_muller(n, r + base, a + base, dst + base, scale, args[1] != Py_None,
-                   count >= BLOCK);
-    }
-    Py_END_ALLOW_THREADS
-    Py_RETURN_NONE;
-}
-
 static PyMethodDef methods[] = {
     {"normals", (PyCFunction)(void (*)(void))normals, METH_FASTCALL,
      "normals(seed, start, count, add_to, scale): scale * z for the window, as a new "
      "array if add_to is None, else added into add_to and None returned. NotImplemented "
      "if add_to is not a writable C-contiguous float64 array of count values."},
-    {"box_muller", (PyCFunction)(void (*)(void))box_muller_rows, METH_FASTCALL,
-     "box_muller(rows, add_to, scale): the window's last stage on a (2, n) array of "
-     "log(u1) and angles: scale * z into rows[0] if add_to is None, else added into it."},
     {"sample", (PyCFunction)(void (*)(void))sample, METH_FASTCALL,
      "sample(n, b, seed): b distinct indices from [0, n) by Floyd's algorithm on the "
      "stream `seed`, ascending, as an int64 array."},

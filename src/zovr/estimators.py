@@ -175,9 +175,8 @@ def sample_minibatch(n: int, b: int, seed: int) -> Minibatch:
     """Draw b distinct indices from [0, n) using the counter stream `seed`.
 
     Floyd's algorithm: uniform over the size-b subsets. Indices are int64,
-    so n is at most 2**63. The compiled kernel draws and sorts the batch in
-    one call; without it `prng._python_sample` draws the same batch, and it
-    is the reference the kernel is tested against.
+    so n is at most 2**63. `prng.sample` draws the batch, in one call of
+    the compiled kernel where it loaded.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
@@ -185,8 +184,7 @@ def sample_minibatch(n: int, b: int, seed: int) -> Minibatch:
         raise ValueError(f"need 1 <= b <= n, got b={b}, n={n}")
     if n > 2**63:
         raise ValueError(f"need n <= 2**63, the int64 index bound, got n={n}")
-    sample = prng._python_sample if prng.ZKERNEL is None else prng.ZKERNEL.sample
-    return Minibatch._of_sorted(sample(n, b, seed))
+    return Minibatch._of_sorted(prng.sample(n, b, seed))
 
 
 @dataclass(frozen=True)

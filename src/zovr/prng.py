@@ -25,10 +25,10 @@ either returns the window or adds scale * z into a target. The kernel
 also draws each live step's minibatch: one call runs Floyd's sampler
 over the stream's words and sorts the batch. Importing this module builds
 it once per machine with the system C compiler into a private per-user
-cache, and uses it only once it has made two fixed windows bit for bit in
-both forms and one fixed batch index for index. Where it cannot be built
-or misses, `_numpy_normals` makes the same bits in numpy and
-`_python_sample` draws the same batches in Python; they are also the
+cache, and uses it only once `_kernel_misses`, the check `zovr verify`
+reports too, finds no miss. Where it cannot be built or misses, `normals`
+runs `_numpy_normals`, the same bits in numpy, and `sample` runs
+`_python_sample`, the same batches in Python; they are also the
 references the kernel is tested against.
 """
 
@@ -90,19 +90,6 @@ _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _INCLUDES = (sysconfig.get_paths()["include"], np.get_include())
 _ZKERNEL_CACHE = os.path.join(os.path.expanduser("~"), ".cache", "zovr")
 
-# The windows a freshly loaded kernel must reproduce bit for bit, at seed 0
-# and start 0, as an array and added at _CHECK_SCALE into a target, before
-# normals uses it: one below the kernel's 1,024-value sorting gate, and one
-# past it that ends one value into a third block and puts about 2,000
-# angles across the nine paths of libm's cos.
-_CHECK_COUNTS = (100, 2049)
-_CHECK_SCALE = -1e-3
-
-# The (n, b, seed) whose batch a freshly loaded kernel's sampler must draw as
-# `_python_sample` does before sample_minibatch uses it: 12 of its 50 draws
-# hit an index already chosen and take the fallback.
-_CHECK_SAMPLE = (100, 50, 0)
-
 
 def _load_zkernel(cache: str):
     """The compiled kernel's extension module, or None.
@@ -111,12 +98,9 @@ def _load_zkernel(cache: str):
     `cache` and renames it into place, so a concurrent build or reader never
     sees half a file. None where the source, the compiler, Python's or
     numpy's headers or a private cache is missing, or the build or the load
-    fails (a numpy whose np.log has no float64 loop to call), or the
-    kernel's windows of _CHECK_COUNTS values differ from `_numpy_normals` in
-    any byte, as arrays or added into a target (a compiler or libm that
-    moved a bit), or its batch of _CHECK_SAMPLE differs from
-    `_python_sample`'s: `normals` then runs in numpy, and the minibatch
-    sampler in Python.
+    fails (a numpy whose np.log has no float64 loop to call), or the kernel
+    misses a case of `_kernel_misses` (a compiler or libm that moved a bit):
+    `normals` then runs in numpy, and `sample` in Python.
     """
     if not os.path.isabs(cache):
         return None  # a home of "~" would build under every working directory
@@ -148,26 +132,7 @@ def _load_zkernel(cache: str):
         loader.exec_module(kernel)
     except (OSError, subprocess.SubprocessError, ImportError):
         return None
-    if not all(_same_bits(kernel, count) for count in _CHECK_COUNTS):
-        return None
-    indices, reference = kernel.sample(*_CHECK_SAMPLE), _python_sample(*_CHECK_SAMPLE)
-    if indices.dtype != reference.dtype or not np.array_equal(indices, reference):
-        return None
-    return kernel
-
-
-def _same_bits(kernel, count: int) -> bool:
-    """Whether `kernel` makes the window of `count` values at seed 0 and start
-    0 with `_numpy_normals`'s bytes, as an array and added into a target."""
-    if kernel.normals(0, 0, count, None, 1.0).tobytes() != _numpy_normals(0, 0, count).tobytes():
-        return False
-    added = _numpy_normals(1, 0, count)
-    expected = added.copy()
-    kernel.normals(0, 0, count, added, _CHECK_SCALE)
-    z = _numpy_normals(0, 0, count)
-    z *= _CHECK_SCALE
-    expected += z
-    return added.tobytes() == expected.tobytes()
+    return None if any(_kernel_misses(kernel)) else kernel
 
 
 def mix64(x: int) -> int:
@@ -250,6 +215,13 @@ def _python_sample(n: int, b: int, seed: int) -> np.ndarray:
     return indices
 
 
+def sample(n: int, b: int, seed: int) -> np.ndarray:
+    """b distinct indices from [0, n) by Floyd's sampler on stream `seed`,
+    ascending, as int64, for 1 <= b <= n <= 2**63 (the caller checks): in
+    one call of the compiled kernel, else the same batch in Python."""
+    return _python_sample(n, b, seed) if ZKERNEL is None else ZKERNEL.sample(n, b, seed)
+
+
 def normals(seed: int, start: int, count: int, add_to: np.ndarray | None = None,
             scale: float = 1.0) -> np.ndarray | None:
     """scale * the standard normals at normal-stream positions [start, start+count).
@@ -323,6 +295,46 @@ def _numpy_normals(seed: int, start: int, count: int, add_to: np.ndarray | None 
         return out
     np.add(add_to, out, out=add_to)
     return None
+
+
+# The cases a compiled kernel must make as the references do before it is
+# used: windows (seed, start, count) either side of the 1,024-value sorting
+# gate and over every cos path, and batches (n, b, seed), the first with 12
+# fallback draws in 50. The loader stops at a first miss, so a sampler whose
+# bound is one short is refused before b = n has it divide by zero.
+_KERNEL_WINDOWS = ((0, 0, 100), (0, 0, 2049),
+                   *((fold(300, c), 7, c) for c in (1, 256, 257, 1_025, 16_387)))
+_KERNEL_BATCHES = ((100, 50, 0), *((n, b, fold(302, b)) for n, b in (
+    (1, 1), (7, 7), (100, 50), (1000, 32), (2**63, 7))))
+
+
+def _kernel_misses(kernel):
+    """Yield, in table order, ("array" or "pass", count) for each window whose
+    bytes, returned or added into a target, differ from `_numpy_normals`'s,
+    and ("batch", (n, b)) for each batch unlike `_python_sample`'s. A call
+    that raises or returns no array misses."""
+    scale = -0.37
+    for seed, start, count in _KERNEL_WINDOWS:
+        z = _numpy_normals(seed, start, count)
+        target = _numpy_normals(fold(301, count), 0, count)
+        added = target + z * scale
+        if not _makes(z, lambda: kernel.normals(seed, start, count, None, 1.0)):
+            yield "array", count
+        # the pass form returns None and leaves its sum in the target
+        if not _makes(added, lambda: kernel.normals(seed, start, count, target, scale) or target):
+            yield "pass", count
+    for n, b, seed in _KERNEL_BATCHES:
+        if not _makes(_python_sample(n, b, seed), lambda: kernel.sample(n, b, seed)):
+            yield "batch", (n, b)
+
+
+def _makes(expected: np.ndarray, call) -> bool:
+    """Whether call() returns an array of `expected`'s dtype and bytes."""
+    try:
+        made = call()
+        return made.dtype == expected.dtype and made.tobytes() == expected.tobytes()
+    except Exception:  # whatever a broken kernel does is a miss, not an error
+        return False
 
 
 ZKERNEL = _load_zkernel(_ZKERNEL_CACHE)

@@ -65,6 +65,31 @@ def stream_word(seed: int, index: int) -> int:
     return prng.mix64(seed + (index + 1) * prng.GOLDEN)
 
 
+def _unxorshift(y: int, shift: int) -> int:
+    """x from y = x ^ (x >> shift): each pass fixes `shift` more top bits."""
+    x = y
+    for _ in range(64 // shift):
+        x = y ^ (x >> shift)
+    return x
+
+
+def unmix64(x: int) -> int:
+    """The inverse of prng.mix64: its xorshifts and odd multiplies each undo."""
+    x = _unxorshift(x, 31) * pow(prng._MIX2, -1, 2**64) & prng._MASK
+    x = _unxorshift(x, 27) * pow(prng._MIX1, -1, 2**64) & prng._MASK
+    return _unxorshift(x, 30)
+
+
+def seed_with_angle(k: int, start: int, j: int) -> int:
+    """A seed whose normal start + j takes the angle k * fl(2 pi) * 2**-53.
+
+    For 0 <= k < 2**53. The angle takes the top 53 bits of the value's odd
+    word, word 2(start + j) + 1, whose counter is seed + (2(start + j) + 2) *
+    GOLDEN; so that word is k << 11 where the counter is unmix64 of it.
+    """
+    return (unmix64(k << 11) - (2 * (start + j) + 2) * prng.GOLDEN) & prng._MASK
+
+
 def word_below(seed: int, index: int, bound: int) -> int:
     """The integer in [0, bound) that word `index` of stream `seed` draws."""
     return stream_word(seed, index) % bound

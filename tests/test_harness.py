@@ -511,10 +511,11 @@ def test_cli_verify_passes(monkeypatch, capsys):
 
 def test_cli_verify_fails_on_a_z_kernel_one_ulp_off(monkeypatch, capsys):
     # a kernel whose z is one ulp up as an array and in a pass, then in a pass
-    # only; the check line names the forms that differ
+    # only; the check line names the forms that differ, and every window of
+    # the load-time check
     reference = prng._numpy_normals
     for forms in (("array", "pass"), ("pass",)):
-        def off(seed, start, count, add_to=None, scale=1.0):
+        def off(seed, start, count, add_to, scale):
             z = reference(seed, start, count)
             if ("array" if add_to is None else "pass") in forms:
                 z = np.nextafter(z, np.inf)
@@ -523,17 +524,18 @@ def test_cli_verify_fails_on_a_z_kernel_one_ulp_off(monkeypatch, capsys):
                 return z
             add_to += z
 
-        monkeypatch.setattr(prng, "normals", off)
+        monkeypatch.setattr(prng, "ZKERNEL", SimpleNamespace(
+            normals=off, sample=prng._python_sample))
         assert cli.main(["verify"]) == 1
-        differ = "; ".join(f"{form} windows of [1, 256, 257, 1025, 16387] values differ"
-                           for form in forms)
+        counts = [100, 2049, 1, 256, 257, 1025, 16387]
+        differ = "; ".join(f"{form} windows of {counts} values differ" for form in forms)
         assert (f"z kernel matches the numpy reference bit for bit ({differ})\n"
                 in capsys.readouterr().out)
 
 
 def test_cli_verify_fails_on_a_sampler_one_index_off(monkeypatch, capsys):
-    # a kernel whose z falls back to numpy and whose batches have their first
-    # index one up; the check line names the compiled sampler and each batch
+    # a kernel whose z is right and whose batches have their first index one
+    # up; the check line names the compiled sampler and each batch
     reference = prng._python_sample
 
     def off(n, b, seed):
@@ -542,9 +544,9 @@ def test_cli_verify_fails_on_a_sampler_one_index_off(monkeypatch, capsys):
         return indices
 
     monkeypatch.setattr(prng, "ZKERNEL", SimpleNamespace(
-        normals=lambda *args: NotImplemented, sample=off))
+        normals=prng._numpy_normals, sample=off))
     assert cli.main(["verify"]) == 1
-    missed = [(1, 1), (7, 7), (100, 50), (1000, 32), (2**63, 7)]
+    missed = [(100, 50), (1, 1), (7, 7), (100, 50), (1000, 32), (2**63, 7)]
     assert (f"[FAIL] compiled minibatch sampler matches the python reference "
             f"(batches of (n, b) in {missed} differ)\n" in capsys.readouterr().out)
 
