@@ -51,7 +51,8 @@ _MIX2 = 0x94D049BB133111EB
 
 # numpy forms of the constants, as 0-d arrays: a ufunc takes a 0-d array
 # operand at a fraction of the cost of a numpy scalar or a python int, and
-# uint64 arithmetic stays in uint64.
+# uint64 arithmetic stays in uint64. These and the scales below are the
+# only arrays the module holds; every counter row is made per call.
 _U64 = np.dtype(np.uint64)
 _I64 = np.dtype(np.int64)
 _F64 = np.dtype(np.float64)
@@ -69,15 +70,6 @@ _U_11 = np.array(11, _U64)
 _TWO_M53 = np.array(2.0**-53)
 _TWO_PI_M53 = np.array((2.0 * np.pi) * 2.0**-53)
 _MINUS_2 = np.array(-2.0)
-
-# k * GOLDEN mod 2**64 for the first _TABLE_WORDS words of a window (4 KiB):
-# a short window adds a slice of it to its first counter instead of building
-# an arange and scaling it, which at a few hundred words costs more than
-# the words themselves.
-_TABLE_WORDS = 512
-_OFFSETS = np.arange(_TABLE_WORDS, dtype=_U64)
-np.multiply(_OFFSETS, _U_GOLDEN, out=_OFFSETS)
-_OFFSETS.flags.writeable = False
 
 # The compiled z kernel: its C source, the compiler, flags and header
 # directories that build it, and the private per-user directory its
@@ -169,13 +161,8 @@ def _mix64_in_place(x: np.ndarray, t: np.ndarray | None = None) -> None:
 
 
 def _counters(x: np.ndarray, first: int, stride: int) -> None:
-    """x[j] = first + j * stride * GOLDEN mod 2**64, for stride 1 or 2."""
-    count = x.shape[0]
-    if count * stride <= _TABLE_WORDS:
-        x.fill(first & _MASK)
-        np.add(x, _OFFSETS[:count * stride:stride], out=x)
-        return
-    np.multiply(np.arange(count, dtype=_U64), _U_GOLDEN if stride == 1 else _U_2GOLDEN,
+    """x[j] = first + j * stride * GOLDEN mod 2**64, for stride 1 or 2, at any length."""
+    np.multiply(np.arange(x.shape[0], dtype=_U64), _U_GOLDEN if stride == 1 else _U_2GOLDEN,
                 out=x)
     np.add(x, np.array(first & _MASK, _U64), out=x)
 

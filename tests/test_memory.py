@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from zovr import (
     make_least_squares,
     run,
 )
+from zovr import harness, prng, trajectory
 from zovr.estimators import PARALLEL_MIN_D, STREAM_CHUNK, _stream_add_scaled
 from zovr.memory import CONSTANT_OVERHEAD, held_slots
 from zovr.objectives import make_mlp2, make_synthetic_digits
@@ -140,6 +143,26 @@ def test_serial_stream_heap_within_its_equal_piece(d, piece):
     # ceil(d / STREAM_CHUNK) equal pieces: a d just above a multiple of
     # STREAM_CHUNK holds a piece of ceil(d / k) values, not a whole chunk
     _assert_within(_stream_pass_peak(d), 3 * piece + 512)
+
+
+# Two replayed steps of a fig1a log at d = 100 hold theta's copy (800 B), the
+# kernel's two scratch rows (1,600 B) and their Python objects; a replay that
+# kept a second theta alive (+912 B) would cross the bound. The log's 50 live
+# steps warm the interpreter as the benchmark's longer prefix does: from a
+# 2-step log in a fresh process MeZO-SVRG read 4,132 B, falling with each repeat.
+_SMALL_REPLAY_BYTES = 4096
+
+
+@pytest.mark.skipif(prng.ZKERNEL is None, reason="the numpy path holds window-sized rows")
+@pytest.mark.parametrize("optimizer", ["mezo", "mezo-svrg"])
+def test_small_replay_heap_within_theta_and_kernel_rows(optimizer, tmp_path):
+    spec = next(s for s in harness.preset_fig1a(41) if s.optimizer == optimizer)
+    path = str(tmp_path / "log.zotrj")
+    ex = harness.execute(replace(spec, max_steps=50, max_queries=None), traj_out=path)
+    log = trajectory.load(path)
+    trajectory.replay(log, ex.theta0, 2)  # warm numpy's caches
+    peak = traced_peak(lambda: trajectory.replay(log, ex.theta0, 2))[0]
+    assert peak <= _SMALL_REPLAY_BYTES, f"replay peak {peak:,} B, bound {_SMALL_REPLAY_BYTES:,} B"
 
 
 def _mlp_run_peak(optimizer, config, n=64, steps=4):
