@@ -21,11 +21,13 @@ applies an ordered list of (seed, alpha) passes piece by piece, so no
 second d-length buffer is allocated. A live probe hands it one pass at a
 time, because a loss query sits between its passes; replay hands it each
 step's whole list, every pass of a piece before the next piece. From
-`PARALLEL_MIN_D` parameters on, and with two usable CPUs, a sweep runs in
-two lanes: the caller and one pooled worker thread share its pieces.
-A sweep with cap P (`LANE_PIECE` in two lanes, `STREAM_CHUNK` in a serial
-sweep) streams k = ceil(d / P) equal pieces of ceil(d / k) values, the
-last up to k - 1 shorter, so a piece in flight is no longer than d needs.
+`PARALLEL_MIN_VALUES` z values per sweep (d times its passes) on, with
+d above `STREAM_CHUNK` and two usable CPUs, a sweep runs in two lanes: the
+caller and one pooled worker thread share its pieces. A sweep with cap P
+(`LANE_PIECE` in two lanes, `STREAM_CHUNK` in a serial sweep) streams
+k = ceil(d / P) equal pieces of ceil(d / k) values, the last up to k - 1
+shorter, so a piece in flight is no longer than d needs; two lanes take
+at least two pieces, so that each lane has one.
 Every element still gets each pass's z value, multiply and add in list
 order, so results do not depend on the lane count, on the piece size, on
 which lane streamed which piece, or on how the passes were grouped into
@@ -68,19 +70,26 @@ STREAM_CHUNK = 8192
 # half of it.
 LANE_PIECE = 2 * STREAM_CHUNK
 
-# Smallest d streamed in two lanes. One-pass sweeps on the same VM with the
-# one-call kernel, serial against two lanes of LANE_PIECE pieces, medians of
-# 200 in four runs:
+# Fewest z values a sweep makes (d times its passes) to be streamed in two
+# lanes. A replay step's 4-6 passes of the mlp preset's d = 25,818 clear it,
+# so a replayed mlp step runs as two pieces of 12,909 values, one per lane:
+# a 4-pass sweep there took 2.23-3.71 ms serial against 1.91-2.36 ms in two
+# lanes (medians of 200, three runs of four). One-pass sweeps on the same VM
+# with the one-call kernel, serial against two lanes of LANE_PIECE pieces,
+# medians of 200 in four runs:
+#     d =  25,818:  0.54-0.89 ms against 0.35-0.60 (three runs, level in one)
 #     d =  32,768:  0.60-0.95 ms against 0.37-0.68
 #     d =  49,152:  0.92-1.52 ms against 0.68-0.71
 #     d =  65,536:  1.22-2.12 ms against 1.06-1.18
 #     d =  98,304:  1.92-3.08 ms against 1.33-1.64
 #     d = 131,072:  2.53-4.00 ms against 1.62-2.09
-# The value was set on the numpy path. With the kernel, two lanes won at every
-# d here in 19 of 20 runs, so the gate could come down; the serial times
-# spread up to x1.65 between runs on this VM, whose second CPU comes and goes,
-# so it stays until a benchmark workload sits below it.
-PARALLEL_MIN_D = 8 * STREAM_CHUNK
+# Still a one-pass sweep (a live probe leg, a p = 1 axpy) below this many
+# values stays serial: a live step runs BLAS matmuls between its sweeps, and
+# with OpenBLAS's default threads its idle worker spins on the second CPU
+# after each one. With such sweeps in two lanes, 300 live MeZO steps of the
+# mlp preset ran at 187-260 steps/s against 207-310 serial under OpenBLAS's
+# default threads, and at 276-351 against 203-253 with BLAS at one thread.
+PARALLEL_MIN_VALUES = 8 * STREAM_CHUNK
 
 # The probe walk in steps of mu: to theta + mu*z, on to theta - mu*z, back.
 PROBE_WALK = (1.0, -2.0, 1.0)
@@ -227,14 +236,14 @@ def _second_lane() -> ThreadPoolExecutor | None:
     return _lane_pool[1]
 
 
-def _piece_length(d: int, cap: int) -> int:
-    """Length of each of the ceil(d / cap) equal pieces a sweep streams d values in.
+def _piece_length(d: int, cap: int, lanes: int = 1) -> int:
+    """Length of each of the max(lanes, ceil(d / cap)) equal pieces a sweep streams d in.
 
     Whole cap-long pieces and a short tail would make as many prng.normals
     calls per pass, but hold a whole cap in flight for a d just above a
     multiple of it.
     """
-    pieces = -(-d // cap)
+    pieces = max(lanes, -(-d // cap))
     return -(-d // pieces)
 
 
@@ -259,14 +268,15 @@ def _worker_lane(started: threading.Event, *lane) -> None:
 def _stream_two_lanes(theta: np.ndarray, passes, pool: ThreadPoolExecutor) -> None:
     """`stream_passes`, streamed by the caller and `pool`'s thread.
 
-    The lanes share one queue of equal pieces of at most LANE_PIECE, so a
-    lane that waits for the interpreter lock or for a busy CPU leaves its
-    pieces to the other. The caller starts only once the worker runs;
-    otherwise it takes the lock back between its short calls and the
-    worker waits. Both lanes have stopped when this returns or raises.
+    The lanes share one queue of at least two equal pieces of at most
+    LANE_PIECE, so neither lane idles while the other streams the whole
+    sweep, and a lane that waits for the interpreter lock or for a busy
+    CPU leaves its pieces to the other. The caller starts only once the
+    worker runs; otherwise it takes the lock back between its short calls
+    and the worker waits. Both lanes have stopped when this returns or raises.
     """
     d = theta.shape[0]
-    size = _piece_length(d, LANE_PIECE)
+    size = _piece_length(d, LANE_PIECE, lanes=2)
     starts = iter(range(0, d, size))
     started = threading.Event()
     worker = pool.submit(_worker_lane, started, theta, passes, starts, size)
@@ -286,16 +296,16 @@ def stream_passes(theta: np.ndarray, passes) -> None:
     sweep costs one lane dispatch. Every element still gets each pass's z
     value, multiply and add in list order, so the result equals the passes
     applied one after another, bit for bit. One piece runs inline (a
-    small-d pass takes microseconds, an extra call shows), large d in two
-    lanes of equal pieces of at most LANE_PIECE, else equal pieces of at
-    most STREAM_CHUNK in order.
+    small-d pass takes microseconds, an extra call shows), a sweep of at
+    least PARALLEL_MIN_VALUES z values in two lanes of equal pieces of at
+    most LANE_PIECE, else equal pieces of at most STREAM_CHUNK in order.
     """
     d = theta.shape[0]
     if d <= STREAM_CHUNK:  # one piece: no slicing of theta
         for seed, alpha in passes:
             prng.normals(seed.seed, seed.offset, d, add_to=theta, scale=alpha)
         return
-    if d >= PARALLEL_MIN_D:
+    if d * len(passes) >= PARALLEL_MIN_VALUES:
         pool = _second_lane()
         if pool is not None:
             _stream_two_lanes(theta, passes, pool)

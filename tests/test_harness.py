@@ -476,7 +476,7 @@ def test_cli_replay_refuses_a_theta0_file_without_a_vector(tmp_path, capsys, nam
 def test_cli_replay_in_two_lanes_exits_cleanly(tmp_path, monkeypatch):
     # a MeZO-SVRG log wide enough for the two-lane kernel, replayed by a
     # fresh interpreter whose lane thread must not hold up its exit
-    d = estimators.PARALLEL_MIN_D + 21
+    d = estimators.PARALLEL_MIN_VALUES + 21
     traj = str(tmp_path / "wide.zotrj")
     assert cli.main(["run", "--problem", "logistic", "--optimizer", "mezo-svrg",
                      "--n", "6", "--d", str(d), "--steps", "4", "--batch-size", "2",
@@ -486,7 +486,7 @@ def test_cli_replay_in_two_lanes_exits_cleanly(tmp_path, monkeypatch):
                                       traj + ".theta0.npy", "--step", "4", "--out", ckpt])
     assert done.returncode == 0
     assert done.stderr == ""
-    monkeypatch.setattr(estimators, "PARALLEL_MIN_D", d + 1)  # the serial kernel
+    monkeypatch.setattr(estimators, "_lane_pool", (os.getpid(), None))  # the serial sweep
     reference = trajectory.replay(trajectory.load(traj), np.load(traj + ".theta0.npy"), 4)
     assert trajectory.theta_digest(np.load(ckpt)) == trajectory.theta_digest(reference)
     assert np.array_equal(np.load(ckpt), np.load(traj + ".final.npy"))

@@ -15,8 +15,8 @@ from zovr import (
     make_least_squares,
     run,
 )
-from zovr import harness, prng, trajectory
-from zovr.estimators import PARALLEL_MIN_D, STREAM_CHUNK, _stream_add_scaled
+from zovr import estimators, harness, prng, trajectory
+from zovr.estimators import PARALLEL_MIN_VALUES, STREAM_CHUNK, _stream_add_scaled
 from zovr.memory import CONSTANT_OVERHEAD, held_slots
 from zovr.objectives import make_mlp2, make_synthetic_digits
 
@@ -122,7 +122,7 @@ def test_stream_kernel_heap_within_constant_overhead():
 
 def test_two_lane_stream_heap_within_constant_overhead():
     # both lanes' pieces in flight together still fit in C
-    _assert_within(_stream_pass_peak(PARALLEL_MIN_D + 7), CONSTANT_OVERHEAD)
+    _assert_within(_stream_pass_peak(PARALLEL_MIN_VALUES + 7), CONSTANT_OVERHEAD)
 
 
 # A serial pass holds one piece of at most STREAM_CHUNK values in flight, three
@@ -130,7 +130,7 @@ def test_two_lane_stream_heap_within_constant_overhead():
 _SERIAL_PASS_SLOTS = 3 * STREAM_CHUNK + 512
 
 
-@pytest.mark.parametrize("d", [STREAM_CHUNK + 1, 3 * STREAM_CHUNK + 7, PARALLEL_MIN_D - 1])
+@pytest.mark.parametrize("d", [STREAM_CHUNK + 1, 3 * STREAM_CHUNK + 7, PARALLEL_MIN_VALUES - 1])
 def test_serial_stream_heap_within_one_piece(d):
     # a serial pass streams pieces half as long as two lanes' do, so it holds
     # about a quarter of C; it keeps a bound of its own rather than C's share
@@ -153,16 +153,41 @@ def test_serial_stream_heap_within_its_equal_piece(d, piece):
 _SMALL_REPLAY_BYTES = 4096
 
 
+def _two_step_replay_peak(preset, optimizer, live_steps, tmp_path):
+    # tracemalloc peak of replaying 2 steps of a saved and loaded preset log
+    spec = next(s for s in harness.PRESETS[preset](41) if s.optimizer == optimizer)
+    path = str(tmp_path / "log.zotrj")
+    ex = harness.execute(replace(spec, max_steps=live_steps, max_queries=None), traj_out=path)
+    log = trajectory.load(path)
+    trajectory.replay(log, ex.theta0, 2)  # warm numpy's caches and the lane pool
+    return traced_peak(lambda: trajectory.replay(log, ex.theta0, 2))[0]
+
+
 @pytest.mark.skipif(prng.ZKERNEL is None, reason="the numpy path holds window-sized rows")
 @pytest.mark.parametrize("optimizer", ["mezo", "mezo-svrg"])
 def test_small_replay_heap_within_theta_and_kernel_rows(optimizer, tmp_path):
-    spec = next(s for s in harness.preset_fig1a(41) if s.optimizer == optimizer)
-    path = str(tmp_path / "log.zotrj")
-    ex = harness.execute(replace(spec, max_steps=50, max_queries=None), traj_out=path)
-    log = trajectory.load(path)
-    trajectory.replay(log, ex.theta0, 2)  # warm numpy's caches
-    peak = traced_peak(lambda: trajectory.replay(log, ex.theta0, 2))[0]
+    peak = _two_step_replay_peak("fig1a", optimizer, 50, tmp_path)
     assert peak <= _SMALL_REPLAY_BYTES, f"replay peak {peak:,} B, bound {_SMALL_REPLAY_BYTES:,} B"
+
+
+# Two replayed steps of an mlp log (d = 25,818) stream each step's passes in two
+# lanes, so they hold theta's copy (206,544 B), each lane's two kernel rows of
+# 1,024 words (2 x 16,384 B) and the Python objects of the lane handoff (its
+# Event, Future and work item). Those objects read 4,700-5,500 B after a
+# warm-up replay, and 7,168 B leaves room for them. The sum, 246,480 B, stays
+# below 246,990 B, 1.1 times the 224,536 B peak of the serial mlp replay in
+# `perfbench/run.py --workload mlp-preset`; a replay that held one more kernel
+# row (+16,384 B) would cross it.
+_MLP_REPLAY_BYTES = 25_818 * 8 + 2 * 16_384 + 7_168
+
+
+@pytest.mark.skipif(prng.ZKERNEL is None, reason="the numpy path holds window-sized rows")
+@pytest.mark.parametrize("optimizer", ["mezo", "mezo-svrg"])
+def test_mlp_replay_heap_within_theta_and_two_lanes_rows(optimizer, tmp_path):
+    if estimators._second_lane() is None:
+        pytest.skip("one usable CPU: the replay streams in one lane")
+    peak = _two_step_replay_peak("mlp", optimizer, 4, tmp_path)
+    assert peak <= _MLP_REPLAY_BYTES, f"replay peak {peak:,} B, bound {_MLP_REPLAY_BYTES:,} B"
 
 
 def _mlp_run_peak(optimizer, config, n=64, steps=4):

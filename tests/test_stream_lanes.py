@@ -1,11 +1,11 @@
 """The streaming sweep equals the serial loop bit for bit, in one or two lanes.
 
 `stream_passes` applies a list of (seed, alpha) passes piece by piece;
-from `PARALLEL_MIN_D` on it shares its pieces between the caller and one
-pooled worker thread. These tests call the two-lane kernel directly on a
-pool of their own as well, or install one as the process's lane pool, so
-they exercise it on a one-CPU machine too, where the dispatcher stays
-serial.
+from `PARALLEL_MIN_VALUES` z values per sweep on it shares its pieces
+between the caller and one pooled worker thread. These tests call the
+two-lane kernel directly on a pool of their own as well, or install one
+as the process's lane pool, so they exercise it on a one-CPU machine too,
+where the dispatcher stays serial.
 """
 
 import os
@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from zovr import estimators, optimizers, prng, trajectory
 from zovr.estimators import (
     LANE_PIECE,
-    PARALLEL_MIN_D,
+    PARALLEL_MIN_VALUES,
     STREAM_CHUNK,
     PerturbationSeed,
     _stream_add_scaled,
@@ -57,7 +57,7 @@ def lane_pool():
 
 
 @settings(max_examples=20, deadline=None)
-@given(d=st.integers(PARALLEL_MIN_D - 3, 3 * PARALLEL_MIN_D),
+@given(d=st.integers(PARALLEL_MIN_VALUES - 3, 3 * PARALLEL_MIN_VALUES),
        seed=st.integers(0, 2**64 - 1), offset=st.integers(0, 2**40),
        alpha=st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
 def test_two_lanes_equal_serial_loop(lane_pool, d, seed, offset, alpha):
@@ -75,12 +75,15 @@ def test_two_lanes_equal_serial_loop(lane_pool, d, seed, offset, alpha):
 
 _SWEEP_D = st.one_of(
     st.integers(1, STREAM_CHUNK),
-    st.integers(PARALLEL_MIN_D - 3, 3 * PARALLEL_MIN_D),
+    # one or two serial pieces, two lanes' pieces once the passes make
+    # PARALLEL_MIN_VALUES values
+    st.integers(STREAM_CHUNK + 1, LANE_PIECE),
+    st.integers(PARALLEL_MIN_VALUES - 3, 3 * PARALLEL_MIN_VALUES),
     # a ragged tail after whole pieces, on either side of the two-lane gate
     st.builds(lambda k, r: k * STREAM_CHUNK + r, st.integers(1, 23),
               st.integers(1, STREAM_CHUNK - 1)),
     # and after whole two-lane pieces above the gate
-    st.builds(lambda k, r: k * LANE_PIECE + r, st.integers(PARALLEL_MIN_D // LANE_PIECE, 12),
+    st.builds(lambda k, r: k * LANE_PIECE + r, st.integers(PARALLEL_MIN_VALUES // LANE_PIECE, 12),
               st.integers(1, LANE_PIECE - 1)),
 )
 # a few small seeds, so that lists repeat a window as a probe walk does
@@ -108,9 +111,20 @@ def test_sweep_equals_its_passes_one_by_one(lane_pool, d, raw):
     assert np.array_equal(_bits(two), _bits(expected))
 
 
-def test_two_lanes_ask_for_lane_pieces_and_a_serial_sweep_for_chunks(monkeypatch, lane_pool):
-    d = PARALLEL_MIN_D + 11
-    passes = [(PerturbationSeed(3, 1), 0.5), (PerturbationSeed(4, 2), -0.25)]
+class _CountingPool:
+    """A one-thread pool that counts the lane dispatches made to it."""
+
+    def __init__(self, pool):
+        self.pool = pool
+        self.submits = 0
+
+    def submit(self, *args):
+        self.submits += 1
+        return self.pool.submit(*args)
+
+
+def _recorded_lengths(monkeypatch):
+    # the window length of every prng.normals call, from either lane
     real = prng.normals
     lock = threading.Lock()
     lengths = []
@@ -121,16 +135,46 @@ def test_two_lanes_ask_for_lane_pieces_and_a_serial_sweep_for_chunks(monkeypatch
         return real(seed, start, count, add_to, scale)
 
     monkeypatch.setattr(prng, "normals", recorded)
+    return lengths
+
+
+def test_two_lanes_ask_for_lane_pieces_and_a_serial_sweep_for_chunks(monkeypatch, lane_pool):
+    d = PARALLEL_MIN_VALUES + 11
+    passes = [(PerturbationSeed(3, 1), 0.5), (PerturbationSeed(4, 2), -0.25)]
+    lengths = _recorded_lengths(monkeypatch)
     monkeypatch.setattr(estimators, "_lane_pool", (os.getpid(), lane_pool))
     assert LANE_PIECE > STREAM_CHUNK  # fewer interpreter-lock handoffs per z value
     stream_passes(np.zeros(d), passes)
     # ceil(d / LANE_PIECE) = 5 equal pieces per pass, not four whole ones and 11 values
     assert sorted(lengths) == [13_107] * 2 + [13_110] * 8
     lengths.clear()
-    monkeypatch.setattr(estimators, "PARALLEL_MIN_D", d + 1)
+    monkeypatch.setattr(estimators, "_lane_pool", (os.getpid(), None))  # one usable CPU
     stream_passes(np.zeros(d), passes)
     # ceil(d / STREAM_CHUNK) = 9 equal pieces per pass, each piece taking both passes
     assert lengths == [7_283] * 18
+
+
+@pytest.mark.parametrize("d, count, lanes, lengths", [
+    (25_818, 4, 2, [12_909] * 8),  # a replayed mlp step: two pieces, one per lane
+    (25_818, 1, 1, [6_453] + [6_455] * 3),  # a live mlp probe leg: serial
+    (9_000, 8, 2, [4_500] * 16),  # one LANE_PIECE of d still makes two pieces
+], ids=["mlp-replay", "mlp-one-pass", "short-many-passes"])
+def test_two_lanes_gate_on_the_values_a_sweep_makes(monkeypatch, lane_pool,
+                                                    d, count, lanes, lengths):
+    passes = [(PerturbationSeed(7 + k % 3, k), 0.5 - k / 4) for k in range(count)]
+    assert (d * count >= PARALLEL_MIN_VALUES) == (lanes == 2)
+    pool = _CountingPool(lane_pool)
+    monkeypatch.setattr(estimators, "_lane_pool", (os.getpid(), pool))
+    recorded = _recorded_lengths(monkeypatch)
+    theta0 = np.linspace(-1.0, 1.0, d)
+    swept = theta0.copy()
+    stream_passes(swept, passes)
+    assert pool.submits == lanes - 1
+    assert sorted(recorded) == lengths
+    expected = theta0.copy()
+    for seed, alpha in passes:
+        _serial_stream(expected, seed, alpha)
+    assert np.array_equal(_bits(swept), _bits(expected))
 
 
 def test_dispatch_uses_two_lanes_with_two_cpus():
@@ -217,19 +261,7 @@ def test_lane_error_in_a_sweep_raises_after_both_lanes_stop(monkeypatch, lane_po
     assert np.array_equal(theta, expected)  # and nothing writes after the raise
 
 
-class _CountingPool:
-    """A one-thread pool that counts the lane dispatches made to it."""
-
-    def __init__(self, pool):
-        self.pool = pool
-        self.submits = 0
-
-    def submit(self, *args):
-        self.submits += 1
-        return self.pool.submit(*args)
-
-
-_WIDE_D = PARALLEL_MIN_D + 11
+_WIDE_D = PARALLEL_MIN_VALUES + 11
 _WIDE_STEPS = 4
 
 
@@ -281,13 +313,13 @@ def test_replay_in_two_lanes_generates_every_z_value(monkeypatch, lane_pool, opt
     per_step = {optimizers.KIND_FULLBATCH: 4,
                 optimizers.KIND_MINIBATCH: 4 if optimizer == "mezo" else 6}
     assert values[0] == _WIDE_D * sum(per_step[kind] for kind in kinds)
-    monkeypatch.setattr(estimators, "PARALLEL_MIN_D", _WIDE_D + 1)
+    monkeypatch.setattr(estimators, "_lane_pool", (os.getpid(), None))  # the serial sweep
     assert np.array_equal(replayed, trajectory.replay(log, theta0, _WIDE_STEPS))
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_kernel_works_in_forked_child():
-    d = PARALLEL_MIN_D + 11
+    d = PARALLEL_MIN_VALUES + 11
     seed = PerturbationSeed(5, 2)
     expected = np.zeros(d)
     _serial_stream(expected, seed, 0.25)
@@ -318,7 +350,7 @@ def test_kernel_works_in_forked_child():
 
 def test_concurrent_callers_share_the_worker():
     # more calling threads than CPUs, switching often, one worker between them
-    d = PARALLEL_MIN_D + 3
+    d = PARALLEL_MIN_VALUES + 3
     seeds = [PerturbationSeed(40 + i, i) for i in range(4)]
     expected = []
     for s in seeds:

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import struct
 import zlib
 
@@ -375,8 +376,8 @@ def test_live_equals_replay_at_every_step(optimizer, q, b, p, anchor_batch, sche
 
 
 def test_live_equals_replay_in_two_lanes(monkeypatch):
-    # d above PARALLEL_MIN_D: probes, updates and replay stream in two lanes
-    obj = make_logistic(6, estimators.PARALLEL_MIN_D + 9, seed=3)
+    # d above PARALLEL_MIN_VALUES: probes, updates and replay stream in two lanes
+    obj = make_logistic(6, estimators.PARALLEL_MIN_VALUES + 9, seed=3)
     theta0 = obj.initial_theta()
     config = MezoSvrgConfig(eta1=1e-2, eta2=1e-3, q=2, b=2,
                             spsa=SpsaConfig(mu=1e-3, p=2))
@@ -393,7 +394,7 @@ def test_live_equals_replay_in_two_lanes(monkeypatch):
     for t in range(5):
         assert np.array_equal(replay(traj, theta0, t), snaps[t])
     # and the serial kernel produces the very same run
-    monkeypatch.setattr(estimators, "PARALLEL_MIN_D", obj.d + 1)
+    monkeypatch.setattr(estimators, "_lane_pool", (os.getpid(), None))
     serial = run(obj, theta0, "mezo-svrg", config, Budget(max_steps=4), 13)
     assert np.array_equal(serial.theta, result.theta)
 
