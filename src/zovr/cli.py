@@ -21,7 +21,7 @@ import numpy as np
 from . import harness, oracles, prng, trajectory
 from .estimators import PerturbationSeed, apply_probe_sequence
 from .memory import account_memory, held_slots
-from .optimizers import OPTIMIZER_ROWS, OPTIMIZERS, _parsed
+from .optimizers import _PARSERS, OPTIMIZER_ROWS, OPTIMIZERS, _parsed
 from .prng import fold
 
 
@@ -80,13 +80,25 @@ def _collect_settings(args) -> dict[str, str]:
 
 
 def _spec_from_settings(settings: dict[str, str]) -> harness.RunSpec:
-    """A run spec that hands every setting to both builders; each takes its own keys."""
+    """A run spec that hands every setting to both builders; each takes its own keys.
+
+    A key that no problem, optimizer or run reads is an error, so that a
+    misspelled one (`lr2`, the flag, for the key `eta2`) leaves no default
+    in its place unseen.
+    """
+    run_parsers = {"steps": int, "query_budget": int, "seed": int, "eval_every": int}
+    unknown = sorted(settings.keys() - {
+        "problem", "optimizer", *run_parsers,
+        *(k for _, parsers in harness._PROBLEMS.values() for k in parsers),
+        *(k for parsers in _PARSERS.values() for k in parsers)})
+    if unknown:
+        raise ValueError(f"no problem, optimizer or run reads the setting "
+                         f"{', '.join(map(repr, unknown))}")
     problem = settings.get("problem") or "ls"
     optimizer = settings.get("optimizer") or "mezo-svrg"
     if "eta1" in settings:  # --lr1 sets eta of the one-rate optimizers
         settings.setdefault("eta", settings["eta1"])
-    run = _parsed({"steps": int, "query_budget": int, "seed": int, "eval_every": int},
-                  settings)
+    run = _parsed(run_parsers, settings)
     steps, queries = run.get("steps"), run.get("query_budget")
     if steps is None and queries is None:
         steps = 1000

@@ -23,7 +23,8 @@ time, because a loss query sits between its passes; replay hands it each
 step's whole list, every pass of a piece before the next piece. From
 `PARALLEL_MIN_VALUES` z values per sweep (d times its passes) on, with
 d above `STREAM_CHUNK` and two usable CPUs, a sweep runs in two lanes: the
-caller and one pooled worker thread share its pieces. A sweep with cap P
+caller and one pooled worker thread take its pieces from one queue, the
+caller from the start and the worker once it runs. A sweep with cap P
 (`LANE_PIECE` in two lanes, `STREAM_CHUNK` in a serial sweep) streams
 k = ceil(d / P) equal pieces of ceil(d / k) values, the last up to k - 1
 shorter, so a piece in flight is no longer than d needs; two lanes take
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
@@ -65,9 +65,7 @@ STREAM_CHUNK = 8192
 # sweep made 0.02 voluntary context switches per z pass, against 0.18-0.26
 # when the kernel gave the lock back only in its two C loops. Fewer, longer
 # pieces still hand the lock over less often; the numpy path, which gives it
-# back in each of its ufuncs, needs that most. With the earlier kernel the
-# same 4-pass sweep took 45-62 ms in two lanes at this cap and 49-84 ms at
-# half of it.
+# back in each of its ufuncs, needs that most.
 LANE_PIECE = 2 * STREAM_CHUNK
 
 # Fewest z values a sweep makes (d times its passes) to be streamed in two
@@ -236,17 +234,6 @@ def _second_lane() -> ThreadPoolExecutor | None:
     return _lane_pool[1]
 
 
-def _piece_length(d: int, cap: int, lanes: int = 1) -> int:
-    """Length of each of the max(lanes, ceil(d / cap)) equal pieces a sweep streams d in.
-
-    Whole cap-long pieces and a short tail would make as many prng.normals
-    calls per pass, but hold a whole cap in flight for a d just above a
-    multiple of it.
-    """
-    pieces = max(lanes, -(-d // cap))
-    return -(-d // pieces)
-
-
 def _stream_pieces(theta: np.ndarray, passes, starts, size: int) -> None:
     # for each piece a taken from `starts`, every (seed, alpha) of `passes` in
     # turn does theta[a:a+size] += alpha * z(seed)[a:a+size]; the two lanes
@@ -260,34 +247,6 @@ def _stream_pieces(theta: np.ndarray, passes, starts, size: int) -> None:
             prng.normals(seed.seed, seed.offset + a, b - a, add_to=piece, scale=alpha)
 
 
-def _worker_lane(started: threading.Event, *lane) -> None:
-    started.set()
-    _stream_pieces(*lane)
-
-
-def _stream_two_lanes(theta: np.ndarray, passes, pool: ThreadPoolExecutor) -> None:
-    """`stream_passes`, streamed by the caller and `pool`'s thread.
-
-    The lanes share one queue of at least two equal pieces of at most
-    LANE_PIECE, so neither lane idles while the other streams the whole
-    sweep, and a lane that waits for the interpreter lock or for a busy
-    CPU leaves its pieces to the other. The caller starts only once the
-    worker runs; otherwise it takes the lock back between its short calls
-    and the worker waits. Both lanes have stopped when this returns or raises.
-    """
-    d = theta.shape[0]
-    size = _piece_length(d, LANE_PIECE, lanes=2)
-    starts = iter(range(0, d, size))
-    started = threading.Event()
-    worker = pool.submit(_worker_lane, started, theta, passes, starts, size)
-    try:
-        started.wait()
-        _stream_pieces(theta, passes, starts, size)
-    finally:
-        wait((worker,))
-    worker.result()
-
-
 def stream_passes(theta: np.ndarray, passes) -> None:
     """theta += alpha * z(seed) for each (seed, alpha) of `passes`, in order.
 
@@ -296,27 +255,33 @@ def stream_passes(theta: np.ndarray, passes) -> None:
     sweep costs one lane dispatch. Every element still gets each pass's z
     value, multiply and add in list order, so the result equals the passes
     applied one after another, bit for bit. One piece runs inline (a
-    small-d pass takes microseconds, an extra call shows), a sweep of at
-    least PARALLEL_MIN_VALUES z values in two lanes of equal pieces of at
-    most LANE_PIECE, else equal pieces of at most STREAM_CHUNK in order.
+    small-d pass takes microseconds, an extra call shows); longer sweeps
+    stream equal pieces (see the module docstring). Equal pieces make as
+    many prng.normals calls per pass as whole cap-long ones and a short
+    tail, but hold no whole cap in flight for a d just above a multiple of
+    it. In two lanes the caller starts at once and the pool's thread takes
+    whichever pieces are left when it runs, so a lane that waits for the
+    interpreter lock or a busy CPU leaves its pieces to the other. Both
+    lanes have stopped when this returns or raises.
     """
     d = theta.shape[0]
     if d <= STREAM_CHUNK:  # one piece: no slicing of theta
         for seed, alpha in passes:
             prng.normals(seed.seed, seed.offset, d, add_to=theta, scale=alpha)
         return
-    if d * len(passes) >= PARALLEL_MIN_VALUES:
-        pool = _second_lane()
-        if pool is not None:
-            _stream_two_lanes(theta, passes, pool)
-            return
-    size = _piece_length(d, STREAM_CHUNK)
-    _stream_pieces(theta, passes, range(0, d, size), size)
-
-
-def _stream_add_scaled(theta: np.ndarray, seed: PerturbationSeed, alpha: float) -> None:
-    # theta += alpha * z(seed): the sweep of one pass
-    stream_passes(theta, ((seed, alpha),))
+    pool = _second_lane() if d * len(passes) >= PARALLEL_MIN_VALUES else None
+    cap, lanes = (STREAM_CHUNK, 1) if pool is None else (LANE_PIECE, 2)
+    size = -(-d // max(lanes, -(-d // cap)))
+    starts = iter(range(0, d, size))
+    if pool is None:
+        _stream_pieces(theta, passes, starts, size)
+        return
+    worker = pool.submit(_stream_pieces, theta, passes, starts, size)
+    try:
+        _stream_pieces(theta, passes, starts, size)
+    finally:
+        wait((worker,))
+    worker.result()
 
 
 def _central_difference(theta, seed, mu, evaluate):
@@ -327,19 +292,19 @@ def _central_difference(theta, seed, mu, evaluate):
     undone before re-raising.
     """
     up, across, back = PROBE_WALK
-    _stream_add_scaled(theta, seed, up * mu)
+    stream_passes(theta, ((seed, up * mu),))
     try:
         f_plus = float(evaluate())
     except BaseException:
-        _stream_add_scaled(theta, seed, -up * mu)
+        stream_passes(theta, ((seed, -up * mu),))
         raise
-    _stream_add_scaled(theta, seed, across * mu)
+    stream_passes(theta, ((seed, across * mu),))
     try:
         f_minus = float(evaluate())
     except BaseException:
-        _stream_add_scaled(theta, seed, back * mu)
+        stream_passes(theta, ((seed, back * mu),))
         raise
-    _stream_add_scaled(theta, seed, back * mu)
+    stream_passes(theta, ((seed, back * mu),))
     if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
         raise NonFiniteLossError(
             f"non-finite loss in SPSA probe: f+={f_plus!r}, f-={f_minus!r}"

@@ -16,5 +16,5 @@ def pytest_report_header(config):
     # the digest pins hold only where the normals fingerprint matches its pin
     kernel = "numpy" if prng.ZKERNEL is None else "compiled"
     return (f"zovr z kernel: {kernel}; np.log float64 loop: {_log_loop()}; "
-            f"normals fingerprint {helpers.normals_fingerprint()[:8]} "
+            f"glibc cos path: {helpers.cos_path()}; normals fingerprint {helpers.normals_fingerprint()[:8]} "
             f"(pinned {helpers.PINNED_NORMALS_FINGERPRINT[:8]})")

@@ -1,6 +1,7 @@
 """Test doubles and checks shared by several test modules."""
 
 import hashlib
+import math
 import os
 import tracemalloc
 
@@ -136,6 +137,19 @@ def normals_fingerprint() -> str:
     """SHA-256 of the fingerprint window as this process computes it."""
     window = prng.normals(prng.fold(0, 1), 0, 2**20)
     return hashlib.sha256(window.astype("<f8", copy=False).tobytes()).hexdigest()
+
+
+# An angle whose cosine glibc rounds one way on its FMA path and the other way
+# on its SSE2 path (141 of 200,000 scanned angles differ so), and the two
+# cosines. The compiled z kernel finishes Box-Muller with libm's cos, so its
+# stream follows the path.
+_COS_ANGLE = float.fromhex("0x1.7ad3bfecef6c1p+0")
+_COS_PATHS = {"0x1.743bae20bcb2fp-4": "fma", "0x1.743bae20bcb2ep-4": "sse2"}
+
+
+def cos_path() -> str:
+    """glibc's cos path in this process: 'fma', 'sse2', or 'unknown' (another libm)."""
+    return _COS_PATHS.get(math.cos(_COS_ANGLE).hex(), "unknown")
 
 
 def assert_pinned(actual, expected):

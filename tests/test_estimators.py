@@ -17,7 +17,7 @@ from zovr import (
     spsa_batch_avg,
     spsa_batch_shared,
 )
-from zovr.estimators import _stream_add_scaled, apply_probe_sequence
+from zovr.estimators import apply_probe_sequence, stream_passes
 from zovr.prng import fold, normals
 
 from helpers import CountingObjective, word_below
@@ -70,7 +70,7 @@ def test_perturb_restore_cycle():
 def test_perturb_identity_case():
     seed = PerturbationSeed(21)
     theta = np.zeros(64)
-    _stream_add_scaled(theta, seed, 1.0)
+    stream_passes(theta, ((seed, 1.0),))
     assert np.array_equal(theta, normals(seed.seed, seed.offset, 64))
 
 

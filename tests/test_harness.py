@@ -152,6 +152,26 @@ def test_cli_config_empty_values_mean_defaults(tmp_path):
     assert _csv_digest_without_elapsed(by_config) == _csv_digest_without_elapsed(by_flags)
 
 
+def test_cli_config_refuses_a_key_nothing_reads(tmp_path, monkeypatch, capsys):
+    # `lr2` names the flag; the key is `eta2`, which would keep its default
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("optimizer=mezo-svrg\nlr2=0.5\nsteps=3\n")
+    code = cli.main(["run", "--config", "run.cfg", "--out", "never.csv",
+                     "--traj-out", "never.zotrj"])
+    assert code == 1
+    assert capsys.readouterr() == (
+        "", "error: no problem, optimizer or run reads the setting 'lr2'\n")
+    assert os.listdir(tmp_path) == ["run.cfg"]
+
+
+def test_cli_config_ignores_a_key_of_another_optimizer(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("q=2\nsteps=3\n")  # q is MeZO-SVRG's
+    out = str(tmp_path / "run.csv")
+    assert cli.main(["run", "--config", str(cfg), "--optimizer", "mezo", "--out", out]) == 0
+    assert len(read_csv(out)) == 3
+
+
 def test_schedule_window_is_read_once():
     config = harness.build_optimizer_config("mezo-svrg", {"kappa": "1.1", "window": "4"})
     assert config.schedule.window == 4

@@ -16,7 +16,7 @@ from zovr import (
     run,
 )
 from zovr import estimators, harness, prng, trajectory
-from zovr.estimators import PARALLEL_MIN_VALUES, STREAM_CHUNK, _stream_add_scaled
+from zovr.estimators import PARALLEL_MIN_VALUES, STREAM_CHUNK, stream_passes
 from zovr.memory import CONSTANT_OVERHEAD, held_slots
 from zovr.objectives import make_mlp2, make_synthetic_digits
 
@@ -111,8 +111,8 @@ def _assert_within(peak, model):
 def _stream_pass_peak(d):
     theta = np.zeros(d)
     seed = PerturbationSeed(17, 5)
-    _stream_add_scaled(theta, seed, 0.5)  # warm numpy's caches and the lane pool
-    return traced_peak(lambda: _stream_add_scaled(theta, seed, -0.5))[0]
+    stream_passes(theta, ((seed, 0.5),))  # warm numpy's caches and the lane pool
+    return traced_peak(lambda: stream_passes(theta, ((seed, -0.5),)))[0]
 
 
 def test_stream_kernel_heap_within_constant_overhead():

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from zovr import estimators, prng
 from zovr.estimators import (
-    LANE_PIECE, STREAM_CHUNK, GradientEstimate, PerturbationSeed, _stream_add_scaled,
-    sample_minibatch)
+    LANE_PIECE, STREAM_CHUNK, GradientEstimate, PerturbationSeed, sample_minibatch,
+    stream_passes)
 
 import helpers
 from helpers import assert_pinned, child_env, stream_word, traced_peak
@@ -172,7 +172,7 @@ def test_minibatches_across_size_gates_pinned(key):
 def _z_passes(sizes):
     for d in sizes:
         theta = prng.normals(77, 0, d)
-        _stream_add_scaled(theta, PerturbationSeed(2**64 - 59, 5), -0.37)
+        stream_passes(theta, ((PerturbationSeed(2**64 - 59, 5), -0.37),))
         yield theta
 
 
@@ -201,6 +201,17 @@ def test_a_pin_that_cannot_hold_on_this_cpu_says_why(monkeypatch):
     monkeypatch.setattr(helpers, "PINNED_NORMALS_FINGERPRINT", "0" * 64)
     with pytest.raises(AssertionError, match="pinned on an AVX-512 numpy dispatch"):
         assert_pinned("new", "old")
+
+
+def test_cos_path_follows_the_glibc_tunable():
+    here = helpers.cos_path()
+    if here != "fma":
+        pytest.skip(f"this process takes the {here} cos path, not the FMA one")
+    child = subprocess.run([sys.executable, "-c", "import helpers; print(helpers.cos_path())"],
+                           cwd=os.path.dirname(helpers.__file__),
+                           env=child_env(GLIBC_TUNABLES="glibc.cpu.hwcaps=-FMA"),
+                           capture_output=True, text=True, timeout=120)
+    assert (child.returncode, child.stdout) == (0, "sse2\n"), child.stderr
 
 
 def test_no_resident_buffers():

@@ -2,12 +2,13 @@
 
 `stream_passes` applies a list of (seed, alpha) passes piece by piece;
 from `PARALLEL_MIN_VALUES` z values per sweep on it shares its pieces
-between the caller and one pooled worker thread. These tests call the
-two-lane kernel directly on a pool of their own as well, or install one
-as the process's lane pool, so they exercise it on a one-CPU machine too,
-where the dispatcher stays serial.
+between the caller and one pooled worker thread. These tests install a
+pool of their own as the process's lane pool, some with the two-lane gate
+lowered to one value, so they exercise two lanes on a one-CPU machine
+too, where the sweep stays serial.
 """
 
+import contextlib
 import os
 import signal
 import sys
@@ -25,9 +26,7 @@ from zovr.estimators import (
     PARALLEL_MIN_VALUES,
     STREAM_CHUNK,
     PerturbationSeed,
-    _stream_add_scaled,
     _stream_pieces,
-    _stream_two_lanes,
     stream_passes,
 )
 
@@ -56,6 +55,21 @@ def lane_pool():
     pool.shutdown()
 
 
+@contextlib.contextmanager
+def _two_lanes(pool):
+    """Install `pool` as the lane pool and let a sweep of any size take two lanes.
+
+    A context manager rather than monkeypatch, which @given tests cannot take.
+    """
+    saved = estimators._lane_pool, estimators.PARALLEL_MIN_VALUES
+    estimators._lane_pool = (os.getpid(), pool)
+    estimators.PARALLEL_MIN_VALUES = 1
+    try:
+        yield
+    finally:
+        estimators._lane_pool, estimators.PARALLEL_MIN_VALUES = saved
+
+
 @settings(max_examples=20, deadline=None)
 @given(d=st.integers(PARALLEL_MIN_VALUES - 3, 3 * PARALLEL_MIN_VALUES),
        seed=st.integers(0, 2**64 - 1), offset=st.integers(0, 2**40),
@@ -66,9 +80,10 @@ def test_two_lanes_equal_serial_loop(lane_pool, d, seed, offset, alpha):
     expected = theta0.copy()
     _serial_stream(expected, ps, alpha)
     dispatched = theta0.copy()
-    _stream_add_scaled(dispatched, ps, alpha)
+    stream_passes(dispatched, ((ps, alpha),))
     two = theta0.copy()
-    _stream_two_lanes(two, ((ps, alpha),), lane_pool)
+    with _two_lanes(lane_pool):
+        stream_passes(two, ((ps, alpha),))
     assert np.array_equal(_bits(dispatched), _bits(expected))
     assert np.array_equal(_bits(two), _bits(expected))
 
@@ -104,8 +119,9 @@ def test_sweep_equals_its_passes_one_by_one(lane_pool, d, raw):
     stream_passes(dispatched, passes)
     serial = theta0.copy()
     _stream_pieces(serial, passes, range(0, d, STREAM_CHUNK), STREAM_CHUNK)
-    two = theta0.copy()
-    _stream_two_lanes(two, passes, lane_pool)
+    two = theta0.copy()  # two lanes above STREAM_CHUNK, inline at or below it
+    with _two_lanes(lane_pool):
+        stream_passes(two, passes)
     assert np.array_equal(_bits(dispatched), _bits(expected))
     assert np.array_equal(_bits(serial), _bits(expected))
     assert np.array_equal(_bits(two), _bits(expected))
@@ -177,6 +193,46 @@ def test_two_lanes_gate_on_the_values_a_sweep_makes(monkeypatch, lane_pool,
     assert np.array_equal(_bits(swept), _bits(expected))
 
 
+def test_a_busy_worker_leaves_every_piece_to_the_caller(monkeypatch):
+    # the caller starts at once; a worker still busy elsewhere finds no piece left
+    d = PARALLEL_MIN_VALUES + 11
+    passes = [(PerturbationSeed(3, 1), 0.5), (PerturbationSeed(4, 2), -0.25)]
+    theta = np.linspace(-1.0, 1.0, d)
+    expected = theta.copy()
+    for seed, alpha in passes:
+        _serial_stream(expected, seed, alpha)
+    gate = threading.Event()
+    pool = ThreadPoolExecutor(1)
+    pool.submit(gate.wait, 30)
+    monkeypatch.setattr(estimators, "_lane_pool", (os.getpid(), pool))
+    real = prng.normals
+    lock = threading.Lock()
+    made = {}  # z values per thread name
+
+    def recorded(seed, start, count, add_to=None, scale=1.0):
+        with lock:
+            name = threading.current_thread().name
+            made[name] = made.get(name, 0) + count
+        return real(seed, start, count, add_to, scale)
+
+    monkeypatch.setattr(prng, "normals", recorded)
+    sweep = threading.Thread(target=stream_passes, args=(theta, passes), name="caller",
+                             daemon=True)
+    sweep.start()
+    try:
+        deadline = time.monotonic() + 10
+        while made.get("caller", 0) < 2 * d and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert made == {"caller": 2 * d}
+        assert sweep.is_alive()  # waiting for the worker's turn
+    finally:
+        gate.set()
+        sweep.join(30)
+        pool.shutdown()
+    assert not sweep.is_alive()
+    assert np.array_equal(_bits(theta), _bits(expected))
+
+
 def test_dispatch_uses_two_lanes_with_two_cpus():
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     pool = estimators._second_lane()
@@ -222,8 +278,8 @@ def test_lane_error_raises_after_both_lanes_stop(monkeypatch, lane_pool, failing
     real = prng.normals
     inside, failed_at = _fail_once_in(monkeypatch, failing, seed)
     theta = np.zeros(d)
-    with pytest.raises(RuntimeError, match=f"{failing} lane failed"):
-        _stream_two_lanes(theta, ((seed, 0.5),), lane_pool)
+    with pytest.raises(RuntimeError, match=f"{failing} lane failed"), _two_lanes(lane_pool):
+        stream_passes(theta, ((seed, 0.5),))
     assert inside == []
     # the other lane streamed every remaining piece before the error surfaced
     expected = np.zeros(d)
@@ -244,8 +300,8 @@ def test_lane_error_in_a_sweep_raises_after_both_lanes_stop(monkeypatch, lane_po
     real = prng.normals
     inside, failed_at = _fail_once_in(monkeypatch, failing, broken)
     theta = np.zeros(d)
-    with pytest.raises(RuntimeError, match=f"{failing} lane failed"):
-        _stream_two_lanes(theta, passes, lane_pool)
+    with pytest.raises(RuntimeError, match=f"{failing} lane failed"), _two_lanes(lane_pool):
+        stream_passes(theta, passes)
     assert inside == []
     # the other lane swept every remaining piece before the error surfaced;
     # the failed piece kept the pass it took before the raise
@@ -324,14 +380,14 @@ def test_kernel_works_in_forked_child():
     expected = np.zeros(d)
     _serial_stream(expected, seed, 0.25)
     theta = np.zeros(d)
-    _stream_add_scaled(theta, seed, 0.25)  # the parent's pool now has a thread
+    stream_passes(theta, ((seed, 0.25),))  # the parent's pool now has a thread
     assert np.array_equal(theta, expected)
     pid = os.fork()
     if pid == 0:  # child: report through the exit code only
         code = 1
         try:
             child = np.zeros(d)
-            _stream_add_scaled(child, seed, 0.25)
+            stream_passes(child, ((seed, 0.25),))
             code = 0 if np.array_equal(child, expected) else 3
         finally:
             os._exit(code)
@@ -361,8 +417,8 @@ def test_concurrent_callers_share_the_worker():
     results = [np.zeros(d) for _ in seeds]
 
     def work(i):
-        _stream_add_scaled(results[i], seeds[i], -0.75)
-        _stream_add_scaled(results[i], seeds[i], 0.5)
+        stream_passes(results[i], ((seeds[i], -0.75),))
+        stream_passes(results[i], ((seeds[i], 0.5),))
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
